@@ -126,10 +126,18 @@ def _make_driver(protocol: str, graph: GraphSchedule,
 
 def resolve_latency_window(protocol: str, graph: GraphSchedule,
                            channel_model: ChannelModel | None) -> int:
-    """Number of ticks after which every cohort is guaranteed complete."""
-    if protocol == "acyclic":
-        return latency_bound(graph, 0, 1)
+    """Number of ticks after which every cohort is guaranteed complete.
+
+    The acyclic protocol exchanges increments over a lossless unit-delay
+    mailbox, so a channel that can drop a send or delay one past a tick is
+    rejected rather than silently ignored."""
     model = channel_model if channel_model is not None else ChannelModel()
+    if protocol == "acyclic":
+        if (model.t1 > 0 and model.drop_prob > 0) or model.t2 > 1:
+            raise ConfigurationError(
+                "the acyclic protocol needs a lossless unit-delay channel, got "
+                f"t1={model.t1}, t2={model.t2}, drop_prob={model.drop_prob}")
+        return latency_bound(graph, 0, 1)
     return latency_bound(graph, model.t1, model.t2)
 
 

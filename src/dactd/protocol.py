@@ -86,9 +86,20 @@ class WindowPayload:
     Contains exactly K*N slots regardless of per-slot width.
     """
 
-    origins: tuple[int, ...]    # newest first
+    origins: tuple[int, ...]    # contiguous, newest first
     values: np.ndarray          # (K, n_agents, *value_shape), read-only
     known: np.ndarray           # (K, n_agents) bool, read-only
+
+    def __post_init__(self):
+        newest = self.origins[0] if self.origins else 0
+        if self.origins != tuple(range(newest, newest - len(self.origins), -1)):
+            raise ValueError(
+                f"payload origins {self.origins} are not contiguous newest first")
+        if (self.known.ndim != 2 or len(self.known) != len(self.origins)
+                or self.values.shape[:2] != self.known.shape):
+            raise ValueError(
+                f"payload of {len(self.origins)} origins has values "
+                f"{self.values.shape} and known {self.known.shape}")
 
     @property
     def slot_count(self) -> int:
@@ -104,6 +115,13 @@ class WindowPayload:
 
 class TDHistory:
     """Ring buffer of K+1 TD vectors, indexed by age tau = newest - origin.
+
+    Ring layout: the row of age tau is ``(_base + tau) % (K + 1)``, and
+    advance() steps ``_base`` back by one, so ages 0..K run forward through
+    the ring from ``_base`` and wrap at most once.  Payload origins are
+    contiguous and newest first, so the payload rows that fall inside the
+    window have consecutive ages and map to at most two ring slices; merges
+    and snapshots work on those slices as views.
 
     Rows for cohorts before tick 0 start out all-known zero, matching the
     protocols' zero initialization.
@@ -173,41 +191,54 @@ class TDHistory:
                 self._known[r][new] = True
         return self
 
+    def _ring_slices(self, tau: int, count: int) -> list[tuple[int, int]]:
+        """Ring slices [start, stop) holding ages tau..tau+count-1, oldest
+        age last; at most two, since the ages wrap the ring at most once."""
+        start = (self._base + tau) % (self.K + 1)
+        stop = start + count
+        if stop <= self.K + 1:
+            return [(start, stop)]
+        return [(start, self.K + 1), (0, stop - (self.K + 1))]
+
     def merge_payload(self, payload: WindowPayload) -> "TDHistory":
         """Vectorized merge of a whole window payload.
 
         Identical semantics to merge(payload.vectors()) — write-once fill-in
-        with a bitwise conflict check — done in whole-window array ops.
+        with a bitwise conflict check — done in place on ring slices.
         Rows older than the local window are silently dropped (their cohort
-        was already read out and can no longer change).
+        was already read out and can no longer change), as are rows newer
+        than it.
         """
-        oldest = self.newest_tick - self.K
-        keep = [r for r, o in enumerate(payload.origins)
-                if oldest <= o <= self.newest_tick]
-        if not keep:
+        if not payload.origins:
             return self
-        origins = [payload.origins[r] for r in keep]
-        inc_vals = payload.values[keep]
-        inc_known = payload.known[keep]
-        rows = [(self._base + (self.newest_tick - o)) % (self.K + 1)
-                for o in origins]
-        loc_vals = self._values[rows]
-        loc_known = self._known[rows]
-        both = loc_known & inc_known
-        if both.any():
-            differ = loc_vals != inc_vals
-            if differ.ndim > 2:
-                differ = differ.any(axis=tuple(range(2, differ.ndim)))
-            if (both & differ).any():
-                bad = np.argwhere(both & differ)[0]
-                raise ProtocolCorruptionError(
-                    f"agent {self.owner}: conflicting values for origin "
-                    f"{origins[int(bad[0])]}")
-        new = inc_known & ~loc_known
-        if new.any():
-            loc_vals[new] = inc_vals[new]
-            self._values[rows] = loc_vals
-            self._known[rows] = loc_known | inc_known
+        lag = self.newest_tick - payload.origins[0]   # age of payload row 0
+        first = max(0, -lag)
+        stop = min(len(payload.origins), self.K + 1 - lag)
+        if first >= stop:
+            return self
+        segments = []
+        r = first
+        for a, b in self._ring_slices(lag + first, stop - first):
+            segments.append((r, self._values[a:b], self._known[a:b],
+                             payload.values[r:r + b - a],
+                             payload.known[r:r + b - a]))
+            r += b - a
+        slot_axes = tuple(range(2, 2 + len(self.value_shape)))
+        for r, loc_vals, loc_known, inc_vals, inc_known in segments:
+            both = loc_known & inc_known
+            if both.any():
+                differ = (loc_vals != inc_vals).any(axis=slot_axes)
+                if (both & differ).any():
+                    bad = np.argwhere(both & differ)[0]
+                    raise ProtocolCorruptionError(
+                        f"agent {self.owner}: conflicting values for origin "
+                        f"{payload.origins[r + int(bad[0])]}")
+        for _, loc_vals, loc_known, inc_vals, inc_known in segments:
+            new = inc_known & ~loc_known
+            if new.any():
+                np.copyto(loc_vals, inc_vals,
+                          where=new.reshape(new.shape + (1,) * len(slot_axes)))
+                loc_known |= new
         return self
 
     def vector_at(self, origin_tick: int) -> TDVector:
@@ -226,10 +257,10 @@ class TDHistory:
 
     def window_payload(self) -> WindowPayload:
         """Copy of the K freshest rows (ages 0..K-1), newest first."""
-        origins = tuple(self.newest_tick - tau for tau in range(self.K))
-        rows = [self._row(o) for o in origins]
-        values = self._values[rows].copy()
-        known = self._known[rows].copy()
+        origins = tuple(range(self.newest_tick, self.newest_tick - self.K, -1))
+        slices = self._ring_slices(0, self.K)
+        values = np.concatenate([self._values[a:b] for a, b in slices])
+        known = np.concatenate([self._known[a:b] for a, b in slices])
         values.setflags(write=False)
         known.setflags(write=False)
         return WindowPayload(origins=origins, values=values, known=known)
@@ -245,14 +276,6 @@ class TDHistory:
                              float(np.asarray(self._values[r, j]).ravel()[0]),
                              bool(self._known[r, j])))
         return rows
-
-
-def merge(hist: TDHistory, received: Iterable[TDVector]) -> TDHistory:
-    return hist.merge(received)
-
-
-def team_td(hist: TDHistory, t_minus_K: int) -> Any:
-    return hist.team_td(t_minus_K)
 
 
 class TeamTDAggregator:

@@ -44,9 +44,9 @@ class ChannelModel:
 
     def __post_init__(self):
         if self.t1 < 0:
-            raise ValueError(f"t1 must be non-negative, got {self.t1}")
+            raise ConfigurationError(f"t1 must be non-negative, got {self.t1}")
         if self.t2 < 1:
-            raise ValueError(f"t2 must be positive, got {self.t2}")
+            raise ConfigurationError(f"t2 must be positive, got {self.t2}")
         if not (0.0 <= self.drop_prob < 1.0):
             raise ConfigurationError(
                 f"drop_prob must lie in [0, 1), got {self.drop_prob}; "

@@ -200,6 +200,22 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     assert cli.main(["run", "--config", str(bad_radius), "--dry-run"]) == 1
 
 
+def test_tree_protocol_on_a_lossy_channel_exits_1(tmp_path, capsys):
+    out = tmp_path / "results"
+    path = _write(tmp_path, f"""\
+        env: {{n_agents: 3}}
+        channel: {{t1: 2, t2: 3, drop_prob: 0.4}}
+        protocol: acyclic
+        algorithms: [dac_td]
+        episodes: 2
+        steps: 5
+        out_dir: {out}
+        """)
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert "lossless unit-delay channel" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_protocol_violations_exit_2(config_file, monkeypatch, capsys):
     def boom(spec):
         raise ProtocolCorruptionError("conflicting packet contents")

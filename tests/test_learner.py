@@ -267,7 +267,12 @@ def test_latency_window_resolution():
     assert resolve_latency_window("general", line5,
                                   ChannelModel(t1=1, t2=1)) == 8
     assert resolve_latency_window("acyclic", line5,
-                                  ChannelModel(t1=3, t2=7)) == 4
+                                  ChannelModel(t1=3, t2=1)) == 4
+    with pytest.raises(ConfigurationError):
+        resolve_latency_window("acyclic", line5, ChannelModel(t1=3, t2=7))
+    with pytest.raises(ConfigurationError):
+        resolve_latency_window("acyclic", line5,
+                               ChannelModel(t1=1, drop_prob=0.2))
     assert resolve_latency_window("centralized", line5, None) == 4
 
 

@@ -188,23 +188,30 @@ def test_stale_payload_rows_are_ignored():
 
 @st.composite
 def payload_pairs(draw):
-    """A receiver history plus a same-shape payload with consecutive origins."""
+    """A receiver history plus a same-shape payload with consecutive origins.
+
+    Slots are scalar or 3-vectors, and the payload's newest origin ranges
+    from older than the receiver's window to ahead of its newest tick."""
     n = draw(st.integers(min_value=2, max_value=5))
     K = draw(st.integers(min_value=1, max_value=4))
     owner = draw(st.integers(min_value=1, max_value=n))
     ticks = draw(st.integers(min_value=0, max_value=K + 2))
-    base = np.arange(1.0, 1.0 + (K + ticks + 2) * n).reshape(-1, n)
+    value_shape = draw(st.sampled_from([(), (3,)]))
+    ahead = 2
+    base = np.arange(1.0, 1.0 + (K + ticks + ahead + 2) * n).reshape(-1, n)
+    if value_shape:
+        base = base[..., None] + np.arange(3) / 4
 
-    hist = TDHistory(owner, n, K)
+    hist = TDHistory(owner, n, K, value_shape)
     for t in range(ticks + 1):
         hist.advance(t)
         hist.set_own(t, base[t, owner - 1])
 
     sender_newest = draw(st.integers(min_value=max(0, ticks - K),
-                                     max_value=ticks))
+                                     max_value=ticks + ahead))
     origins = tuple(sender_newest - tau for tau in range(K))
     known = np.zeros((K, n), dtype=bool)
-    values = np.zeros((K, n))
+    values = np.zeros((K, n, *value_shape))
     for r, o in enumerate(origins):
         mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         for j, m in enumerate(mask):
@@ -295,6 +302,21 @@ def test_trace_rows_cover_every_window_slot():
     res = run_general_exchange(g, ch, np.ones((3, 2)), K, collect_trace=True)
     per_tick = 2 * (K + 1) * 2           # agents * window rows * slots
     assert len(res.trace_rows) == 3 * per_tick
+
+
+def test_malformed_payloads_are_rejected():
+    with pytest.raises(ValueError):       # origin 2 missing
+        WindowPayload(origins=(3, 1), values=np.zeros((2, 2)),
+                      known=np.zeros((2, 2), dtype=bool))
+    with pytest.raises(ValueError):       # oldest first
+        WindowPayload(origins=(1, 2), values=np.zeros((2, 2)),
+                      known=np.zeros((2, 2), dtype=bool))
+    with pytest.raises(ValueError):       # one row short of the origins
+        WindowPayload(origins=(2, 1), values=np.zeros((1, 2)),
+                      known=np.zeros((1, 2), dtype=bool))
+    with pytest.raises(ValueError):       # known one row short
+        WindowPayload(origins=(2, 1), values=np.zeros((2, 2)),
+                      known=np.zeros((1, 2), dtype=bool))
 
 
 def test_forged_conflicting_payload_is_detected():

@@ -22,9 +22,9 @@ def test_certain_loss_is_rejected():
 
 
 def test_bad_delay_parameters_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         ChannelModel(t1=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         ChannelModel(t2=0)
 
 
