@@ -13,7 +13,8 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigurationError
-from .learner import ALGORITHMS, ExperimentSpec
+from .learner import (ALGORITHMS, PROTOCOLS, ExperimentSpec,
+                      resolve_latency_window)
 from .topology import GraphSchedule, classify
 from .transport import ChannelModel
 
@@ -36,6 +37,9 @@ class AlgorithmChoice:
             raise ConfigurationError(f"unknown algorithm {self.kind!r}")
         if self.k < 0:
             raise ConfigurationError("k must be >= 0")
+        if self.k != 0 and self.kind != "khop_sac":
+            raise ConfigurationError(
+                f"k={self.k} is set on {self.kind!r}; only khop_sac takes k")
 
     @property
     def label(self) -> str:
@@ -68,7 +72,7 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        if self.protocol not in ("general", "acyclic", "centralized"):
+        if self.protocol not in PROTOCOLS:
             raise ConfigurationError(f"unknown protocol {self.protocol!r}")
         if self.graph_kind not in GRAPH_KINDS:
             raise ConfigurationError(f"unknown graph kind {self.graph_kind!r}")
@@ -101,6 +105,8 @@ class ExperimentConfig:
         if self.protocol == "acyclic" and not info.acyclic_undirected:
             raise ConfigurationError(
                 "the acyclic protocol requires an undirected acyclic graph")
+        if any(alg.kind == "dac_td" for alg in self.algorithms):
+            resolve_latency_window(self.protocol, g, self.channel)
         diameter = info.diameter
         for alg in self.algorithms:
             if alg.kind == "khop_sac":

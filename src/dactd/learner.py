@@ -10,10 +10,13 @@ Two clock regimes share the same aggregation machinery:
   as one vector-valued protocol payload, and applies policy updates with a
   K-episode lag.
 
-Baselines (`independent_ac`, `khop_sac`) reuse the episodic engine so that
-all algorithms consume the environment / policy / initialization random
-streams identically; with k equal to the communication graph's diameter the
-k-hop baseline reproduces the decentralized run bit for bit.
+Every algorithm is one aggregation driver ticked once per episode: `dac_td`
+runs a protocol driver, and the baselines are `NeighborhoodDriver`s, the
+k-hop neighbourhood mean with lag k for `khop_sac` and k = 0 for
+`independent_ac`.  All algorithms consume the environment / policy /
+initialization random streams identically; with k equal to the
+communication graph's diameter the k-hop baseline reproduces the
+decentralized run bit for bit.
 """
 from __future__ import annotations
 
@@ -24,8 +27,8 @@ import numpy as np
 from .envs import CoupledEnv
 from .errors import ConfigurationError, NumericError
 from .funcapprox import MlpStack, softmax
-from .protocol import (AcyclicProtocolDriver, CentralizedProtocolDriver,
-                       GeneralProtocolDriver)
+from .protocol import (AcyclicProtocolDriver, GeneralProtocolDriver,
+                       NeighborhoodDriver)
 from .topology import GraphSchedule, khop_neighbors, latency_bound
 from .transport import Channel, ChannelModel
 
@@ -109,9 +112,17 @@ def actor_update(theta: np.ndarray, delta_team: float, eta: np.ndarray,
     return out
 
 
-def _make_driver(protocol: str, graph: GraphSchedule,
-                 channel_model: ChannelModel | None, K: int,
-                 value_shape: tuple[int, ...], channel_seed) :
+def _make_driver(algorithm: str, protocol: str, graph: GraphSchedule,
+                 channel_model: ChannelModel | None, khop: int,
+                 value_shape: tuple[int, ...], channel_seed):
+    """The aggregation driver of one run, with its lag K resolved."""
+    n = graph.n_agents
+    if algorithm != "dac_td":
+        k = khop if algorithm == "khop_sac" else 0
+        return NeighborhoodDriver(
+            [cumulative_neighborhood(graph, i, k) for i in range(1, n + 1)],
+            k, value_shape)
+    K = resolve_latency_window(protocol, graph, channel_model)
     if protocol == "general":
         model = channel_model if channel_model is not None else ChannelModel()
         if channel_seed is not None:
@@ -120,7 +131,7 @@ def _make_driver(protocol: str, graph: GraphSchedule,
     if protocol == "acyclic":
         return AcyclicProtocolDriver(graph, K, value_shape)
     if protocol == "centralized":
-        return CentralizedProtocolDriver(graph.n_agents, K, value_shape)
+        return NeighborhoodDriver([list(range(1, n + 1))] * n, K, value_shape)
     raise ConfigurationError(f"unknown protocol {protocol!r}")
 
 
@@ -182,9 +193,9 @@ def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
     init_ss, env_ss, policy_ss, channel_ss = ss.spawn(4)
     rng_env = np.random.default_rng(env_ss)
     rng_policy = np.random.default_rng(policy_ss)
-    K = resolve_latency_window(protocol, graph, channel_model)
-    driver = _make_driver(protocol, graph, channel_model, K, (),
+    driver = _make_driver("dac_td", protocol, graph, channel_model, 0, (),
                           channel_ss.generate_state(1)[0])
+    K = driver.K
 
     s = env.initial_state()
     states = np.zeros((n_steps + 1, n), dtype=np.int64)
@@ -324,21 +335,6 @@ def cumulative_neighborhood(graph: GraphSchedule, agent: int,
     return sorted(members)
 
 
-def _neighborhood_mean(deltas: np.ndarray,
-                       hoods: list[list[int]]) -> np.ndarray:
-    """Average rows of deltas over each agent's sorted neighborhood.
-
-    Accumulates in ascending agent order so that a full neighborhood
-    reproduces the protocol read-out arithmetic exactly."""
-    out = np.empty_like(deltas)
-    for i, members in enumerate(hoods):
-        total = np.zeros(deltas.shape[1:])
-        for j in members:
-            total = total + deltas[j - 1]
-        out[i] = total / float(len(members))
-    return out
-
-
 def _value_table(net: MlpStack, basis: np.ndarray) -> np.ndarray:
     """Per-agent state-value lookup: (n, n_local_states)."""
     return net.forward(basis)[:, :, 0]
@@ -365,23 +361,9 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
     actor = MlpStack((2, *spec.actor_hidden, 2), n, rng_init, spec.leaky_slope)
     critic = MlpStack((2, *spec.critic_hidden, 1), n, rng_init, spec.leaky_slope)
 
-    if spec.algorithm == "dac_td":
-        K = resolve_latency_window(spec.protocol, graph, spec.channel)
-        driver = _make_driver(spec.protocol, graph, spec.channel, K, (T,),
-                              channel_ss.generate_state(1)[0])
-        payload_slots = driver.payload_slots
-        hoods = None
-    elif spec.algorithm == "khop_sac":
-        K = spec.khop
-        driver = None
-        payload_slots = 0
-        hoods = [cumulative_neighborhood(graph, i, spec.khop)
-                 for i in range(1, n + 1)]
-    else:
-        K = 0
-        driver = None
-        payload_slots = 0
-        hoods = None
+    driver = _make_driver(spec.algorithm, spec.protocol, graph, spec.channel,
+                          spec.khop, (T,), channel_ss.generate_state(1)[0])
+    K = driver.K
 
     basis = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
     eye2 = np.eye(2)
@@ -390,7 +372,6 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
     agent_returns = np.zeros((spec.episodes, n))
     applied = np.zeros(spec.episodes, dtype=bool)
     eta_buf: dict[int, np.ndarray] = {}
-    delta_buf: dict[int, np.ndarray] = {}
 
     for e in range(spec.episodes):
         # Roll out one episode under the current (frozen) policies.  Local
@@ -446,16 +427,8 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
                  - table[agent_idx, s_seq])               # (n, T)
 
         eta_buf[e] = eta
+        team_delta = driver.tick(e, delta)                # (n, T)
         cohort = e - K
-        if spec.algorithm == "dac_td":
-            team_delta = driver.tick(e, delta)            # (n, T)
-        elif spec.algorithm == "khop_sac":
-            delta_buf[e] = delta
-            team_delta = (_neighborhood_mean(delta_buf.pop(cohort), hoods)
-                          if cohort >= 0 else None)
-        else:
-            team_delta = delta
-
         if cohort >= 0:
             eta_c = eta_buf.pop(cohort)
             theta = actor.get_flat()
@@ -469,6 +442,6 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
 
     return RunResult(algorithm=spec.algorithm, seed=spec.seed, K=K,
                      team_returns=team_returns, agent_returns=agent_returns,
-                     updates_applied=applied, payload_slots=payload_slots,
+                     updates_applied=applied, payload_slots=driver.payload_slots,
                      actor_params=actor.get_flat(),
                      critic_params=critic.get_flat())

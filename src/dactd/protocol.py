@@ -10,7 +10,10 @@ Agents recover the exact team-average TD error of tick ``t - K`` at tick
 * the **acyclic protocol** runs on static connected acyclic (tree) graphs
   with unit delay and no losses, exchanging only K per-cohort increments per
   edge; per-neighbor correction buffers cancel the overlap between adjacent
-  neighborhoods so every value is counted exactly once.
+  neighborhoods so every value is counted exactly once;
+* the **neighbourhood driver** is an oracle that averages each agent's
+  neighbourhood directly, K ticks late: the centralized collector, the
+  k-hop baseline and independent learning are all instances of it.
 
 Unknown is an explicit slot state rather than a zero sentinel: a genuinely
 zero TD error stays "known" and is never overwritten.  Cohorts before the
@@ -458,38 +461,6 @@ def acyclic_step(st: AcyclicState, delta_i: Any,
 
 
 # ---------------------------------------------------------------------------
-# Centralized reference aggregator
-# ---------------------------------------------------------------------------
-
-class CentralizedAggregator:
-    """Oracle collector: sees every local TD error directly and serves the
-    team mean with the same K-tick lag as the real protocols."""
-
-    def __init__(self, n_agents: int, K: int, value_shape: tuple[int, ...] = ()):
-        self.n_agents = n_agents
-        self.K = K
-        self.value_shape = tuple(value_shape)
-        self._per_tick: dict[int, np.ndarray] = {}
-        self.tick = -1
-
-    def begin_tick(self, t: int, all_deltas: np.ndarray) -> None:
-        if t != self.tick + 1:
-            raise ValueError(f"ticks must advance by 1, got {self.tick} -> {t}")
-        self.tick = t
-        arr = np.asarray(all_deltas, dtype=np.float64)
-        if arr.shape != (self.n_agents, *self.value_shape):
-            raise ValueError(f"expected shape {(self.n_agents, *self.value_shape)}, "
-                             f"got {arr.shape}")
-        self._per_tick[t] = arr.copy()
-        self._per_tick.pop(t - self.K - 1, None)
-
-    def read_team(self, origin: int) -> Any:
-        if origin < 0:
-            return np.zeros(self.value_shape) if self.value_shape else 0.0
-        return ascending_mean(self._per_tick[origin])
-
-
-# ---------------------------------------------------------------------------
 # Per-tick drivers: one canonical lockstep round per protocol
 # ---------------------------------------------------------------------------
 
@@ -586,22 +557,45 @@ class AcyclicProtocolDriver:
         return rows
 
 
-class CentralizedProtocolDriver:
-    """Oracle collector with the same K-tick lag and read-out arithmetic."""
+class NeighborhoodDriver:
+    """Oracle aggregator: agent i reads the mean of the tick-(t - K) TD
+    errors over its neighbourhood ``hoods[i-1]`` (sorted agent ids), in the
+    protocols' ascending read-out arithmetic; nothing is sent.
 
-    def __init__(self, n_agents: int, K: int, value_shape: tuple[int, ...] = ()):
-        self.agg = CentralizedAggregator(n_agents, K, value_shape)
-        self.n_agents = n_agents
+    Every agent in every neighbourhood is the centralized collector; the
+    k-hop neighbourhoods with K = k are the k-hop baseline, and k = 0 is
+    independent learning.  Before tick K the read-outs are zero.
+    """
+
+    payload_slots = 0
+
+    def __init__(self, hoods: list[list[int]], K: int,
+                 value_shape: tuple[int, ...] = ()):
+        if K < 0:
+            raise ValueError(f"lag K must be >= 0, got {K}")
+        self.rows = [np.asarray(h, dtype=np.int64) - 1 for h in hoods]
+        self.n_agents = len(hoods)
         self.K = K
-
-    @property
-    def payload_slots(self) -> int:
-        return 0
+        self.value_shape = tuple(value_shape)
+        self.newest_tick = -1
+        self._per_tick: dict[int, np.ndarray] = {}
 
     def tick(self, t: int, deltas: np.ndarray) -> np.ndarray:
-        self.agg.begin_tick(t, deltas)
-        team = self.agg.read_team(t - self.K)
-        return np.stack([np.copy(team) for _ in range(self.n_agents)])
+        if t != self.newest_tick + 1:
+            raise ValueError(f"ticks must advance by 1, got {self.newest_tick} -> {t}")
+        arr = np.asarray(deltas, dtype=np.float64)
+        if arr.shape != (self.n_agents, *self.value_shape):
+            raise ValueError(f"expected shape {(self.n_agents, *self.value_shape)}, "
+                             f"got {arr.shape}")
+        self.newest_tick = t
+        self._per_tick[t] = arr.copy()
+        self._per_tick.pop(t - self.K - 1, None)
+        out = np.zeros_like(arr)
+        if t >= self.K:
+            cohort = self._per_tick[t - self.K]
+            for i, rows in enumerate(self.rows):
+                out[i] = ascending_mean(cohort[rows])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -626,40 +620,13 @@ class ExchangeResult:
     snapshots: list[dict[int, tuple]] | None = None
 
 
-def run_general_exchange(graph: GraphSchedule, channel: Channel,
-                         deltas: np.ndarray, K: int,
-                         collect_trace: bool = False) -> ExchangeResult:
-    """Drive the general protocol for deltas.shape[0] ticks over a channel.
-
-    deltas has shape (ticks, n_agents, *value_shape); agents exchange their
-    windows every tick over the scheduled edges and read out tick t - K."""
-    deltas = np.asarray(deltas, dtype=np.float64)
+def _drive(driver, deltas: np.ndarray, collect_trace: bool = False,
+           collect_snapshots: bool = False) -> ExchangeResult:
+    """Tick a driver once per row of deltas (ticks, n_agents, *value_shape)
+    and record each tick's read-outs beside the centralized mean."""
     ticks, n = deltas.shape[0], deltas.shape[1]
-    if n != graph.n_agents:
+    if n != driver.n_agents:
         raise ValueError("delta stream width != n_agents")
-    driver = GeneralProtocolDriver(graph, channel, K, deltas.shape[2:])
-    readouts = np.zeros_like(deltas)
-    reference = np.zeros((ticks, *deltas.shape[2:]))
-    trace: list[tuple] | None = [] if collect_trace else None
-    for t in range(ticks):
-        readouts[t] = driver.tick(t, deltas[t])
-        if trace is not None:
-            trace.extend(driver.trace_rows())
-        origin = t - K
-        reference[t] = centralized_team_td(deltas[origin]) if origin >= 0 else 0.0
-    return ExchangeResult(K=K, readouts=readouts, reference=reference,
-                          payload_slots=driver.payload_slots, trace_rows=trace)
-
-
-def run_acyclic_exchange(graph: GraphSchedule, deltas: np.ndarray, K: int,
-                         collect_trace: bool = False,
-                         collect_snapshots: bool = False) -> ExchangeResult:
-    """Drive the acyclic protocol (unit delay, no losses) on a tree."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    ticks, n = deltas.shape[0], deltas.shape[1]
-    if n != graph.n_agents:
-        raise ValueError("delta stream width != n_agents")
-    driver = AcyclicProtocolDriver(graph, K, deltas.shape[2:])
     readouts = np.zeros_like(deltas)
     reference = np.zeros((ticks, *deltas.shape[2:]))
     trace: list[tuple] | None = [] if collect_trace else None
@@ -670,11 +637,32 @@ def run_acyclic_exchange(graph: GraphSchedule, deltas: np.ndarray, K: int,
             trace.extend(driver.trace_rows())
         if snaps is not None:
             snaps.append(driver.snapshot())
-        origin = t - K
-        reference[t] = centralized_team_td(deltas[origin]) if origin >= 0 else 0.0
-    return ExchangeResult(K=K, readouts=readouts, reference=reference,
+        if t >= driver.K:
+            reference[t] = centralized_team_td(deltas[t - driver.K])
+    return ExchangeResult(K=driver.K, readouts=readouts, reference=reference,
                           payload_slots=driver.payload_slots, trace_rows=trace,
                           snapshots=snaps)
+
+
+def run_general_exchange(graph: GraphSchedule, channel: Channel,
+                         deltas: np.ndarray, K: int,
+                         collect_trace: bool = False) -> ExchangeResult:
+    """Drive the general protocol for deltas.shape[0] ticks over a channel.
+
+    deltas has shape (ticks, n_agents, *value_shape); agents exchange their
+    windows every tick over the scheduled edges and read out tick t - K."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    return _drive(GeneralProtocolDriver(graph, channel, K, deltas.shape[2:]),
+                  deltas, collect_trace)
+
+
+def run_acyclic_exchange(graph: GraphSchedule, deltas: np.ndarray, K: int,
+                         collect_trace: bool = False,
+                         collect_snapshots: bool = False) -> ExchangeResult:
+    """Drive the acyclic protocol (unit delay, no losses) on a tree."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    return _drive(AcyclicProtocolDriver(graph, K, deltas.shape[2:]),
+                  deltas, collect_trace, collect_snapshots)
 
 
 def check_neighborhood_invariant(graph: GraphSchedule, deltas: np.ndarray,

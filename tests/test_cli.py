@@ -169,8 +169,11 @@ def test_parallel_execution_matches_serial(config_file, tmp_path):
                      "--out", str(serial)]) == 0
     assert cli.main(["run", "--config", str(config_file),
                      "--out", str(parallel), "--jobs", "2"]) == 0
-    assert ((serial / "dac_td_seed0.csv").read_bytes()
-            == (parallel / "dac_td_seed0.csv").read_bytes())
+    names = sorted(p.name for p in serial.glob("*.csv"))
+    assert names == sorted(p.name for p in parallel.glob("*.csv"))
+    assert "summary.csv" in names and len(names) == 3
+    for name in names:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
 def test_seed_override_runs_a_single_seed(config_file, tmp_path):
@@ -199,21 +202,31 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         """, name="radius.yaml")
     assert cli.main(["run", "--config", str(bad_radius), "--dry-run"]) == 1
 
+    stray_radius = _write(tmp_path, """\
+        algorithms: [{kind: independent_ac, k: 2}, {kind: dac_td, k: 3}]
+        """, name="stray.yaml")
+    assert cli.main(["run", "--config", str(stray_radius), "--dry-run"]) == 1
+    assert "only khop_sac takes k" in capsys.readouterr().err
+
 
 def test_tree_protocol_on_a_lossy_channel_exits_1(tmp_path, capsys):
+    # A baseline listed before dac_td must not train before the rejection.
     out = tmp_path / "results"
-    path = _write(tmp_path, f"""\
-        env: {{n_agents: 3}}
-        channel: {{t1: 2, t2: 3, drop_prob: 0.4}}
-        protocol: acyclic
-        algorithms: [dac_td]
-        episodes: 2
-        steps: 5
-        out_dir: {out}
-        """)
-    assert cli.main(["run", "--config", str(path)]) == 1
-    assert "lossless unit-delay channel" in capsys.readouterr().err
-    assert not list(out.glob("*.csv"))
+    for algorithms in ("[dac_td]", "[independent_ac, dac_td]"):
+        path = _write(tmp_path, f"""\
+            env: {{n_agents: 3}}
+            channel: {{t1: 2, t2: 3, drop_prob: 0.4}}
+            protocol: acyclic
+            algorithms: {algorithms}
+            episodes: 2
+            steps: 5
+            out_dir: {out}
+            """)
+        assert cli.main(["run", "--config", str(path), "--dry-run"]) == 1
+        assert "lossless unit-delay channel" in capsys.readouterr().err
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert "lossless unit-delay channel" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 def test_protocol_violations_exit_2(config_file, monkeypatch, capsys):

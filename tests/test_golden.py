@@ -11,7 +11,7 @@ import numpy as np
 
 from dactd.config import load_config
 from dactd.learner import run_experiment
-from dactd.protocol import run_general_exchange
+from dactd.protocol import run_acyclic_exchange, run_general_exchange
 from dactd.topology import GraphSchedule, latency_bound
 from dactd.transport import Channel, ChannelModel, payload_digest
 
@@ -19,6 +19,7 @@ LINE5 = Path(__file__).resolve().parents[1] / "configs" / "line5.yaml"
 
 EXCHANGE_DIGEST = "721a241b6886261e"
 LINE5_GRID_DIGEST = "5dc1918c4a118763"
+ACYCLIC_DIGEST = "800bf3e97c013c0c"
 
 
 def test_lossy_exchange_traffic_digest():
@@ -37,6 +38,27 @@ def test_lossy_exchange_traffic_digest():
     # A delay of 2 ticks delivers a row older than the receiver's window.
     assert max(m.deliver_tick - m.sent_tick for m in ch.delivery_log) == 2
     assert payload_digest([traffic, res.readouts]) == EXCHANGE_DIGEST
+
+
+def test_acyclic_exchange_digest():
+    # Random 7-agent tree: each agent after the first hangs off an earlier
+    # one.  3K ticks with 3-value slots; the digest covers every read-out
+    # and every traced level sum and correction.
+    rng = np.random.default_rng(13)
+    edges = set()
+    for child in range(2, 8):
+        parent = int(rng.integers(1, child))
+        edges |= {(child, parent), (parent, child)}
+    g = GraphSchedule.static(7, edges)
+    K = latency_bound(g, 0, 1)
+    deltas = rng.normal(size=(3 * K, 7, 3))
+    res = run_acyclic_exchange(g, deltas, K, collect_snapshots=True)
+    assert np.abs(res.readouts[K:] - res.reference[K:, None, :]).max() <= 1e-12
+    snaps = [[(i, sums, sorted(corr.items()))
+              for i, (sums, corr) in sorted(snap.items())]
+             for snap in res.snapshots]
+    assert len(snaps) == 3 * K
+    assert payload_digest([res.readouts, snaps]) == ACYCLIC_DIGEST
 
 
 def test_line5_grid_digest():

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dactd.errors import IncompleteAggregationError, ProtocolCorruptionError
-from dactd.protocol import (TDHistory, TDVector, WindowPayload,
-                            ascending_mean, centralized_team_td,
-                            init_td_vector, run_general_exchange)
+from dactd.protocol import (NeighborhoodDriver, TDHistory, TDVector,
+                            WindowPayload, ascending_mean,
+                            centralized_team_td, init_td_vector,
+                            run_general_exchange)
 from dactd.topology import GraphSchedule, latency_bound
 from dactd.transport import Channel, ChannelModel
 
@@ -328,3 +329,68 @@ def test_forged_conflicting_payload_is_detected():
                            known=np.array([[True, False]]))
     with pytest.raises(ProtocolCorruptionError):
         h.merge_payload(forged)
+
+
+# ---------------------------------------------------------------------------
+# Neighbourhood driver (centralized, k-hop and independent oracles)
+# ---------------------------------------------------------------------------
+
+def _signed_zero_stream(ticks=9, n=4, width=5):
+    """Vector-valued stream with exact zeros, a -0.0, and a column whose
+    agents are all -0.0 (only a sum that starts from row 0 keeps its sign)."""
+    deltas = np.random.default_rng(17).normal(size=(ticks, n, width))
+    deltas[2, 1, 0] = 0.0
+    deltas[3, 0, 3] = -0.0
+    deltas[4, :, 2] = -0.0
+    deltas[5] = 0.0
+    return deltas
+
+
+def _tick_all(driver, deltas):
+    return np.stack([driver.tick(t, deltas[t]) for t in range(len(deltas))])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def test_all_agent_neighborhoods_are_the_delayed_centralized_mean():
+    deltas = _signed_zero_stream()
+    n, K = deltas.shape[1], 3
+    driver = NeighborhoodDriver([list(range(1, n + 1))] * n, K, (5,))
+    assert driver.payload_slots == 0
+    out = _tick_all(driver, deltas)
+    for t in range(K, len(deltas)):
+        team = centralized_team_td(deltas[t - K])
+        for i in range(n):
+            assert _bits(out[t, i]) == _bits(team)
+    assert np.signbit(out[4 + K, :, 2]).all()
+
+
+def test_zero_hop_neighborhoods_return_each_agents_own_delta():
+    deltas = _signed_zero_stream()
+    n = deltas.shape[1]
+    driver = NeighborhoodDriver([[i] for i in range(1, n + 1)], 0, (5,))
+    assert _bits(_tick_all(driver, deltas)) == _bits(deltas)
+
+
+def test_neighborhood_reads_before_tick_k_are_zero():
+    deltas = _signed_zero_stream()
+    K = 4
+    driver = NeighborhoodDriver([[1, 2], [1, 2, 3], [2, 3, 4], [3, 4]], K, (5,))
+    out = _tick_all(driver, deltas)
+    assert _bits(out[:K]) == _bits(np.zeros((K, 4, 5)))
+    assert _bits(out[K:, 1]) == _bits([ascending_mean(d[[0, 1, 2]])
+                                       for d in deltas[:-K]])
+
+
+def test_neighborhood_driver_rejects_skipped_ticks_and_bad_shapes():
+    driver = NeighborhoodDriver([[1], [2]], 1, (3,))
+    driver.tick(0, np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        driver.tick(2, np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        driver.tick(1, np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        driver.tick(1, np.zeros((3, 3)))
+    driver.tick(1, np.ones((2, 3)))
