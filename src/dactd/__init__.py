@@ -14,15 +14,15 @@ from .errors import (CapacityError, ConfigurationError, DactdError,
                      IncompleteAggregationError, ModelError, NumericError,
                      ProtocolCorruptionError, RankError, TopologyError,
                      TransportError)
-from .learner import (ExperimentSpec, RunResult, StepSchedule,
-                      run_experiment, run_policy_evaluation, run_theory)
+from .learner import (RunResult, StepSchedule, run_experiment,
+                      run_policy_evaluation, run_theory)
 from .topology import GraphSchedule, classify, khop_neighbors, latency_bound
 from .transport import Channel, ChannelModel, Message
 
 __all__ = [
     "AlgorithmChoice", "CapacityError", "Channel", "ChannelModel",
     "ConfigurationError", "CoupledEnv", "DactdError", "ExperimentConfig",
-    "ExperimentSpec", "GraphSchedule", "IncompleteAggregationError",
+    "GraphSchedule", "IncompleteAggregationError",
     "JommdpSpec", "Message", "ModelError", "NumericError",
     "ProtocolCorruptionError", "RankError", "RunResult", "StepSchedule",
     "TopologyError", "TransportError", "classify", "khop_neighbors",

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import AlgorithmChoice, ExperimentConfig, load_config
+from .config import load_config
 from .envs import CoupledEnv, enumerate_model
 from .errors import (ConfigurationError, DactdError, IncompleteAggregationError,
                      NumericError, ProtocolCorruptionError, TopologyError,
@@ -67,12 +67,9 @@ def _final_mean(result: RunResult, window: int = 100) -> float:
     return float(result.team_returns[-w:].mean())
 
 
-def _run_one(args: tuple[ExperimentConfig, AlgorithmChoice, int]) -> RunResult:
-    cfg, alg, seed = args
-    return run_experiment(cfg.to_spec(alg, seed))
-
-
 def cmd_run(ns: argparse.Namespace) -> int:
+    if ns.jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {ns.jobs}")
     cfg = load_config(ns.config)
     if ns.seed is not None:
         cfg = replace(cfg, seeds=(ns.seed,))
@@ -85,13 +82,13 @@ def cmd_run(ns: argparse.Namespace) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = cfg.expand_runs()
-    jobs = max(1, ns.jobs)
-    work = [(cfg, alg, seed) for alg, seed in grid]
-    if jobs == 1:
-        results = [_run_one(w) for w in work]
+    if ns.jobs == 1:
+        results = [run_experiment(cfg, alg, seed) for alg, seed in grid]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, work))
+        algs, seeds = zip(*grid)
+        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
+            results = list(pool.map(run_experiment, [cfg] * len(grid),
+                                    algs, seeds))
 
     summary = ["algorithm,seed,final100_mean_team_return"]
     for (alg, seed), res in zip(grid, results):

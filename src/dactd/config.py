@@ -7,14 +7,14 @@ to run over a list of seeds.  `expand_runs` turns it into the concrete
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigurationError
-from .learner import (ALGORITHMS, PROTOCOLS, ExperimentSpec,
-                      resolve_latency_window)
+from .learner import ALGORITHMS, PROTOCOLS, resolve_latency_window
 from .topology import GraphSchedule, classify
 from .transport import ChannelModel
 
@@ -50,6 +50,11 @@ class AlgorithmChoice:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One comparison study, and the only description of an experiment:
+    `learner.run_experiment(cfg, algorithm, seed)` runs one cell of its
+    (algorithm, seed) grid.  Every setting is checked here, when the config
+    is built."""
+
     name: str = "experiment"
     n_agents: int = 5
     gamma: float = 0.9
@@ -84,6 +89,19 @@ class ExperimentConfig:
             raise ConfigurationError("duplicate seeds in seed list")
         if not self.algorithms:
             raise ConfigurationError("at least one algorithm is required")
+        for name in ("episodes", "steps", "critic_epochs", "target_refresh"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        if not 0.0 < self.gamma < 1.0:
+            raise ConfigurationError("gamma must lie in (0, 1)")
+        for name in ("actor_step", "critic_step", "theta_box"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be positive and finite")
+        if not math.isfinite(self.leaky_slope):
+            raise ConfigurationError("leaky_slope must be finite")
+        if min(self.actor_hidden + self.critic_hidden, default=1) < 1:
+            raise ConfigurationError("hidden layer widths must be >= 1")
         self.build_graph()  # validates size/connectivity eagerly
         self._check_algorithms()
 
@@ -116,17 +134,6 @@ class ExperimentConfig:
                 if alg.k > diameter:
                     raise ConfigurationError(
                         f"khop_sac k={alg.k} exceeds graph diameter {diameter}")
-
-    def to_spec(self, algorithm: AlgorithmChoice, seed: int) -> ExperimentSpec:
-        return ExperimentSpec(
-            algorithm=algorithm.kind, n_agents=self.n_agents,
-            episodes=self.episodes, steps=self.steps, gamma=self.gamma,
-            actor_step=self.actor_step, critic_step=self.critic_step,
-            actor_hidden=self.actor_hidden, critic_hidden=self.critic_hidden,
-            leaky_slope=self.leaky_slope, critic_epochs=self.critic_epochs,
-            target_refresh=self.target_refresh, theta_box=self.theta_box,
-            protocol=self.protocol, khop=algorithm.k,
-            graph=self.build_graph(), channel=self.channel, seed=seed)
 
     def expand_runs(self) -> list[tuple[AlgorithmChoice, int]]:
         return [(alg, seed) for alg in self.algorithms for seed in self.seeds]
@@ -174,6 +181,18 @@ def _known_keys(node: dict, allowed: set[str], where: str) -> None:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(extra)}")
 
 
+def _as_int(value, where: str) -> int:
+    """An integer config value; a bool or a float with a fractional part is
+    rejected rather than truncated."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fractional):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+
+
 def _parse_algorithm(node) -> AlgorithmChoice:
     if isinstance(node, str):
         return AlgorithmChoice(node)
@@ -181,7 +200,7 @@ def _parse_algorithm(node) -> AlgorithmChoice:
     _known_keys(node, {"kind", "k"}, "algorithms entry")
     if "kind" not in node:
         raise ConfigurationError("algorithms entry needs a 'kind'")
-    return AlgorithmChoice(str(node["kind"]), int(node.get("k", 0)))
+    return AlgorithmChoice(str(node["kind"]), _as_int(node.get("k", 0), "k"))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -207,14 +226,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     graph = _require_mapping(raw.get("graph"), "graph")
     _known_keys(graph, {"kind", "edges"}, "graph")
     graph_kind = str(graph.get("kind", "line"))
-    edges = tuple((int(a), int(b)) for a, b in graph.get("edges", []))
 
     chan = _require_mapping(raw.get("channel"), "channel")
     _known_keys(chan, {"t1", "t2", "drop_prob", "delay_law", "seed"}, "channel")
-    channel = ChannelModel(t1=int(chan.get("t1", 0)), t2=int(chan.get("t2", 1)),
-                           drop_prob=float(chan.get("drop_prob", 0.0)),
-                           delay_law=str(chan.get("delay_law", "uniform")),
-                           seed=int(chan.get("seed", 0)))
 
     protocol_raw = str(raw.get("protocol", "general"))
     if protocol_raw not in PROTOCOL_ALIASES:
@@ -234,24 +248,35 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigurationError("seeds must be a list")
 
     try:
+        edges = tuple((_as_int(a, "graph edge"), _as_int(b, "graph edge"))
+                      for a, b in graph.get("edges", []))
+        channel = ChannelModel(
+            t1=_as_int(chan.get("t1", 0), "t1"),
+            t2=_as_int(chan.get("t2", 1), "t2"),
+            drop_prob=float(chan.get("drop_prob", 0.0)),
+            delay_law=str(chan.get("delay_law", "uniform")),
+            seed=_as_int(chan.get("seed", 0), "channel seed"))
         return ExperimentConfig(
             name=str(raw.get("name", path.stem)),
-            n_agents=int(env.get("n_agents", 5)),
+            n_agents=_as_int(env.get("n_agents", 5), "n_agents"),
             gamma=float(env.get("gamma", 0.9)),
             graph_kind=graph_kind, graph_edges=edges, channel=channel,
             protocol=PROTOCOL_ALIASES[protocol_raw],
             algorithms=tuple(_parse_algorithm(a) for a in algs),
             actor_step=float(actor.get("step", 0.01)),
             critic_step=float(critic.get("step", 0.1)),
-            actor_hidden=tuple(int(h) for h in actor.get("hidden", [10, 10])),
-            critic_hidden=tuple(int(h) for h in critic.get("hidden", [5, 5])),
+            actor_hidden=tuple(_as_int(h, "actor hidden width")
+                               for h in actor.get("hidden", [10, 10])),
+            critic_hidden=tuple(_as_int(h, "critic hidden width")
+                                for h in critic.get("hidden", [5, 5])),
             leaky_slope=float(raw.get("leaky_slope", 0.3)),
-            critic_epochs=int(critic.get("epochs", 25)),
-            target_refresh=int(critic.get("target_refresh", 5)),
-            episodes=int(raw.get("episodes", 1000)),
-            steps=int(raw.get("steps", 100)),
+            critic_epochs=_as_int(critic.get("epochs", 25), "critic epochs"),
+            target_refresh=_as_int(critic.get("target_refresh", 5),
+                                   "target_refresh"),
+            episodes=_as_int(raw.get("episodes", 1000), "episodes"),
+            steps=_as_int(raw.get("steps", 100), "steps"),
             theta_box=float(raw.get("theta_box", 10.0)),
-            seeds=tuple(int(s) for s in seeds),
+            seeds=tuple(_as_int(s, "seed") for s in seeds),
             out_dir=str(raw.get("out_dir", "results")))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed config value: {exc}")

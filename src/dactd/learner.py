@@ -5,10 +5,13 @@ Two clock regimes share the same aggregation machinery:
 * the *online* regime (`run_theory`, `run_policy_evaluation`) runs one
   continuing trajectory, performs a protocol tick per environment step, and
   applies each policy update exactly K steps after the data that produced it;
-* the *episodic* regime (`run_experiment`) runs fixed-length episodes, trains
-  batch critics between episodes, transmits each episode's TD-error sequence
-  as one vector-valued protocol payload, and applies policy updates with a
-  K-episode lag.
+* the *episodic* regime (`run_experiment(cfg, algorithm, seed)`) runs one
+  cell of an `ExperimentConfig`'s (algorithm, seed) grid: fixed-length
+  episodes, batch critics trained between episodes, each episode's TD-error
+  sequence transmitted as one vector-valued protocol payload, and policy
+  updates applied with a K-episode lag.  The config is the only description
+  of the problem and is validated when it is built, so every run it admits
+  is one the model can honour.
 
 Every algorithm is one aggregation driver ticked once per episode: `dac_td`
 runs a protocol driver, and the baselines are `NeighborhoodDriver`s, the
@@ -21,6 +24,7 @@ decentralized run bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +35,9 @@ from .protocol import (AcyclicProtocolDriver, GeneralProtocolDriver,
                        NeighborhoodDriver)
 from .topology import GraphSchedule, khop_neighbors, latency_bound
 from .transport import Channel, ChannelModel
+
+if TYPE_CHECKING:
+    from .config import AlgorithmChoice, ExperimentConfig
 
 PROTOCOLS = ("general", "acyclic", "centralized")
 ALGORITHMS = ("dac_td", "independent_ac", "khop_sac")
@@ -115,13 +122,13 @@ def actor_update(theta: np.ndarray, delta_team: float, eta: np.ndarray,
 def _make_driver(algorithm: str, protocol: str, graph: GraphSchedule,
                  channel_model: ChannelModel | None, khop: int,
                  value_shape: tuple[int, ...], channel_seed):
-    """The aggregation driver of one run, with its lag K resolved."""
+    """The aggregation driver of one run, with its lag K resolved.  ``khop``
+    is an `AlgorithmChoice`'s k, which is 0 for every kind but khop_sac."""
     n = graph.n_agents
     if algorithm != "dac_td":
-        k = khop if algorithm == "khop_sac" else 0
         return NeighborhoodDriver(
-            [cumulative_neighborhood(graph, i, k) for i in range(1, n + 1)],
-            k, value_shape)
+            [cumulative_neighborhood(graph, i, khop) for i in range(1, n + 1)],
+            khop, value_shape)
     K = resolve_latency_window(protocol, graph, channel_model)
     if protocol == "general":
         model = channel_model if channel_model is not None else ChannelModel()
@@ -271,46 +278,6 @@ def run_policy_evaluation(env: CoupledEnv, policies, critics,
 # Episodic regime: batch critics, vector payloads, K-episode update lag
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything one episodic run needs, independent of file formats."""
-
-    algorithm: str = "dac_td"
-    n_agents: int = 5
-    episodes: int = 1000
-    steps: int = 100
-    gamma: float = 0.9
-    actor_step: float = 0.01
-    critic_step: float = 0.1
-    actor_hidden: tuple[int, ...] = (10, 10)
-    critic_hidden: tuple[int, ...] = (5, 5)
-    leaky_slope: float = 0.3
-    critic_epochs: int = 25
-    target_refresh: int = 5
-    theta_box: float = 10.0
-    protocol: str = "general"
-    khop: int = 1
-    graph: GraphSchedule | None = None
-    channel: ChannelModel | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        if self.protocol not in PROTOCOLS:
-            raise ConfigurationError(f"unknown protocol {self.protocol!r}")
-        for name in ("episodes", "steps", "critic_epochs", "target_refresh"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigurationError("gamma must lie in (0, 1)")
-        if self.khop < 0:
-            raise ConfigurationError("khop must be >= 0")
-
-    def resolved_graph(self) -> GraphSchedule:
-        return self.graph if self.graph is not None else GraphSchedule.line(self.n_agents)
-
-
 @dataclass
 class RunResult:
     """Per-episode learning metrics plus the final parameters."""
@@ -340,40 +307,41 @@ def _value_table(net: MlpStack, basis: np.ndarray) -> np.ndarray:
     return net.forward(basis)[:, :, 0]
 
 
-def run_experiment(spec: ExperimentSpec) -> RunResult:
-    """Train one episodic run of the requested algorithm.
+def run_experiment(cfg: ExperimentConfig, algorithm: AlgorithmChoice,
+                   seed: int) -> RunResult:
+    """Train one cell of ``cfg``'s (algorithm, seed) grid.
 
     All three algorithms draw from identical environment / policy /
     initialization streams; they differ only in which TD-error sequences
     reach each actor and with what lag."""
-    n, T = spec.n_agents, spec.steps
-    env = CoupledEnv(n_agents=n, gamma=spec.gamma)
-    graph = spec.resolved_graph()
-    if graph.n_agents != n:
-        raise ConfigurationError("graph size does not match n_agents")
+    if algorithm not in cfg.algorithms:
+        raise ConfigurationError(
+            f"{algorithm.label} is not one of the config's algorithms")
+    n, T = cfg.n_agents, cfg.steps
 
-    ss = np.random.SeedSequence(spec.seed)
+    ss = np.random.SeedSequence(seed)
     init_ss, env_ss, policy_ss, channel_ss = ss.spawn(4)
     rng_init = np.random.default_rng(init_ss)
     rng_env = np.random.default_rng(env_ss)
     rng_policy = np.random.default_rng(policy_ss)
 
-    actor = MlpStack((2, *spec.actor_hidden, 2), n, rng_init, spec.leaky_slope)
-    critic = MlpStack((2, *spec.critic_hidden, 1), n, rng_init, spec.leaky_slope)
+    actor = MlpStack((2, *cfg.actor_hidden, 2), n, rng_init, cfg.leaky_slope)
+    critic = MlpStack((2, *cfg.critic_hidden, 1), n, rng_init, cfg.leaky_slope)
 
-    driver = _make_driver(spec.algorithm, spec.protocol, graph, spec.channel,
-                          spec.khop, (T,), channel_ss.generate_state(1)[0])
+    driver = _make_driver(algorithm.kind, cfg.protocol, cfg.build_graph(),
+                          cfg.channel, algorithm.k, (T,),
+                          channel_ss.generate_state(1)[0])
     K = driver.K
 
     basis = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
     eye2 = np.eye(2)
     agent_idx = np.arange(n)[:, None]
-    team_returns = np.zeros(spec.episodes)
-    agent_returns = np.zeros((spec.episodes, n))
-    applied = np.zeros(spec.episodes, dtype=bool)
+    team_returns = np.zeros(cfg.episodes)
+    agent_returns = np.zeros((cfg.episodes, n))
+    applied = np.zeros(cfg.episodes, dtype=bool)
     eta_buf: dict[int, np.ndarray] = {}
 
-    for e in range(spec.episodes):
+    for e in range(cfg.episodes):
         # Roll out one episode under the current (frozen) policies.  Local
         # state spaces are binary, so per-episode action tables are enough.
         probs = softmax(actor.forward(basis))            # (n, s, a)
@@ -409,21 +377,21 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
 
         # Batch critic regression with periodically refreshed targets.
         targets = None
-        for epoch in range(spec.critic_epochs):
-            if epoch % spec.target_refresh == 0:
+        for epoch in range(cfg.critic_epochs):
+            if epoch % cfg.target_refresh == 0:
                 frozen = _value_table(critic, basis)
-                targets = rewards_seq + spec.gamma * frozen[agent_idx, sn_seq]
+                targets = rewards_seq + cfg.gamma * frozen[agent_idx, sn_seq]
             current = _value_table(critic, basis)
             resid = targets - current[agent_idx, s_seq]
             grad = critic.param_grads(x_seq, resid[:, :, None] / T,
                                       per_sample=False)
-            critic.apply_update(spec.critic_step * grad)
+            critic.apply_update(cfg.critic_step * grad)
         if not np.all(np.isfinite(critic.get_flat())):
             raise NumericError("critic weights diverged to non-finite values")
 
         # TD-error sequence of this episode under the trained critic.
         table = _value_table(critic, basis)
-        delta = (rewards_seq + spec.gamma * table[agent_idx, sn_seq]
+        delta = (rewards_seq + cfg.gamma * table[agent_idx, sn_seq]
                  - table[agent_idx, s_seq])               # (n, T)
 
         eta_buf[e] = eta
@@ -433,14 +401,14 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
             eta_c = eta_buf.pop(cohort)
             theta = actor.get_flat()
             for t in range(T):
-                theta += spec.actor_step * team_delta[:, t, None] * eta_c[:, t, :]
-                np.clip(theta, -spec.theta_box, spec.theta_box, out=theta)
+                theta += cfg.actor_step * team_delta[:, t, None] * eta_c[:, t, :]
+                np.clip(theta, -cfg.theta_box, cfg.theta_box, out=theta)
             actor.set_flat(theta)
             applied[e] = True
         if not np.all(np.isfinite(actor.get_flat())):
             raise NumericError("actor weights diverged to non-finite values")
 
-    return RunResult(algorithm=spec.algorithm, seed=spec.seed, K=K,
+    return RunResult(algorithm=algorithm.kind, seed=seed, K=K,
                      team_returns=team_returns, agent_returns=agent_returns,
                      updates_applied=applied, payload_slots=driver.payload_slots,
                      actor_params=actor.get_flat(),

@@ -573,7 +573,12 @@ class NeighborhoodDriver:
                  value_shape: tuple[int, ...] = ()):
         if K < 0:
             raise ValueError(f"lag K must be >= 0, got {K}")
-        self.rows = [np.asarray(h, dtype=np.int64) - 1 for h in hoods]
+        # Agents with the same neighbourhood share one mean per tick.
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, h in enumerate(hoods):
+            groups.setdefault(tuple(h), []).append(i)
+        self.groups = [(np.asarray(h, dtype=np.int64) - 1, np.asarray(agents))
+                       for h, agents in groups.items()]
         self.n_agents = len(hoods)
         self.K = K
         self.value_shape = tuple(value_shape)
@@ -593,8 +598,8 @@ class NeighborhoodDriver:
         out = np.zeros_like(arr)
         if t >= self.K:
             cohort = self._per_tick[t - self.K]
-            for i, rows in enumerate(self.rows):
-                out[i] = ascending_mean(cohort[rows])
+            for rows, agents in self.groups:
+                out[agents] = ascending_mean(cohort[rows])
         return out
 
 

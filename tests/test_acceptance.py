@@ -11,7 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dactd.learner import ExperimentSpec, run_experiment
+from dactd.config import AlgorithmChoice, ExperimentConfig
+from dactd.learner import run_experiment
 from dactd.transport import ChannelModel
 from dactd.verify import run_suite
 
@@ -106,16 +107,15 @@ def test_criterion_6_update_direction_bias_decomposition(capsys):
 
 @pytest.fixture(scope="module")
 def experiment_grid():
-    algorithms = {
-        "dac_td": dict(algorithm="dac_td"),
-        "khop_sac_k4": dict(algorithm="khop_sac", khop=4),
-        "khop_sac_k1": dict(algorithm="khop_sac", khop=1),
-        "independent_ac": dict(algorithm="independent_ac"),
-    }
+    cfg = ExperimentConfig(
+        algorithms=(AlgorithmChoice("dac_td"), AlgorithmChoice("khop_sac", 4),
+                    AlgorithmChoice("khop_sac", 1),
+                    AlgorithmChoice("independent_ac")),
+        seeds=SEEDS)
     start = time.perf_counter()
-    results = {label: [run_experiment(ExperimentSpec(seed=s, **kw))
-                       for s in SEEDS]
-               for label, kw in algorithms.items()}
+    results = {alg.label: [] for alg in cfg.algorithms}
+    for alg, seed in cfg.expand_runs():
+        results[alg.label].append(run_experiment(cfg, alg, seed))
     return results, time.perf_counter() - start
 
 
@@ -168,14 +168,15 @@ def test_criterion_7_full_window_baseline_is_bitwise_identical(
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_packet_loss_leaves_trajectories_unchanged(capsys):
-    def run(drop, seed):
-        channel = ChannelModel(t1=1, t2=1, drop_prob=drop, seed=17)
-        return run_experiment(ExperimentSpec(seed=seed, channel=channel))
+    clean_cfg = ExperimentConfig(
+        channel=ChannelModel(t1=1, t2=1, drop_prob=0.0, seed=17), seeds=SEEDS)
+    lossy_cfg = replace(clean_cfg,
+                        channel=replace(clean_cfg.channel, drop_prob=0.3))
 
     identical = True
-    for seed in SEEDS:
-        clean = run(0.0, seed)
-        lossy = run(0.3, seed)
+    for alg, seed in clean_cfg.expand_runs():
+        clean = run_experiment(clean_cfg, alg, seed)
+        lossy = run_experiment(lossy_cfg, alg, seed)
         assert clean.K == lossy.K == 8
         identical &= (
             np.array_equal(clean.team_returns, lossy.team_returns)

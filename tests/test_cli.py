@@ -189,7 +189,7 @@ def test_seed_override_runs_a_single_seed(config_file, tmp_path):
 # Exit codes
 # ---------------------------------------------------------------------------
 
-def test_validation_failures_exit_1(tmp_path, capsys):
+def test_validation_failures_exit_1(config_file, tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "absent.yaml")]) == 1
     assert "invalid configuration" in capsys.readouterr().err
 
@@ -207,6 +207,26 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         """, name="stray.yaml")
     assert cli.main(["run", "--config", str(stray_radius), "--dry-run"]) == 1
     assert "only khop_sac takes k" in capsys.readouterr().err
+
+    # Values the model cannot honour, integers that would be truncated, and
+    # malformed values.
+    for i, text in enumerate(["episodes: 0\n", "env: {gamma: 1.5}\n",
+                              "theta_box: -1.0\n", "actor: {step: .nan}\n",
+                              "critic: {step: -0.1}\n",
+                              "actor: {hidden: [0]}\n", "episodes: 2.9\n",
+                              "seeds: [1.7]\n", "seeds: [true]\n",
+                              "critic: {hidden: [5.5]}\n",
+                              "channel: {t2: 1.5}\n",
+                              "channel: {drop_prob: null}\n",
+                              "graph: {kind: custom, edges: [1]}\n"]):
+        path = _write(tmp_path, text, name=f"bad{i}.yaml")
+        assert cli.main(["run", "--config", str(path), "--dry-run"]) == 1, text
+        assert "invalid configuration" in capsys.readouterr().err
+
+    for jobs in ("0", "-4"):
+        assert cli.main(["run", "--config", str(config_file), "--dry-run",
+                         "--jobs", jobs]) == 1
+        assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_tree_protocol_on_a_lossy_channel_exits_1(tmp_path, capsys):
@@ -230,7 +250,7 @@ def test_tree_protocol_on_a_lossy_channel_exits_1(tmp_path, capsys):
 
 
 def test_protocol_violations_exit_2(config_file, monkeypatch, capsys):
-    def boom(spec):
+    def boom(cfg, algorithm, seed):
         raise ProtocolCorruptionError("conflicting packet contents")
 
     monkeypatch.setattr(cli, "run_experiment", boom)

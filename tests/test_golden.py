@@ -65,7 +65,7 @@ def test_line5_grid_digest():
     cfg = replace(load_config(LINE5), episodes=30, seeds=(0, 1))
     parts = []
     for alg, seed in cfg.expand_runs():
-        res = run_experiment(cfg.to_spec(alg, seed))
+        res = run_experiment(cfg, alg, seed)
         parts.append([res.team_returns, res.actor_params, res.critic_params])
     assert len(parts) == 8
     assert payload_digest(parts) == LINE5_GRID_DIGEST

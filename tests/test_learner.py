@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dactd.config import AlgorithmChoice, ExperimentConfig
 from dactd.envs import CoupledEnv, micro_env
 from dactd.errors import ConfigurationError, NumericError
 from dactd.funcapprox import LinearCritic, TabularSoftmaxPolicy, tabular_features
-from dactd.learner import (ExperimentSpec, StepSchedule, actor_update,
+from dactd.learner import (StepSchedule, actor_update,
                            critic_update, cumulative_neighborhood,
                            local_td_error, resolve_latency_window,
                            run_experiment, run_policy_evaluation, run_theory,
@@ -289,12 +290,17 @@ def test_cumulative_neighborhoods():
 # Episodic regime
 # ---------------------------------------------------------------------------
 
-BASE = ExperimentSpec(algorithm="dac_td", n_agents=3, episodes=12, steps=20)
+DAC = AlgorithmChoice("dac_td")
+SAC2 = AlgorithmChoice("khop_sac", 2)
+SAC0 = AlgorithmChoice("khop_sac", 0)
+IND = AlgorithmChoice("independent_ac")
+BASE = ExperimentConfig(n_agents=3, episodes=12, steps=20,
+                        algorithms=(DAC, SAC2, SAC0, IND))
 
 
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
-        replace(BASE, algorithm="sarsa")
+        AlgorithmChoice("sarsa")
     with pytest.raises(ConfigurationError):
         replace(BASE, protocol="gossip")
     with pytest.raises(ConfigurationError):
@@ -302,13 +308,30 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError):
         replace(BASE, gamma=1.0)
     with pytest.raises(ConfigurationError):
-        replace(BASE, khop=-1)
+        AlgorithmChoice("khop_sac", -1)
+    # k is meaningful only for khop_sac, and never beyond the diameter.
     with pytest.raises(ConfigurationError):
-        run_experiment(replace(BASE, graph=GraphSchedule.line(4)))
+        AlgorithmChoice("independent_ac", 3)
+    with pytest.raises(ConfigurationError):
+        replace(BASE, algorithms=(AlgorithmChoice("khop_sac", 9),))
+    # The graph is built from n_agents; edges naming a fourth agent fail.
+    with pytest.raises(ValueError):
+        replace(BASE, graph_kind="custom", graph_edges=((3, 4), (4, 3)))
+    # A run outside the config's grid skips none of its checks.
+    with pytest.raises(ConfigurationError):
+        run_experiment(BASE, AlgorithmChoice("khop_sac", 1), 0)
+    for bad in (dict(gamma=1.5), dict(gamma=float("nan")),
+                dict(steps=0), dict(critic_epochs=0), dict(target_refresh=0),
+                dict(theta_box=-1.0), dict(theta_box=float("inf")),
+                dict(actor_step=float("nan")), dict(critic_step=-0.1),
+                dict(actor_hidden=(0,)), dict(critic_hidden=(5, 0)),
+                dict(leaky_slope=float("inf"))):
+        with pytest.raises(ConfigurationError):
+            replace(BASE, **bad)
 
 
 def test_episodic_run_shapes_and_reward_structure():
-    res = run_experiment(BASE)
+    res = run_experiment(BASE, DAC, 0)
     assert res.algorithm == "dac_td"
     assert res.K == 2
     assert res.payload_slots == 2 * 3
@@ -324,8 +347,8 @@ def test_episodic_run_shapes_and_reward_structure():
 
 
 def test_full_diameter_neighborhood_baseline_is_bitwise_identical():
-    dac = run_experiment(BASE)
-    sac = run_experiment(replace(BASE, algorithm="khop_sac", khop=2))
+    dac = run_experiment(BASE, DAC, 0)
+    sac = run_experiment(BASE, SAC2, 0)
     assert dac.K == sac.K == 2
     assert np.array_equal(dac.team_returns, sac.team_returns)
     assert np.array_equal(dac.agent_returns, sac.agent_returns)
@@ -335,16 +358,16 @@ def test_full_diameter_neighborhood_baseline_is_bitwise_identical():
 
 
 def test_zero_hop_baseline_collapses_to_independent_learning():
-    k0 = run_experiment(replace(BASE, algorithm="khop_sac", khop=0))
-    ind = run_experiment(replace(BASE, algorithm="independent_ac"))
+    k0 = run_experiment(BASE, SAC0, 0)
+    ind = run_experiment(BASE, IND, 0)
     assert np.array_equal(k0.team_returns, ind.team_returns)
     assert np.array_equal(k0.actor_params, ind.actor_params)
     assert np.array_equal(k0.critic_params, ind.critic_params)
 
 
 def test_tree_protocol_reproduces_the_general_run():
-    gen = run_experiment(BASE)
-    acy = run_experiment(replace(BASE, protocol="acyclic"))
+    gen = run_experiment(BASE, DAC, 0)
+    acy = run_experiment(replace(BASE, protocol="acyclic"), DAC, 0)
     assert gen.K == acy.K
     assert np.array_equal(gen.team_returns, acy.team_returns)
     assert np.allclose(gen.actor_params, acy.actor_params, atol=1e-9)
@@ -354,9 +377,9 @@ def test_tree_protocol_reproduces_the_general_run():
 
 def test_packet_loss_does_not_perturb_learning():
     lossless = run_experiment(replace(
-        BASE, channel=ChannelModel(t1=1, t2=1, drop_prob=0.0, seed=5)))
+        BASE, channel=ChannelModel(t1=1, t2=1, drop_prob=0.0, seed=5)), DAC, 0)
     lossy = run_experiment(replace(
-        BASE, channel=ChannelModel(t1=1, t2=1, drop_prob=0.4, seed=5)))
+        BASE, channel=ChannelModel(t1=1, t2=1, drop_prob=0.4, seed=5)), DAC, 0)
     assert lossless.K == lossy.K == 4
     assert np.array_equal(lossless.team_returns, lossy.team_returns)
     assert np.array_equal(lossless.actor_params, lossy.actor_params)
@@ -364,18 +387,18 @@ def test_packet_loss_does_not_perturb_learning():
 
 
 def test_different_seeds_give_different_trajectories():
-    a = run_experiment(BASE)
-    b = run_experiment(replace(BASE, seed=1))
+    a = run_experiment(BASE, DAC, 0)
+    b = run_experiment(BASE, DAC, 1)
     assert not np.array_equal(a.team_returns, b.team_returns)
 
 
 def test_episodic_runs_are_reproducible():
-    a = run_experiment(BASE)
-    b = run_experiment(BASE)
+    a = run_experiment(BASE, DAC, 0)
+    b = run_experiment(BASE, DAC, 0)
     assert np.array_equal(a.team_returns, b.team_returns)
     assert np.array_equal(a.actor_params, b.actor_params)
 
 
 def test_runaway_batch_critic_raises():
     with pytest.raises(NumericError):
-        run_experiment(replace(BASE, critic_step=1e8, episodes=3))
+        run_experiment(replace(BASE, critic_step=1e8, episodes=3), DAC, 0)
