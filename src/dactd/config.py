@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .errors import ConfigurationError
@@ -25,6 +26,19 @@ PROTOCOL_ALIASES = {"alg1": "general", "alg2": "acyclic",
 GRAPH_KINDS = ("line", "ring", "star", "complete", "custom")
 
 
+def _as_int(value, where: str) -> int:
+    """An integer setting; a bool or a float with a fractional part is
+    rejected rather than truncated."""
+    fractional = (isinstance(value, (float, np.floating))
+                  and not float(value).is_integer())
+    if not (isinstance(value, (bool, np.bool_)) or fractional):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AlgorithmChoice:
     """One algorithm to run; k is meaningful only for khop_sac."""
@@ -33,6 +47,7 @@ class AlgorithmChoice:
     k: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _as_int(self.k, "k"))
         if self.kind not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.kind!r}")
         if self.k < 0:
@@ -77,6 +92,12 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        for name in ("n_agents", "critic_epochs", "target_refresh", "episodes",
+                     "steps"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        for name in ("actor_hidden", "critic_hidden", "seeds"):
+            object.__setattr__(self, name, tuple(
+                _as_int(v, name) for v in getattr(self, name)))
         if self.protocol not in PROTOCOLS:
             raise ConfigurationError(f"unknown protocol {self.protocol!r}")
         if self.graph_kind not in GRAPH_KINDS:
@@ -181,18 +202,6 @@ def _known_keys(node: dict, allowed: set[str], where: str) -> None:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(extra)}")
 
 
-def _as_int(value, where: str) -> int:
-    """An integer config value; a bool or a float with a fractional part is
-    rejected rather than truncated."""
-    fractional = isinstance(value, float) and not value.is_integer()
-    if not (isinstance(value, bool) or fractional):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigurationError(f"{where} must be an integer, got {value!r}")
-
-
 def _parse_algorithm(node) -> AlgorithmChoice:
     if isinstance(node, str):
         return AlgorithmChoice(node)
@@ -200,7 +209,7 @@ def _parse_algorithm(node) -> AlgorithmChoice:
     _known_keys(node, {"kind", "k"}, "algorithms entry")
     if "kind" not in node:
         raise ConfigurationError("algorithms entry needs a 'kind'")
-    return AlgorithmChoice(str(node["kind"]), _as_int(node.get("k", 0), "k"))
+    return AlgorithmChoice(str(node["kind"]), node.get("k", 0))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -258,25 +267,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
             seed=_as_int(chan.get("seed", 0), "channel seed"))
         return ExperimentConfig(
             name=str(raw.get("name", path.stem)),
-            n_agents=_as_int(env.get("n_agents", 5), "n_agents"),
+            n_agents=env.get("n_agents", 5),
             gamma=float(env.get("gamma", 0.9)),
             graph_kind=graph_kind, graph_edges=edges, channel=channel,
             protocol=PROTOCOL_ALIASES[protocol_raw],
             algorithms=tuple(_parse_algorithm(a) for a in algs),
             actor_step=float(actor.get("step", 0.01)),
             critic_step=float(critic.get("step", 0.1)),
-            actor_hidden=tuple(_as_int(h, "actor hidden width")
-                               for h in actor.get("hidden", [10, 10])),
-            critic_hidden=tuple(_as_int(h, "critic hidden width")
-                                for h in critic.get("hidden", [5, 5])),
+            actor_hidden=tuple(actor.get("hidden", [10, 10])),
+            critic_hidden=tuple(critic.get("hidden", [5, 5])),
             leaky_slope=float(raw.get("leaky_slope", 0.3)),
-            critic_epochs=_as_int(critic.get("epochs", 25), "critic epochs"),
-            target_refresh=_as_int(critic.get("target_refresh", 5),
-                                   "target_refresh"),
-            episodes=_as_int(raw.get("episodes", 1000), "episodes"),
-            steps=_as_int(raw.get("steps", 100), "steps"),
+            critic_epochs=critic.get("epochs", 25),
+            target_refresh=critic.get("target_refresh", 5),
+            episodes=raw.get("episodes", 1000),
+            steps=raw.get("steps", 100),
             theta_box=float(raw.get("theta_box", 10.0)),
-            seeds=tuple(_as_int(s, "seed") for s in seeds),
+            seeds=tuple(seeds),
             out_dir=str(raw.get("out_dir", "results")))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed config value: {exc}")

@@ -8,7 +8,8 @@ Two families behind one small interface:
   hidden layers (slope 0.3), hand-rolled forward/backward in numpy.
 
 :class:`MlpStack` keeps ``n_copies`` independent parameter sets in one set
-of arrays so a whole team of per-agent networks evaluates in a few einsums.
+of arrays so a whole team of per-agent networks evaluates in one batched
+``matmul`` per layer.
 Policies are softmax heads over a finite local action set; actions are
 sampled by inverse CDF in ascending action order, so runs are reproducible
 from the generator state alone.
@@ -104,9 +105,12 @@ class LinearCritic:
 class MlpStack:
     """n_copies independent MLPs with shared architecture.
 
-    Parameters live in arrays W[layer] of shape (n_copies, out, in) and
-    b[layer] of shape (n_copies, out); inputs are (n_copies, batch, in).
-    Hidden layers use the leaky rectifier; the output layer is linear.
+    All parameters live in one (n_copies, n_params) array in the flat
+    checkpoint layout (each layer's weights row-major, then its biases).
+    W[layer], of shape (n_copies, out, in), and b[layer], of shape
+    (n_copies, out), are views of that array, so a flat step updates them
+    in place.  Inputs are (n_copies, batch, in).  Hidden layers use the
+    leaky rectifier; the output layer is linear.
     """
 
     def __init__(self, sizes: tuple[int, ...], n_copies: int,
@@ -116,20 +120,27 @@ class MlpStack:
         self.sizes = tuple(int(s) for s in sizes)
         self.n_copies = int(n_copies)
         self.slope = float(slope)
-        self.W: list[np.ndarray] = []
-        self.b: list[np.ndarray] = []
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            if rng is None:
-                w = np.zeros((self.n_copies, fan_out, fan_in))
-            else:
-                w = rng.uniform(-0.5, 0.5, size=(self.n_copies, fan_out, fan_in))
-                w /= np.sqrt(fan_in)
-            self.W.append(w)
-            self.b.append(np.zeros((self.n_copies, fan_out)))
+        self.n_params = sum(fan_out * (fan_in + 1) for fan_in, fan_out
+                            in zip(self.sizes[:-1], self.sizes[1:]))
+        self._flat = np.zeros((self.n_copies, self.n_params))
+        self.W, self.b = self._layers(self._flat)
+        if rng is not None:
+            for w in self.W:
+                w[...] = rng.uniform(-0.5, 0.5, size=w.shape) / np.sqrt(w.shape[2])
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.shape[1] * w.shape[2] + w.shape[1] for w in self.W)
+    def _layers(self, flat: np.ndarray):
+        """Per-layer weight and bias views of an (..., n_params) array in the
+        flat layout."""
+        lead = flat.shape[:-1]
+        weights, biases = [], []
+        pos = 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            weights.append(flat[..., pos:pos + fan_out * fan_in]
+                           .reshape(*lead, fan_out, fan_in))
+            pos += fan_out * fan_in
+            biases.append(flat[..., pos:pos + fan_out])
+            pos += fan_out
+        return weights, biases
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -142,13 +153,14 @@ class MlpStack:
         return self._forward_cached(x)[0]
 
     def _forward_cached(self, x: np.ndarray):
+        """Output plus the layer inputs and pre-activations backprop needs."""
         x = self._check_input(x)
         acts = [x]
         pre: list[np.ndarray] = []
         h = x
         last = len(self.W) - 1
         for l, (w, bias) in enumerate(zip(self.W, self.b)):
-            z = np.einsum("coi,cbi->cbo", w, h) + bias[:, None, :]
+            z = h @ w.transpose(0, 2, 1) + bias[:, None, :]
             pre.append(z)
             h = z if l == last else leaky(z, self.slope)
             acts.append(h)
@@ -166,55 +178,40 @@ class MlpStack:
 
     def _backward(self, acts, pre, out_grad, per_sample: bool) -> np.ndarray:
         delta = np.asarray(out_grad, dtype=np.float64)
-        grads_w: list[np.ndarray] = [None] * len(self.W)
-        grads_b: list[np.ndarray] = [None] * len(self.W)
+        lead = delta.shape[:2] if per_sample else delta.shape[:1]
+        grads = np.empty((*lead, self.n_params))
+        grads_w, grads_b = self._layers(grads)
         for l in range(len(self.W) - 1, -1, -1):
             if per_sample:
-                grads_w[l] = np.einsum("cbo,cbi->cboi", delta, acts[l])
-                grads_b[l] = delta
+                np.multiply(delta[:, :, :, None], acts[l][:, :, None, :],
+                            out=grads_w[l])
+                grads_b[l][...] = delta
             else:
-                grads_w[l] = np.einsum("cbo,cbi->coi", delta, acts[l])
-                grads_b[l] = delta.sum(axis=1)
+                np.matmul(delta.transpose(0, 2, 1), acts[l], out=grads_w[l])
+                delta.sum(axis=1, out=grads_b[l])
             if l > 0:
-                delta = np.einsum("cbo,coi->cbi", delta, self.W[l])
-                delta = delta * leaky_grad(pre[l - 1], self.slope)
-        if per_sample:
-            nb = acts[0].shape[1]
-            flat = [np.concatenate([gw.reshape(self.n_copies, nb, -1),
-                                    gb.reshape(self.n_copies, nb, -1)], axis=2)
-                    for gw, gb in zip(grads_w, grads_b)]
-            return np.concatenate(flat, axis=2)
-        flat = [np.concatenate([gw.reshape(self.n_copies, -1),
-                                gb.reshape(self.n_copies, -1)], axis=1)
-                for gw, gb in zip(grads_w, grads_b)]
-        return np.concatenate(flat, axis=1)
+                delta = (delta @ self.W[l]) * leaky_grad(pre[l - 1], self.slope)
+        return grads
 
     # -- flat parameter vector (checkpoint format) --------------------------
 
+    def _check_flat(self, flat: np.ndarray) -> np.ndarray:
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != self._flat.shape:
+            raise ValueError(f"expected flat shape {self._flat.shape}, "
+                             f"got {flat.shape}")
+        return flat
+
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for w, bias in zip(self.W, self.b):
-            parts.append(w.reshape(self.n_copies, -1))
-            parts.append(bias.reshape(self.n_copies, -1))
-        return np.concatenate(parts, axis=1)
+        return self._flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_copies, self.n_params):
-            raise ValueError(f"expected flat shape {(self.n_copies, self.n_params)}, "
-                             f"got {flat.shape}")
-        pos = 0
-        for l, (w, bias) in enumerate(zip(self.W, self.b)):
-            nw = w.shape[1] * w.shape[2]
-            self.W[l] = flat[:, pos:pos + nw].reshape(w.shape).copy()
-            pos += nw
-            nb = bias.shape[1]
-            self.b[l] = flat[:, pos:pos + nb].reshape(bias.shape).copy()
-            pos += nb
+        self._flat[...] = self._check_flat(flat)
 
     def apply_update(self, flat_step: np.ndarray) -> None:
-        """In-place parameter step by a (n_copies, n_params) flat increment."""
-        self.set_flat(self.get_flat() + flat_step)
+        """In-place parameter step by a (n_copies, n_params) flat increment;
+        bitwise equal to ``set_flat(get_flat() + flat_step)``."""
+        self._flat += self._check_flat(flat_step)
 
 
 def save_params(path, stack: MlpStack) -> None:

@@ -13,6 +13,12 @@ Two clock regimes share the same aggregation machinery:
   of the problem and is validated when it is built, so every run it admits
   is one the model can honour.
 
+Local states are binary and enter the networks one-hot, so every step of an
+episode feeds one of two input rows.  The episodic loop works on those rows,
+not on the T steps: the critic is fitted on the two rows with its residuals
+summed per local state, and each step's policy score is a row of one table
+over the four (local state, action) pairs.
+
 Every algorithm is one aggregation driver ticked once per episode: `dac_td`
 runs a protocol driver, and the baselines are `NeighborhoodDriver`s, the
 k-hop neighbourhood mean with lag k for `khop_sac` and k = 0 for
@@ -307,6 +313,28 @@ def _value_table(net: MlpStack, basis: np.ndarray) -> np.ndarray:
     return net.forward(basis)[:, :, 0]
 
 
+def _score_table(actor: MlpStack, basis: np.ndarray,
+                 probs: np.ndarray) -> np.ndarray:
+    """Score of log pi(a|s) for every (local state s, action a) pair, at row
+    2*s + a: (n, 4, P).  Each step's score is a row of this table."""
+    sa_states = np.array([0, 0, 1, 1])
+    return actor.param_grads(basis[:, sa_states],
+                             np.eye(2)[[0, 1, 0, 1]] - probs[:, sa_states],
+                             per_sample=True)
+
+
+def _fit_gradient(critic: MlpStack, basis: np.ndarray, current: np.ndarray,
+                  target_sums: np.ndarray, counts: np.ndarray,
+                  T: int) -> np.ndarray:
+    """Gradient of one epoch's batch regression,
+    (1/T) sum_t (target_t - V(s_t)) dV(s_t)/dparams, taken on the basis
+    rows.  Every step's input is one of them, so the residuals enter as
+    per-state sums: target sums minus visit counts times ``current``, the
+    (n, 2) value table."""
+    resid = (target_sums - counts * current) / T
+    return critic.param_grads(basis, resid[:, :, None], per_sample=False)
+
+
 def run_experiment(cfg: ExperimentConfig, algorithm: AlgorithmChoice,
                    seed: int) -> RunResult:
     """Train one cell of ``cfg``'s (algorithm, seed) grid.
@@ -334,57 +362,53 @@ def run_experiment(cfg: ExperimentConfig, algorithm: AlgorithmChoice,
     K = driver.K
 
     basis = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
-    eye2 = np.eye(2)
-    agent_idx = np.arange(n)[:, None]
+    agents = np.arange(n)
+    agent_idx = agents[:, None]
     team_returns = np.zeros(cfg.episodes)
     agent_returns = np.zeros((cfg.episodes, n))
     applied = np.zeros(cfg.episodes, dtype=bool)
-    eta_buf: dict[int, np.ndarray] = {}
+    eta_buf: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     for e in range(cfg.episodes):
-        # Roll out one episode under the current (frozen) policies.  Local
-        # state spaces are binary, so per-episode action tables are enough.
+        # Roll out one episode under the current (frozen) policies.  With two
+        # actions, inverse-CDF sampling takes action 1 exactly when the draw
+        # is at least pi(0|s), so each step's action for either local state
+        # is read off the episode's (T, n) block of policy draws.
         probs = softmax(actor.forward(basis))            # (n, s, a)
-        cum = np.cumsum(probs, axis=2)
-        s = np.zeros(n, dtype=np.int64)
-        states = np.empty((T, n), dtype=np.int64)
-        next_states = np.empty((T, n), dtype=np.int64)
+        u_policy = rng_policy.random((T, n))
+        u_env = rng_env.random((T, n))
+        takes_one = probs[None, :, :, 0] <= u_policy[:, :, None]  # (T, n, s)
+        traj = np.zeros((T + 1, n), dtype=np.int64)
         actions = np.empty((T, n), dtype=np.int64)
         coupling = np.empty(T)
+        s = traj[0]
         for t in range(T):
-            u = rng_policy.random(n)
-            pc = cum[agent_idx[:, 0], s, :]
-            a = np.minimum((pc <= u[:, None]).sum(axis=1), 1)
+            a = takes_one[t, agents, s]
             q = (s.sum() + a.sum()) / (2.0 * n)
-            states[t] = s
             actions[t] = a
             coupling[t] = q
-            s = (rng_env.random(n) < q).astype(np.int64)
-            next_states[t] = s
+            traj[t + 1] = u_env[t] < q
+            s = traj[t + 1]
         agent_returns[e, 0] = coupling.sum()
         team_returns[e] = agent_returns[e].sum() / n
 
         rewards_seq = np.zeros((n, T))
         rewards_seq[0] = coupling
-        s_seq = states.T                                  # (n, T)
-        sn_seq = next_states.T
-        x_seq = eye2[s_seq]                               # (n, T, 2)
+        s_seq = traj[:-1].T                               # (n, T)
+        sn_seq = traj[1:].T
+        x_seq = basis[agent_idx, s_seq]                   # (n, T, 2) one-hot
+        counts = x_seq.sum(axis=1)                        # (n, s)
 
-        # Score sequences under the behaviour policy, before any update.
-        probs_seq = probs[agent_idx, s_seq, :]            # (n, T, 2)
-        out_grad = eye2[actions.T] - probs_seq
-        eta = actor.param_grads(x_seq, out_grad, per_sample=True)
+        # Scores under the behaviour policy, before any update.
+        eta_buf[e] = (_score_table(actor, basis, probs), 2 * s_seq + actions.T)
 
         # Batch critic regression with periodically refreshed targets.
-        targets = None
         for epoch in range(cfg.critic_epochs):
-            if epoch % cfg.target_refresh == 0:
-                frozen = _value_table(critic, basis)
-                targets = rewards_seq + cfg.gamma * frozen[agent_idx, sn_seq]
             current = _value_table(critic, basis)
-            resid = targets - current[agent_idx, s_seq]
-            grad = critic.param_grads(x_seq, resid[:, :, None] / T,
-                                      per_sample=False)
+            if epoch % cfg.target_refresh == 0:
+                targets = rewards_seq + cfg.gamma * current[agent_idx, sn_seq]
+                target_sums = (targets[:, None, :] @ x_seq)[:, 0]
+            grad = _fit_gradient(critic, basis, current, target_sums, counts, T)
             critic.apply_update(cfg.critic_step * grad)
         if not np.all(np.isfinite(critic.get_flat())):
             raise NumericError("critic weights diverged to non-finite values")
@@ -394,14 +418,15 @@ def run_experiment(cfg: ExperimentConfig, algorithm: AlgorithmChoice,
         delta = (rewards_seq + cfg.gamma * table[agent_idx, sn_seq]
                  - table[agent_idx, s_seq])               # (n, T)
 
-        eta_buf[e] = eta
         team_delta = driver.tick(e, delta)                # (n, T)
         cohort = e - K
         if cohort >= 0:
-            eta_c = eta_buf.pop(cohort)
+            scores, codes = eta_buf.pop(cohort)
+            steps = (cfg.actor_step * team_delta[:, :, None]
+                     * scores[agent_idx, codes])
             theta = actor.get_flat()
             for t in range(T):
-                theta += cfg.actor_step * team_delta[:, t, None] * eta_c[:, t, :]
+                theta += steps[:, t]
                 np.clip(theta, -cfg.theta_box, cfg.theta_box, out=theta)
             actor.set_flat(theta)
             applied[e] = True

@@ -213,17 +213,10 @@ KINK_MARGIN = 1e-3
 
 
 def _min_hidden_preact(net: MlpStack, x: np.ndarray) -> float:
-    from .funcapprox import leaky
-    h = np.asarray(x, dtype=np.float64)
-    closest = np.inf
-    for l, (w, b) in enumerate(zip(net.W, net.b)):
-        z = np.einsum("coi,cbi->cbo", w, h) + b[:, None, :]
-        if l < len(net.W) - 1:
-            closest = min(closest, float(np.abs(z).min()))
-            h = leaky(z, net.slope)
-        else:
-            h = z
-    return closest
+    """Smallest hidden pre-activation magnitude, read from the forward pass
+    the gradient itself uses."""
+    _, (_, pre) = net._forward_cached(x)
+    return min((float(np.abs(z).min()) for z in pre[:-1]), default=np.inf)
 
 
 def _fd_case(kind: int, rng: np.random.Generator) -> float:

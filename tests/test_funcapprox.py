@@ -241,6 +241,20 @@ def test_set_flat_rejects_wrong_shape():
         net.set_flat(np.zeros((3, net.n_params + 1)))
     with pytest.raises(ValueError):
         net.set_flat(np.zeros(net.n_params))
+    with pytest.raises(ValueError):
+        net.apply_update(np.zeros(net.n_params))
+
+
+def test_in_place_update_is_bitwise_the_flat_round_trip():
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(3, 4, 2))
+    for _ in range(5):
+        fast, ref = _stack(seed=3), _stack(seed=3)
+        step = rng.normal(size=(3, fast.n_params)) * 10.0 ** rng.integers(-17, 2)
+        fast.apply_update(step)
+        ref.set_flat(ref.get_flat() + step)
+        assert fast.get_flat().tobytes() == ref.get_flat().tobytes()
+        assert fast.forward(x).tobytes() == ref.forward(x).tobytes()
 
 
 def test_param_grads_shapes():

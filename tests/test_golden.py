@@ -1,8 +1,14 @@
 """Golden digests that pin the exact bits of protocol traffic and learning.
 
 Each digest is a blake2b hash (``payload_digest``) of a short deterministic
-run.  A change that alters either digest alters the simulator's output; it
-is re-baselined only by a change that says why.
+run.  A change that alters a digest alters the simulator's output; it is
+re-baselined only by a change that says why.
+
+``LINE5_GRID_DIGEST`` was re-baselined once, when the episodic learner moved
+from einsum to matmul kernels and began fitting its critic on per-state
+residual sums: both reorder floating-point sums.  Over the digest's grid the
+parameters moved by at most 5.3e-15 and every team return stayed the same
+bit for bit; the two exchange digests did not change.
 """
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +24,7 @@ from dactd.transport import Channel, ChannelModel, payload_digest
 LINE5 = Path(__file__).resolve().parents[1] / "configs" / "line5.yaml"
 
 EXCHANGE_DIGEST = "721a241b6886261e"
-LINE5_GRID_DIGEST = "5dc1918c4a118763"
+LINE5_GRID_DIGEST = "3692ac30990d2017"
 ACYCLIC_DIGEST = "800bf3e97c013c0c"
 
 

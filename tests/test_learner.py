@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from dactd.config import AlgorithmChoice, ExperimentConfig
 from dactd.envs import CoupledEnv, micro_env
 from dactd.errors import ConfigurationError, NumericError
-from dactd.funcapprox import LinearCritic, TabularSoftmaxPolicy, tabular_features
-from dactd.learner import (StepSchedule, actor_update,
-                           critic_update, cumulative_neighborhood,
+from dactd.funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
+                              max_relative_error, softmax, tabular_features)
+from dactd.learner import (StepSchedule, _fit_gradient, _score_table,
+                           actor_update, critic_update, cumulative_neighborhood,
                            local_td_error, resolve_latency_window,
                            run_experiment, run_policy_evaluation, run_theory,
                            validate_two_timescale)
@@ -325,9 +326,85 @@ def test_spec_validation():
                 dict(theta_box=-1.0), dict(theta_box=float("inf")),
                 dict(actor_step=float("nan")), dict(critic_step=-0.1),
                 dict(actor_hidden=(0,)), dict(critic_hidden=(5, 0)),
-                dict(leaky_slope=float("inf"))):
+                dict(leaky_slope=float("inf")),
+                # Counts that would be truncated or read as 1.
+                dict(critic_hidden=(2.5,)), dict(critic_epochs=True),
+                dict(episodes=2.5), dict(seeds=(1.5,)), dict(n_agents=3.5),
+                dict(steps=True), dict(actor_hidden=(True,)),
+                dict(critic_epochs=np.True_), dict(episodes=np.float32(2.5))):
         with pytest.raises(ConfigurationError):
             replace(BASE, **bad)
+    for k in (1.5, True):
+        with pytest.raises(ConfigurationError):
+            AlgorithmChoice("khop_sac", k)
+    # Whole floats are integers, as in a YAML file.
+    whole = replace(BASE, episodes=3.0, seeds=(2.0,),
+                    algorithms=(AlgorithmChoice("khop_sac", 2.0),))
+    assert (whole.episodes, whole.seeds) == (3, (2,))
+    assert type(whole.episodes) is int and whole.algorithms[0].label == "khop_sac_k2"
+
+
+def _one_hot_sequences(rng, n, T):
+    # Random binary local-state sequences; agent 0 never visits state 1 and
+    # agent 1 never visits state 0.
+    s_seq = rng.integers(0, 2, size=(n, T))
+    s_seq[0], s_seq[1] = 0, 1
+    return s_seq
+
+
+@pytest.mark.parametrize("T", [1, 2, 7, 100])
+def test_basis_row_fit_gradient_matches_the_batch_reference(T):
+    rng = np.random.default_rng(T)
+    n = 4
+    basis = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+    agent_idx = np.arange(n)[:, None]
+    for _ in range(5):
+        critic = MlpStack((2, 5, 5, 1), n, rng, 0.3)
+        s_seq = _one_hot_sequences(rng, n, T)
+        targets = rng.normal(size=(n, T))
+        current = critic.forward(basis)[:, :, 0]
+        resid = targets - current[agent_idx, s_seq]
+        reference = critic.param_grads(np.eye(2)[s_seq], resid[:, :, None] / T,
+                                       per_sample=False)
+        target_sums = np.array([[targets[c, s_seq[c] == s].sum() for s in (0, 1)]
+                                for c in range(n)])
+        counts = np.array([[float((s_seq[c] == s).sum()) for s in (0, 1)]
+                           for c in range(n)])
+        fast = _fit_gradient(critic, basis, current, target_sums, counts, T)
+        assert fast.shape == reference.shape
+        assert max_relative_error(fast, reference) <= 1e-12
+
+
+def test_score_table_rows_match_per_step_scores():
+    rng = np.random.default_rng(21)
+    n, T = 4, 50
+    basis = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+    agent_idx = np.arange(n)[:, None]
+    for _ in range(5):
+        actor = MlpStack((2, 10, 10, 2), n, rng, 0.3)
+        probs = softmax(actor.forward(basis))
+        s_seq = _one_hot_sequences(rng, n, T)
+        a_seq = rng.integers(0, 2, size=(n, T))
+        reference = actor.param_grads(
+            np.eye(2)[s_seq], np.eye(2)[a_seq] - probs[agent_idx, s_seq],
+            per_sample=True)
+        gathered = _score_table(actor, basis, probs)[agent_idx, 2 * s_seq + a_seq]
+        assert gathered.shape == reference.shape
+        assert max_relative_error(gathered, reference) <= 1e-12
+
+
+def test_episode_uniform_blocks_equal_per_step_draws():
+    # run_experiment draws each episode's policy and environment uniforms as
+    # one (T, n) block per generator; they are the per-step draws, bit for bit.
+    n, T = 5, 100
+    _, env_ss, policy_ss, _ = np.random.SeedSequence(7).spawn(4)
+    for ss in (env_ss, policy_ss):
+        block_rng = np.random.default_rng(ss)
+        step_rng = np.random.default_rng(ss)
+        for _ in range(3):
+            block = block_rng.random((T, n))
+            steps = np.stack([step_rng.random(n) for _ in range(T)])
+            assert block.tobytes() == steps.tobytes()
 
 
 def test_episodic_run_shapes_and_reward_structure():
@@ -399,6 +476,7 @@ def test_episodic_runs_are_reproducible():
     assert np.array_equal(a.actor_params, b.actor_params)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_runaway_batch_critic_raises():
     with pytest.raises(NumericError):
         run_experiment(replace(BASE, critic_step=1e8, episodes=3), DAC, 0)
