@@ -9,8 +9,8 @@ local-state bits are drawn i.i.d. given the global (s, a) with
     p(s'_i = 1 | s, a) = (1 / 2N) * sum_j (s_j + a_j)
 
 and only agent 1 is rewarded, with the same expression as its reward.
-Rewards of this family depend on (s, a) only.  Episodes start from the
-all-zeros state.
+Both depend on (s, a) only through the coupling count |s| + |a|.  Episodes
+start from the all-zeros state.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import CapacityError
 
+# Largest global state or joint action space enumerate_model accepts: the
+# oracle allocates (S, A) tables and solves (S, S) systems, 128 MiB each here.
 STATE_CAP = 4096
 
 
@@ -116,14 +118,22 @@ class CoupledEnv:
         s_next = (rng.random(self.n_agents) < q).astype(np.int64)
         return s_next, self.rewards(s, a)
 
+    def count_model(self) -> tuple[np.ndarray, np.ndarray]:
+        """Next-state law and private rewards of every coupling count
+        c = |s| + |a| in 0..2N, as (2N+1, S) rows and (N, 2N+1) rewards."""
+        n = self.n_agents
+        q = np.arange(2 * n + 1) / (2 * n)
+        per_agent = np.stack([1.0 - q, q], axis=1)[:, None, :]
+        rows = np.ones((2 * n + 1, 1))
+        for _ in range(n):
+            rows = (rows[:, :, None] * per_agent).reshape(2 * n + 1, -1)
+        rewards = np.zeros((n, 2 * n + 1))
+        rewards[0] = q
+        return rows, rewards
+
     def next_state_probs(self, s, a) -> np.ndarray:
         """Exact distribution over global next-state indices given (s, a)."""
-        q = self.coupling(s, a)
-        per_agent = np.array([1.0 - q, q])
-        out = np.array([1.0])
-        for _ in range(self.n_agents):
-            out = np.outer(out, per_agent).ravel()
-        return out
+        return self.count_model()[0][int(np.sum(s) + np.sum(a))]
 
 
 def micro_env(gamma: float = 0.9) -> CoupledEnv:
@@ -138,20 +148,26 @@ def line_env(gamma: float = 0.9) -> CoupledEnv:
 
 @dataclass
 class EnumeratedModel:
-    """Dense tensors of a finite environment under a fixed joint policy."""
+    """Coupled environment under a fixed joint policy, factorised by the
+    coupling count c = |s| + |a|: the law of s' given (s, a) is
+    count_transition[count_index[s, a]], with no (S, A, S) kernel formed."""
 
     spec: JommdpSpec
     policy_probs: np.ndarray      # (S, A) joint policy
-    transition_sa: np.ndarray     # (S, A, S)
-    rewards_sa: np.ndarray        # (N, S, A), independent of landing state
+    count_index: np.ndarray       # (S, A) coupling count |s| + |a|
+    count_transition: np.ndarray  # (2N+1, S) next-state law per count
+    count_rewards: np.ndarray     # (N, 2N+1) private rewards per count
     transition_pi: np.ndarray = field(init=False)   # (S, S)
     rewards_pi: np.ndarray = field(init=False)      # (N, S) expected per state
 
     def __post_init__(self):
-        self.transition_pi = np.einsum("sa,sat->st", self.policy_probs,
-                                       self.transition_sa)
-        self.rewards_pi = np.einsum("sa,nsa->ns", self.policy_probs,
-                                    self.rewards_sa)
+        # mass[s, c]: the policy mass of the actions a with |s| + |a| = c.
+        S, C = self.count_index.shape[0], self.count_transition.shape[0]
+        flat = (np.arange(S)[:, None] * C + self.count_index).ravel()
+        mass = np.bincount(flat, weights=self.policy_probs.ravel(),
+                           minlength=S * C).reshape(S, C)
+        self.transition_pi = mass @ self.count_transition
+        self.rewards_pi = self.count_rewards @ mass.T
 
     @property
     def team_rewards_pi(self) -> np.ndarray:
@@ -159,49 +175,47 @@ class EnumeratedModel:
 
 
 def joint_policy_probs(spec: JommdpSpec, local_policies) -> np.ndarray:
-    """(S, A) joint policy: product over agents of pi_i(a_i | s_i)."""
+    """(S, A) joint policy: product over agents of pi_i(a_i | s_i), each
+    agent's table broadcast over the (S_1..S_N, A_1..A_N) axes in turn."""
     if len(local_policies) != spec.n_agents:
         raise ValueError("one local policy per agent required")
-    S, A = spec.n_states, spec.n_actions
-    policy = np.zeros((S, A))
-    for si in range(S):
-        s = spec.index_state(si)
-        joint = np.array([1.0])
-        for i in range(spec.n_agents):
-            probs_i = np.asarray(local_policies[i].probs(int(s[i])),
-                                 dtype=np.float64)
-            joint = np.outer(joint, probs_i).ravel()
-        policy[si] = joint
-    return policy
+    n = spec.n_agents
+    joint = np.ones((1,) * (2 * n))
+    for i, pol in enumerate(local_policies):
+        table = np.array([pol.probs(s)
+                          for s in range(spec.local_state_sizes[i])],
+                         dtype=np.float64)
+        shape = [1] * (2 * n)
+        shape[i], shape[n + i] = table.shape
+        joint = joint * table.reshape(shape)
+    return joint.reshape(spec.n_states, spec.n_actions)
 
 
 def enumerate_model(env: CoupledEnv, local_policies,
                     cap: int = STATE_CAP) -> EnumeratedModel:
-    """Exhaustive model tensors for env under per-agent local policies.
+    """Exact count-factorised model of env under per-agent local policies.
 
     local_policies is one object per agent exposing probs(s_local) -> array
-    over that agent's actions.  Raises CapacityError when the global state
-    or action space exceeds cap.
+    over that agent's actions.  Allocates the (S, A) joint policy and count
+    index, the (2N+1, S) count rows and the (S, S) kernel under the policy.
+    Raises CapacityError when the global state or action space exceeds cap.
     """
     spec = env.spec
     S, A = spec.n_states, spec.n_actions
     if S > cap or A > cap:
         raise CapacityError(
-            f"global spaces ({S} states, {A} actions) exceed cap {cap}")
+            f"global spaces ({S} states, {A} actions) exceed cap {cap}: the "
+            f"oracle allocates (S, A) policy tables and solves (S, S) systems")
     policy = joint_policy_probs(spec, local_policies)
-    transition_sa = np.zeros((S, A, S))
-    rewards_sa = np.zeros((spec.n_agents, S, A))
-    actions = [spec.index_action(ai) for ai in range(A)]
-    for si in range(S):
-        s = spec.index_state(si)
-        for ai, a in enumerate(actions):
-            transition_sa[si, ai] = env.next_state_probs(s, a)
-            rewards_sa[:, si, ai] = env.rewards(s, a)
+    state_counts = np.indices(spec.local_state_sizes).sum(axis=0).reshape(S, 1)
+    action_counts = np.indices(spec.local_action_sizes).sum(axis=0).reshape(A)
+    count_transition, count_rewards = env.count_model()
 
-    rowsums = transition_sa.sum(axis=2)
-    if not np.allclose(rowsums, 1.0, atol=1e-12):
+    if not np.allclose(count_transition.sum(axis=1), 1.0, atol=1e-12):
         raise ValueError("transition kernel rows must sum to 1")
     if not np.allclose(policy.sum(axis=1), 1.0, atol=1e-10):
         raise ValueError("joint policy rows must sum to 1")
     return EnumeratedModel(spec=spec, policy_probs=policy,
-                           transition_sa=transition_sa, rewards_sa=rewards_sa)
+                           count_index=state_counts + action_counts,
+                           count_transition=count_transition,
+                           count_rewards=count_rewards)

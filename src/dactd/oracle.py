@@ -1,8 +1,10 @@
 """Exact reference computations on enumerable environments.
 
-Everything here is dense 64-bit linear algebra on the tensors produced by
-:func:`dactd.envs.enumerate_model`: stationary distributions, per-agent and
-team value functions, the linear-critic fixed point the online updates
+Everything here is dense 64-bit linear algebra on the count-factorised model
+of :func:`dactd.envs.enumerate_model` (the (S, A) joint policy, the 2N+1
+transition rows and rewards of the coupling counts with their (S, A) index,
+and the (S, S) kernel under the policy): stationary distributions, per-agent
+and team value functions, the linear-critic fixed point the online updates
 converge to, exhaustive policy-gradient directions, and the correction terms
 that separate the learned update direction from the exact gradient when
 critics only see local state.  These are the ground truth for every
@@ -86,10 +88,6 @@ class ExactSolution:
     v_agents: np.ndarray        # (N, S) per-agent true values
     v_team: np.ndarray          # (S,) value of the team-average reward
 
-    @property
-    def D(self) -> np.ndarray:
-        return np.diag(self.d_pi)
-
 
 def solve_model(model: EnumeratedModel) -> ExactSolution:
     d = stationary_distribution(model.transition_pi)
@@ -104,17 +102,18 @@ def feature_matrix(spec: JommdpSpec, agent: int, fmap: FeatureMap,
     or phi(global index) when on_global is set."""
     if not (1 <= agent <= spec.n_agents):
         raise ValueError(f"agent id {agent} outside 1..{spec.n_agents}")
-    rows = []
-    for si in range(spec.n_states):
-        s = spec.index_state(si)
-        rows.append(fmap(si if on_global else int(s[agent - 1])))
-    return np.array(rows)
+    if on_global:
+        return np.array([fmap(si) for si in range(spec.n_states)])
+    local = np.array([fmap(x)
+                      for x in range(spec.local_state_sizes[agent - 1])])
+    return local[np.indices(spec.local_state_sizes)[agent - 1].ravel()]
 
 
 def ode_matrix(P_pi: np.ndarray, d_pi: np.ndarray, gamma: float) -> np.ndarray:
-    """D (gamma P - I): the drift whose eigenvalues must have negative real
-    parts for the critic updates to be a stable linear system."""
-    return np.diag(d_pi) @ (gamma * P_pi - np.eye(P_pi.shape[0]))
+    """D (gamma P - I) with D = diag(d_pi), formed by scaling rows: the drift
+    whose eigenvalues must have negative real parts for the critic updates
+    to be a stable linear system."""
+    return d_pi[:, None] * (gamma * P_pi - np.eye(P_pi.shape[0]))
 
 
 def critic_fixed_point(model: EnumeratedModel, d_pi: np.ndarray, agent: int,
@@ -152,25 +151,25 @@ def advantage_table(model: EnumeratedModel, value_table: np.ndarray) -> np.ndarr
     """(S, A) table of the expected team TD error under the given team value
     table:  mean_reward(s,a) + gamma E[V(s')|s,a] - V(s)."""
     meanV = np.asarray(value_table, dtype=np.float64)
-    return (model.rewards_sa.mean(axis=0)
-            + model.spec.gamma * model.transition_sa @ meanV
-            - meanV[:, None])
+    per_count = (model.count_rewards.mean(axis=0)
+                 + model.spec.gamma * model.count_transition @ meanV)
+    return per_count[model.count_index] - meanV[:, None]
 
 
 def _direction_from_table(model: EnumeratedModel, d_pi: np.ndarray,
                           table_sa: np.ndarray, policies) -> list[np.ndarray]:
     """Per-agent exhaustive expectation of table(s,a) * score_i(s^i, a^i)
-    under d_pi and the model's joint policy."""
+    under d_pi and the model's joint policy.  Agent i's local weights are the
+    (s, a) weights summed over every axis of the (S_1, ..., S_N, A_1, ...,
+    A_N) reshape except its own state and action axes."""
     spec = model.spec
-    w_sa = d_pi[:, None] * model.policy_probs * table_sa
-    states = [spec.index_state(si) for si in range(spec.n_states)]
-    actions = [spec.index_action(ai) for ai in range(spec.n_actions)]
+    n = spec.n_agents
+    w = (d_pi[:, None] * model.policy_probs * table_sa).reshape(
+        spec.local_state_sizes + spec.local_action_sizes)
     out = []
     for i, pol in enumerate(policies):
-        w_local = np.zeros((spec.local_state_sizes[i], spec.local_action_sizes[i]))
-        for si, s in enumerate(states):
-            for ai, a in enumerate(actions):
-                w_local[s[i], a[i]] += w_sa[si, ai]
+        w_local = w.sum(axis=tuple(ax for ax in range(2 * n)
+                                   if ax not in (i, n + i)))
         g = np.zeros(pol.n_params)
         for sl in range(spec.local_state_sizes[i]):
             for al in range(spec.local_action_sizes[i]):
@@ -207,7 +206,8 @@ def correction_terms(model: EnumeratedModel, d_pi: np.ndarray,
     """
     dV = (np.asarray(critic_tables, dtype=np.float64)
           - np.asarray(true_values, dtype=np.float64)).mean(axis=0)
-    corr_sa = model.spec.gamma * model.transition_sa @ dV - dV[:, None]
+    corr_c = model.spec.gamma * model.count_transition @ dV
+    corr_sa = corr_c[model.count_index] - dV[:, None]
     return _direction_from_table(model, d_pi, corr_sa, policies)
 
 

@@ -317,14 +317,15 @@ def _bias_setting(policies, mc_seed: int, samples: int) -> dict:
     rng = np.random.default_rng(mc_seed)
     cum_d = np.cumsum(sol.d_pi)
     cum_pi = np.cumsum(model.policy_probs, axis=1)
-    cum_P = np.cumsum(model.transition_sa, axis=2)
-    r_team = model.rewards_sa.mean(axis=0)
+    cum_P = np.cumsum(model.count_transition, axis=1)
+    r_team = model.count_rewards.mean(axis=0)[model.count_index]
     v_hat = local_tabs.mean(axis=0)
     v_true = true_tabs.mean(axis=0)
 
     s = np.searchsorted(cum_d, rng.random(samples), side="right").clip(0, S - 1)
     a = (cum_pi[s] <= rng.random(samples)[:, None]).sum(axis=1).clip(0, A - 1)
-    sn = (cum_P[s, a] <= rng.random(samples)[:, None]).sum(axis=1).clip(0, S - 1)
+    sn = (cum_P[model.count_index[s, a]] <= rng.random(samples)[:, None]
+          ).sum(axis=1).clip(0, S - 1)
 
     d_hat = r_team[s, a] + spec.gamma * v_hat[sn] - v_hat[s]
     d_true = r_team[s, a] + spec.gamma * v_true[sn] - v_true[s]
@@ -333,8 +334,8 @@ def _bias_setting(policies, mc_seed: int, samples: int) -> dict:
     for i in range(N):
         table = np.array([[policies[i].score(sl, al)
                            for al in range(2)] for sl in range(2)])
-        s_i = np.array([spec.index_state(x)[i] for x in range(S)])[s]
-        a_i = np.array([spec.index_action(x)[i] for x in range(A)])[a]
+        s_i = np.indices(spec.local_state_sizes)[i].ravel()[s]
+        a_i = np.indices(spec.local_action_sizes)[i].ravel()[a]
         scores = table[s_i, a_i]
         mc_dir.append((d_hat[:, None] * scores).mean(axis=0))
         mc_exact.append((d_true[:, None] * scores).mean(axis=0))

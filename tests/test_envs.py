@@ -1,4 +1,6 @@
 """Coupled binary environments and their exact enumeration."""
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,7 +125,7 @@ def test_transition_rows_are_stochastic():
     model = enumerate_model(micro_env(),
                             [TabularSoftmaxPolicy(2, 2) for _ in range(2)])
     assert np.abs(model.transition_pi.sum(axis=1) - 1.0).max() <= 1e-12
-    assert np.abs(model.transition_sa.sum(axis=2) - 1.0).max() <= 1e-12
+    assert np.abs(model.count_transition.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_forced_policy_saturates_the_all_ones_state():
@@ -165,6 +167,19 @@ def test_enumeration_respects_the_capacity_cap():
     pols = [TabularSoftmaxPolicy(2, 2) for _ in range(13)]
     with pytest.raises(CapacityError):
         enumerate_model(env, pols)
+
+
+def test_ten_agents_enumerate_quickly_without_a_dense_kernel():
+    # The (S, A, S) kernel at N = 10 would take 8.6 GB; the count-factorised
+    # model holds (S, A) and (S, S) arrays only.
+    rng = np.random.default_rng(10)
+    pols = [TabularSoftmaxPolicy(2, 2, logits=rng.normal(size=(2, 2)))
+            for _ in range(10)]
+    start = time.perf_counter()
+    model = enumerate_model(CoupledEnv(n_agents=10), pols)
+    assert time.perf_counter() - start < 2.0
+    assert model.transition_pi.shape == (1024, 1024)
+    assert np.abs(model.transition_pi.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_team_reward_is_the_agent_mean():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dactd.envs import enumerate_model, micro_env
+from dactd.envs import CoupledEnv, enumerate_model, micro_env
 from dactd.errors import ModelError, RankError
 from dactd.funcapprox import (FixedTablePolicy, TabularSoftmaxPolicy,
                               joint_tabular_features, max_relative_error,
@@ -244,3 +244,153 @@ def test_saturated_policy_has_vanishing_gradient_coordinates():
     sol = solve_model(model)
     grads = exact_policy_gradient(sol, policies)
     assert np.abs(grads[0]).max() <= 1e-8
+
+
+def test_ode_matrix_scales_rows_like_the_diagonal_product():
+    rng = np.random.default_rng(11)
+    P = rng.random((6, 6))
+    P /= P.sum(axis=1, keepdims=True)
+    d = stationary_distribution(P)
+    dense = np.diag(d) @ (0.9 * P - np.eye(6))
+    assert np.abs(ode_matrix(P, d, 0.9) - dense).max() <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Slow references: the per-(s, a) loops the count-factorised model replaced
+# ---------------------------------------------------------------------------
+
+def _ref_next_state_probs(env, s, a):
+    q = env.coupling(s, a)
+    per_agent = np.array([1.0 - q, q])
+    out = np.array([1.0])
+    for _ in range(env.n_agents):
+        out = np.outer(out, per_agent).ravel()
+    return out
+
+
+def _ref_joint_policy_probs(spec, local_policies):
+    S, A = spec.n_states, spec.n_actions
+    policy = np.zeros((S, A))
+    for si in range(S):
+        s = spec.index_state(si)
+        joint = np.array([1.0])
+        for i in range(spec.n_agents):
+            probs_i = np.asarray(local_policies[i].probs(int(s[i])),
+                                 dtype=np.float64)
+            joint = np.outer(joint, probs_i).ravel()
+        policy[si] = joint
+    return policy
+
+
+def _ref_enumerate(env, local_policies):
+    """Dense (S, A) policy, (S, A, S) kernel and (N, S, A) rewards."""
+    spec = env.spec
+    S, A = spec.n_states, spec.n_actions
+    policy = _ref_joint_policy_probs(spec, local_policies)
+    transition_sa = np.zeros((S, A, S))
+    rewards_sa = np.zeros((spec.n_agents, S, A))
+    actions = [spec.index_action(ai) for ai in range(A)]
+    for si in range(S):
+        s = spec.index_state(si)
+        for ai, a in enumerate(actions):
+            transition_sa[si, ai] = _ref_next_state_probs(env, s, a)
+            rewards_sa[:, si, ai] = env.rewards(s, a)
+    return policy, transition_sa, rewards_sa
+
+
+def _ref_direction_from_table(spec, policy_probs, d_pi, table_sa, policies):
+    w_sa = d_pi[:, None] * policy_probs * table_sa
+    states = [spec.index_state(si) for si in range(spec.n_states)]
+    actions = [spec.index_action(ai) for ai in range(spec.n_actions)]
+    out = []
+    for i, pol in enumerate(policies):
+        w_local = np.zeros((spec.local_state_sizes[i],
+                            spec.local_action_sizes[i]))
+        for si, s in enumerate(states):
+            for ai, a in enumerate(actions):
+                w_local[s[i], a[i]] += w_sa[si, ai]
+        g = np.zeros(pol.n_params)
+        for sl in range(spec.local_state_sizes[i]):
+            for al in range(spec.local_action_sizes[i]):
+                if w_local[sl, al] != 0.0:
+                    g += w_local[sl, al] * pol.score(sl, al)
+        out.append(g)
+    return out
+
+
+def _ref_feature_matrix(spec, agent, fmap, on_global=False):
+    rows = []
+    for si in range(spec.n_states):
+        s = spec.index_state(si)
+        rows.append(fmap(si if on_global else int(s[agent - 1])))
+    return np.array(rows)
+
+
+def _parity_policies(n, draw, rng):
+    """Softmax policies (which also supply the scores) and the policies the
+    model is enumerated under: the same ones, or fixed tables that always
+    act 1 in local state 0, which put zeros in the joint policy and keep the
+    chain irreducible."""
+    scorers = [TabularSoftmaxPolicy(2, 2, logits=rng.normal(size=(2, 2)))
+               for _ in range(n)]
+    if draw != "fixed":
+        return scorers, scorers
+    return scorers, [FixedTablePolicy(np.array([[0.0, 1.0], [p, 1.0 - p]]))
+                     for p in rng.uniform(0.2, 0.8, size=n)]
+
+
+PARITY_TOL = 1e-12
+
+
+@pytest.mark.parametrize("draw", [0, 1, 2, "fixed"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_count_model_matches_the_dense_reference(n, draw):
+    rng = np.random.default_rng(100 * n + (9 if draw == "fixed" else draw))
+    scorers, policies = _parity_policies(n, draw, rng)
+    env = CoupledEnv(n)
+    model = enumerate_model(env, policies)
+    spec = model.spec
+    policy, transition_sa, rewards_sa = _ref_enumerate(env, policies)
+
+    assert np.array_equal(model.policy_probs, policy)
+    assert np.array_equal(model.count_transition[model.count_index],
+                          transition_sa)
+    assert np.array_equal(model.count_rewards[:, model.count_index],
+                          rewards_sa)
+    assert max_relative_error(model.transition_pi, np.einsum(
+        "sa,sat->st", policy, transition_sa)) <= PARITY_TOL
+    assert max_relative_error(model.rewards_pi, np.einsum(
+        "sa,nsa->ns", policy, rewards_sa)) <= PARITY_TOL
+
+    fmap = tabular_features(2)
+    for i in range(1, n + 1):
+        assert np.array_equal(feature_matrix(spec, i, fmap),
+                              _ref_feature_matrix(spec, i, fmap))
+    joint = joint_tabular_features(spec.local_state_sizes)
+    assert np.array_equal(feature_matrix(spec, 1, joint, on_global=True),
+                          _ref_feature_matrix(spec, 1, joint, on_global=True))
+
+    sol = solve_model(model)
+    critics = rng.normal(size=(n, spec.n_states))
+
+    def ref_direction(table_sa):
+        return _ref_direction_from_table(spec, policy, sol.d_pi, table_sa,
+                                         scorers)
+
+    def ref_advantage(values):
+        meanV = values.mean(axis=0)
+        return (rewards_sa.mean(axis=0) + spec.gamma * transition_sa @ meanV
+                - meanV[:, None])
+
+    dV = (critics - sol.v_agents).mean(axis=0)
+    pairs = [
+        (exact_policy_gradient(sol, scorers),
+         ref_direction(ref_advantage(sol.v_agents))),
+        (update_direction(model, sol.d_pi, critics, scorers),
+         ref_direction(ref_advantage(critics))),
+        (correction_terms(model, sol.d_pi, critics, sol.v_agents, scorers),
+         ref_direction(spec.gamma * transition_sa @ dV - dV[:, None])),
+    ]
+    for got, want in pairs:
+        for g, w in zip(got, want):
+            assert max_relative_error(g, w) <= PARITY_TOL
