@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from dactd.config import load_config
-from dactd.learner import run_experiment
+from dactd.envs import CoupledEnv, micro_env
+from dactd.funcapprox import LinearCritic, TabularSoftmaxPolicy, tabular_features
+from dactd.learner import StepSchedule, run_experiment, run_policy_evaluation, run_theory
 from dactd.protocol import run_acyclic_exchange, run_general_exchange
 from dactd.topology import GraphSchedule, latency_bound
 from dactd.transport import Channel, ChannelModel, payload_digest
@@ -26,6 +28,7 @@ LINE5 = Path(__file__).resolve().parents[1] / "configs" / "line5.yaml"
 EXCHANGE_DIGEST = "721a241b6886261e"
 LINE5_GRID_DIGEST = "3692ac30990d2017"
 ACYCLIC_DIGEST = "800bf3e97c013c0c"
+ONLINE_DIGEST = "1bd385562499f2be"
 
 
 def test_lossy_exchange_traffic_digest():
@@ -75,3 +78,39 @@ def test_line5_grid_digest():
         parts.append([res.team_returns, res.actor_params, res.critic_params])
     assert len(parts) == 8
     assert payload_digest(parts) == LINE5_GRID_DIGEST
+
+
+def _tabular_learners(rng, n, logit_scale):
+    policies = [TabularSoftmaxPolicy(2, 2, logits=rng.normal(scale=logit_scale,
+                                                             size=(2, 2)))
+                for _ in range(n)]
+    critics = [LinearCritic(tabular_features(2), v=rng.normal(size=2))
+               for _ in range(n)]
+    return policies, critics
+
+
+def test_online_digest():
+    # run_theory on a period-2 graph (a line plus one chord that alternates)
+    # over a lossy, delayed channel, with a box tight enough that clamps fire;
+    # then fixed-policy TD(0) on the two-agent env.
+    n = 4
+    rng = np.random.default_rng(14)
+    line = {(i, i + 1) for i in range(1, n)}
+    slices = [edges | {(j, i) for i, j in edges}
+              for edges in (line | {(1, 3)}, line | {(2, 4)})]
+    graph = GraphSchedule(n, slices)
+    policies, critics = _tabular_learners(rng, n, 0.05)
+    res = run_theory(CoupledEnv(n, 0.9), graph, policies, critics,
+                     StepSchedule.polynomial(20.0, 0.9),
+                     StepSchedule.polynomial(0.2, 0.6), 200, seed=15,
+                     channel_model=ChannelModel(t1=1, t2=2, drop_prob=0.3),
+                     theta_box=0.05)
+    assert res.K == 9 and res.updates_applied.sum() == 200 - 9
+    assert np.abs(res.actor_params).max() == 0.05
+    policies, critics = _tabular_learners(rng, 2, 1.0)
+    weights = run_policy_evaluation(micro_env(), policies, critics,
+                                    StepSchedule.polynomial(0.5, 0.6),
+                                    3000, seed=16)
+    assert payload_digest([res.states, res.local_deltas, res.team_estimates,
+                           res.actor_params, res.critic_weights,
+                           weights]) == ONLINE_DIGEST
