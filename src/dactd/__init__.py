@@ -14,8 +14,7 @@ from .errors import (CapacityError, ConfigurationError, DactdError,
                      IncompleteAggregationError, ModelError, NumericError,
                      ProtocolCorruptionError, RankError, TopologyError,
                      TransportError)
-from .learner import (RunResult, StepSchedule, run_experiment,
-                      run_policy_evaluation, run_theory)
+from .learner import RunResult, StepSchedule, run_experiment, run_theory
 from .topology import GraphSchedule, classify, khop_neighbors, latency_bound
 from .transport import Channel, ChannelModel, Message
 
@@ -27,6 +26,6 @@ __all__ = [
     "ProtocolCorruptionError", "RankError", "RunResult", "StepSchedule",
     "TopologyError", "TransportError", "classify", "khop_neighbors",
     "latency_bound", "line_env", "load_config", "micro_env",
-    "run_experiment", "run_policy_evaluation", "run_theory",
+    "run_experiment", "run_theory",
     "__version__",
 ]

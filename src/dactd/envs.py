@@ -102,7 +102,8 @@ class CoupledEnv:
 
     def coupling(self, s, a) -> float:
         """Shared Bernoulli parameter (1/2N) * sum_j (s_j + a_j)."""
-        return float((np.sum(s) + np.sum(a)) / (2 * self.n_agents))
+        return float((np.asarray(s).sum() + np.asarray(a).sum())
+                     / (2 * self.n_agents))
 
     def rewards(self, s, a) -> np.ndarray:
         """Private rewards: agent 1 earns the coupling value, others zero."""
@@ -116,7 +117,9 @@ class CoupledEnv:
         a = self._validate(a, "action")
         q = self.coupling(s, a)
         s_next = (rng.random(self.n_agents) < q).astype(np.int64)
-        return s_next, self.rewards(s, a)
+        rewards = np.zeros(self.n_agents)
+        rewards[0] = q
+        return s_next, rewards
 
     def count_model(self) -> tuple[np.ndarray, np.ndarray]:
         """Next-state law and private rewards of every coupling count

@@ -10,9 +10,10 @@ Two families behind one small interface:
 :class:`MlpStack` keeps ``n_copies`` independent parameter sets in one set
 of arrays so a whole team of per-agent networks evaluates in one batched
 ``matmul`` per layer.
-Policies are softmax heads over a finite local action set; actions are
-sampled by inverse CDF in ascending action order, so runs are reproducible
-from the generator state alone.
+Policies are softmax heads over a finite local action set.  The learners
+draw actions by inverse CDF in ascending action order: with two actions,
+action 1 exactly when the uniform draw is at least pi(0|s), so runs are
+reproducible from the generator state alone.
 
 Weights are initialized uniformly in [-0.5, 0.5] scaled by 1/sqrt(fan-in);
 biases start at zero.
@@ -246,13 +247,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def sample_from_probs(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw over ascending action ids."""
-    cum = np.cumsum(probs)
-    u = rng.random()
-    return min(int(np.searchsorted(cum, u, side="right")), probs.shape[-1] - 1)
-
-
 # ---------------------------------------------------------------------------
 # Softmax policies (tabular logits or MLP logits)
 # ---------------------------------------------------------------------------
@@ -268,9 +262,6 @@ class FixedTablePolicy:
 
     def probs(self, s_local: int) -> np.ndarray:
         return self.table[int(s_local)]
-
-    def sample_action(self, s_local: int, rng: np.random.Generator) -> int:
-        return sample_from_probs(self.probs(s_local), rng)
 
 
 class TabularSoftmaxPolicy:
@@ -301,9 +292,6 @@ class TabularSoftmaxPolicy:
         g[int(s_local)] = -p
         g[int(s_local), int(a_local)] += 1.0
         return g.ravel()
-
-    def sample_action(self, s_local: int, rng: np.random.Generator) -> int:
-        return sample_from_probs(self.probs(s_local), rng)
 
     def get_flat(self) -> np.ndarray:
         return self.logits.ravel().copy()
@@ -338,9 +326,6 @@ class MlpSoftmaxPolicy:
         out_grad = -p
         out_grad[0, 0, int(a_local)] += 1.0
         return self.net.param_grads(x, out_grad)[0, 0]
-
-    def sample_action(self, s_local: int, rng: np.random.Generator) -> int:
-        return sample_from_probs(self.probs(s_local), rng)
 
     def get_flat(self) -> np.ndarray:
         return self.net.get_flat()[0]

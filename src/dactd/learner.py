@@ -2,9 +2,13 @@
 
 Two clock regimes share the same aggregation machinery:
 
-* the *online* regime (`run_theory`, `run_policy_evaluation`) runs one
-  continuing trajectory, performs a protocol tick per environment step, and
-  applies each policy update exactly K steps after the data that produced it;
+* the *online* regime (`run_theory`) runs one continuing trajectory,
+  performs a protocol tick per environment step, and applies each policy
+  update exactly K steps after the data that produced it.  It is one loop on
+  whole-team tables: (n, 2, 2) softmax logits and (n, 2) linear-critic
+  weights over the two local states, so every step is a few (n,)-array
+  operations, one `CoupledEnv.step` and one driver tick.  Its no-driver mode
+  (``protocol=None`` with a frozen actor) is fixed-policy TD(0);
 * the *episodic* regime (`run_experiment(cfg, algorithm, seed)`) runs one
   cell of an `ExperimentConfig`'s (algorithm, seed) grid: fixed-length
   episodes, batch critics trained between episodes, each episode's TD-error
@@ -36,7 +40,8 @@ import numpy as np
 
 from .envs import CoupledEnv
 from .errors import ConfigurationError, NumericError
-from .funcapprox import MlpStack, softmax
+from .funcapprox import (FeatureMap, LinearCritic, MlpStack,
+                         TabularSoftmaxPolicy, softmax)
 from .protocol import (AcyclicProtocolDriver, GeneralProtocolDriver,
                        NeighborhoodDriver)
 from .topology import GraphSchedule, khop_neighbors, latency_bound
@@ -47,6 +52,9 @@ if TYPE_CHECKING:
 
 PROTOCOLS = ("general", "acyclic", "centralized")
 ALGORITHMS = ("dac_td", "independent_ac", "khop_sac")
+ONE_HOT = np.eye(2)
+# Steps of policy draws taken from the generator at once in the online loop.
+POLICY_DRAW_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -97,30 +105,36 @@ def validate_two_timescale(actor: StepSchedule, critic: StepSchedule) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Single-transition primitives
+# Whole-team steps of the online loop
 # ---------------------------------------------------------------------------
 
-def local_td_error(critic, gamma: float, s_local: int, reward: float,
-                   s_next_local: int) -> float:
-    """One-step TD error from an agent's private observations only."""
-    delta = reward + gamma * critic.value(s_next_local) - critic.value(s_local)
-    if not np.isfinite(delta):
+def td_errors(v: np.ndarray, gamma: float, s: np.ndarray, rewards: np.ndarray,
+              s_next: np.ndarray) -> np.ndarray:
+    """Every agent's one-step TD error from its private observations and its
+    own row of the (n, 2) local-state value table."""
+    agents = np.arange(v.shape[0])
+    delta = rewards + gamma * v[agents, s_next] - v[agents, s]
+    if not np.isfinite(delta).all():
         raise NumericError(f"non-finite TD error {delta!r}")
-    return float(delta)
+    return delta
 
 
-def critic_update(critic, delta: float, grad: np.ndarray,
-                  beta: float) -> None:
-    w = critic.get_flat() + beta * delta * grad
-    if not np.all(np.isfinite(w)):
+def critic_step(v: np.ndarray, s: np.ndarray, delta: np.ndarray,
+                beta: float) -> np.ndarray:
+    """One TD(0) step of every critic.  The gradient of V(s) = v . phi(s) is
+    the one-hot row phi(s); stepping the whole row, zeros included, keeps the
+    bits (signed zeros too) of the flat update v + beta * delta * phi(s)."""
+    w = v + (beta * delta)[:, None] * ONE_HOT[s]
+    if not np.isfinite(w).all():
         raise NumericError("critic weights diverged to non-finite values")
-    critic.set_flat(w)
+    return w
 
 
-def actor_update(theta: np.ndarray, delta_team: float, eta: np.ndarray,
-                 alpha: float, box: float) -> np.ndarray:
-    """One clamped ascent step; returns the updated parameter vector."""
-    out = theta + alpha * delta_team * eta
+def actor_step(theta: np.ndarray, delta_team: np.ndarray, eta: np.ndarray,
+               alpha: float, box: float) -> np.ndarray:
+    """One clamped ascent step of every agent's (2, 2) logit table along its
+    score table ``eta``, scaled by its team TD error."""
+    out = theta + (alpha * delta_team)[:, None, None] * eta
     np.clip(out, -box, box, out=out)
     return out
 
@@ -171,7 +185,7 @@ def resolve_latency_window(protocol: str, graph: GraphSchedule,
 
 @dataclass
 class TheoryRunResult:
-    K: int
+    K: int                          # 0 when no driver runs
     states: np.ndarray              # (steps + 1, n) visited joint states
     local_deltas: np.ndarray        # (steps, n)
     team_estimates: np.ndarray      # (steps, n) each agent's read-out of t - K
@@ -180,10 +194,42 @@ class TheoryRunResult:
     actor_params: list[np.ndarray]
 
 
+def _is_local_one_hot(features: FeatureMap) -> bool:
+    return (features.dim == 2
+            and np.array_equal([features(0), features(1)], ONE_HOT))
+
+
+def _check_online_inputs(policies, critics, actor_schedule, n_steps,
+                         protocol, theta_box) -> None:
+    """Reject up front what the table loop cannot run."""
+    for pol in policies:
+        if not (isinstance(pol, TabularSoftmaxPolicy)
+                and pol.logits.shape == (2, 2)):
+            raise ConfigurationError(
+                f"run_theory needs 2x2 TabularSoftmaxPolicy policies, got {pol!r}")
+    for critic in critics:
+        if not (isinstance(critic, LinearCritic) and np.shape(critic.v) == (2,)
+                and _is_local_one_hot(critic.features)):
+            raise ConfigurationError(
+                "run_theory needs LinearCritics with one-hot features on the "
+                f"two local states, got {critic!r}")
+    if (isinstance(n_steps, (bool, np.bool_))
+            or not isinstance(n_steps, (int, np.integer)) or n_steps < 0):
+        raise ConfigurationError(
+            f"n_steps must be a non-negative integer, got {n_steps!r}")
+    if not (theta_box > 0.0 and np.isfinite(theta_box)):
+        raise ConfigurationError(
+            f"theta_box must be positive and finite, got {theta_box!r}")
+    if protocol is None and actor_schedule is not None:
+        raise ConfigurationError(
+            "protocol=None reads no team TD error, so it needs "
+            "actor_schedule=None")
+
+
 def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
                actor_schedule: StepSchedule | None,
                critic_schedule: StepSchedule, n_steps: int, seed: int,
-               protocol: str = "general",
+               protocol: str | None = "general",
                channel_model: ChannelModel | None = None,
                theta_box: float = 10.0,
                enforce_two_timescale: bool = False) -> TheoryRunResult:
@@ -192,11 +238,18 @@ def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
     Each step: act, observe the private reward, compute the local TD error,
     take one critic step, hand the TD error to the protocol, and — once the
     K-step-old cohort is readable — apply the delayed policy update with the
-    score vector saved when that data was generated.  actor_schedule=None
-    freezes the policies (pure evaluation)."""
+    score table saved when that data was generated.  actor_schedule=None
+    freezes the policies (pure evaluation); protocol=None, which needs it,
+    also runs no driver (fixed-policy TD(0), with K = 0 and no read-out).
+
+    The loop runs on whole-team tables: (n, 2, 2) logits and their softmax,
+    and (n, 2) critic weights, read from ``policies`` and ``critics`` at the
+    start and written back into them at the end."""
     n = env.n_agents
     if graph.n_agents != n or len(policies) != n or len(critics) != n:
         raise ValueError("agent count mismatch between env, graph and learners")
+    _check_online_inputs(policies, critics, actor_schedule, n_steps, protocol,
+                         theta_box)
     if enforce_two_timescale:
         if actor_schedule is None:
             raise ConfigurationError("two-timescale check needs an actor schedule")
@@ -206,78 +259,66 @@ def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
     init_ss, env_ss, policy_ss, channel_ss = ss.spawn(4)
     rng_env = np.random.default_rng(env_ss)
     rng_policy = np.random.default_rng(policy_ss)
-    driver = _make_driver("dac_td", protocol, graph, channel_model, 0, (),
-                          channel_ss.generate_state(1)[0])
-    K = driver.K
+    driver = None
+    if protocol is not None:
+        driver = _make_driver("dac_td", protocol, graph, channel_model, 0, (),
+                              channel_ss.generate_state(1)[0])
+    K = 0 if driver is None else driver.K
 
+    theta = np.array([pol.logits for pol in policies])      # (n, s, a)
+    probs = softmax(theta)
+    v = np.array([critic.v for critic in critics])          # (n, s)
+    agents = np.arange(n)
     s = env.initial_state()
     states = np.zeros((n_steps + 1, n), dtype=np.int64)
     states[0] = s
     local_deltas = np.zeros((n_steps, n))
     team_estimates = np.zeros((n_steps, n))
     applied = np.zeros(n_steps, dtype=bool)
-    eta_hist: dict[int, list[np.ndarray]] = {}
+    eta_hist: dict[int, np.ndarray] = {}
     alpha_hist: dict[int, float] = {}
 
     for t in range(n_steps):
-        actions = np.array([policies[i].sample_action(int(s[i]), rng_policy)
-                            for i in range(n)], dtype=np.int64)
-        s_next, rewards = env.step(s, actions, rng_env)
-        deltas = np.empty(n)
-        for i in range(n):
-            deltas[i] = local_td_error(critics[i], env.gamma, int(s[i]),
-                                       float(rewards[i]), int(s_next[i]))
-            critic_update(critics[i], deltas[i], critics[i].grad(int(s[i])),
-                          critic_schedule.value(t))
+        # With two actions, inverse-CDF sampling takes action 1 exactly when
+        # the draw is at least pi(0|s).  Policy draws come in blocks that
+        # hold the per-step draws bit for bit.
+        row = t % POLICY_DRAW_BLOCK
+        if row == 0:
+            u_policy = rng_policy.random((min(POLICY_DRAW_BLOCK, n_steps - t), n))
+        p_here = probs[agents, s]                           # (n, a)
+        a = (p_here[:, 0] <= u_policy[row]).astype(np.int64)
+        s_next, rewards = env.step(s, a, rng_env)
+        deltas = td_errors(v, env.gamma, s, rewards, s_next)
+        v = critic_step(v, s, deltas, critic_schedule.value(t))
+        local_deltas[t] = deltas
         if actor_schedule is not None:
-            eta_hist[t] = [policies[i].score(int(s[i]), int(actions[i]))
-                           for i in range(n)]
+            # Score of log pi(a|s) on the logit table: onehot(a) - pi(.|s)
+            # in row s, under the behaviour policy.
+            eta = np.zeros((n, 2, 2))
+            eta[agents, s] = -p_here
+            eta[agents, s, a] += 1.0
+            eta_hist[t] = eta
             alpha_hist[t] = actor_schedule.value(t)
 
-        team = driver.tick(t, deltas)
-        local_deltas[t] = deltas
-        team_estimates[t] = team
-        cohort = t - K
-        if cohort >= 0 and actor_schedule is not None:
-            etas = eta_hist.pop(cohort)
-            alpha = alpha_hist.pop(cohort)
-            for i in range(n):
-                flat = actor_update(policies[i].get_flat(), float(team[i]),
-                                    etas[i], alpha, theta_box)
-                policies[i].set_flat(flat)
-            applied[t] = True
+        if driver is not None:
+            team = driver.tick(t, deltas)
+            team_estimates[t] = team
+            if t >= K and actor_schedule is not None:
+                theta = actor_step(theta, team, eta_hist.pop(t - K),
+                                   alpha_hist.pop(t - K), theta_box)
+                probs = softmax(theta)
+                applied[t] = True
         s = s_next
         states[t + 1] = s
 
+    for pol, critic, logits, w in zip(policies, critics, theta, v):
+        pol.set_flat(logits.ravel())
+        critic.set_flat(w)
     return TheoryRunResult(
         K=K, states=states, local_deltas=local_deltas,
         team_estimates=team_estimates, updates_applied=applied,
         critic_weights=[np.copy(c.v) for c in critics],
         actor_params=[p.get_flat() for p in policies])
-
-
-def run_policy_evaluation(env: CoupledEnv, policies, critics,
-                          critic_schedule: StepSchedule, n_steps: int,
-                          seed: int) -> list[np.ndarray]:
-    """Fixed-policy TD(0) on one continuing trajectory; returns the final
-    weight vectors (the critics are updated in place)."""
-    n = env.n_agents
-    ss = np.random.SeedSequence(seed)
-    _, env_ss, policy_ss, _ = ss.spawn(4)
-    rng_env = np.random.default_rng(env_ss)
-    rng_policy = np.random.default_rng(policy_ss)
-    s = env.initial_state()
-    for t in range(n_steps):
-        actions = np.array([policies[i].sample_action(int(s[i]), rng_policy)
-                            for i in range(n)], dtype=np.int64)
-        s_next, rewards = env.step(s, actions, rng_env)
-        beta = critic_schedule.value(t)
-        for i in range(n):
-            d = local_td_error(critics[i], env.gamma, int(s[i]),
-                               float(rewards[i]), int(s_next[i]))
-            critic_update(critics[i], d, critics[i].grad(int(s[i])), beta)
-        s = s_next
-    return [np.copy(c.v) for c in critics]
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +414,24 @@ def run_experiment(cfg: ExperimentConfig, algorithm: AlgorithmChoice,
         # Roll out one episode under the current (frozen) policies.  With two
         # actions, inverse-CDF sampling takes action 1 exactly when the draw
         # is at least pi(0|s), so each step's action for either local state
-        # is read off the episode's (T, n) block of policy draws.
+        # is read off the episode's (T, n) block of policy draws.  The
+        # rollout carries only the coupling count |s| + |a| = base + s @ gain:
+        # an agent in state 0 adds its state-0 action, one in state 1 adds 1
+        # plus its state-1 action.  Actions are gathered afterwards.
         probs = softmax(actor.forward(basis))            # (n, s, a)
         u_policy = rng_policy.random((T, n))
         u_env = rng_env.random((T, n))
-        takes_one = probs[None, :, :, 0] <= u_policy[:, :, None]  # (T, n, s)
+        takes_one = (probs[None, :, :, 0]
+                     <= u_policy[:, :, None]).astype(np.int64)  # (T, n, s)
+        base = takes_one[:, :, 0].sum(axis=1)
+        gain = 1 + takes_one[:, :, 1] - takes_one[:, :, 0]
         traj = np.zeros((T + 1, n), dtype=np.int64)
-        actions = np.empty((T, n), dtype=np.int64)
-        coupling = np.empty(T)
         s = traj[0]
         for t in range(T):
-            a = takes_one[t, agents, s]
-            q = (s.sum() + a.sum()) / (2.0 * n)
-            actions[t] = a
-            coupling[t] = q
-            traj[t + 1] = u_env[t] < q
+            traj[t + 1] = u_env[t] < (base[t] + s @ gain[t]) / (2.0 * n)
             s = traj[t + 1]
+        actions = takes_one[np.arange(T)[:, None], agents, traj[:-1]]
+        coupling = (traj[:-1].sum(axis=1) + actions.sum(axis=1)) / (2.0 * n)
         agent_returns[e, 0] = coupling.sum()
         team_returns[e] = agent_returns[e].sum() / n
 

@@ -16,7 +16,7 @@ from .funcapprox import (LinearCritic, MlpCritic, MlpSoftmaxPolicy, MlpStack,
                          TabularSoftmaxPolicy, finite_difference,
                          max_relative_error, one_hot, softmax,
                          tabular_features)
-from .learner import StepSchedule, run_policy_evaluation
+from .learner import StepSchedule, run_theory
 from .oracle import (correction_terms, critic_fixed_point,
                      exact_policy_gradient, feature_matrix, ode_matrix,
                      solve_model, update_direction)
@@ -192,9 +192,9 @@ def critic_suite(n_steps: int = 200_000,
                            feature_matrix(model.spec, i, tabular_features(2)))
         for i in range(1, env.n_agents + 1)])
     critics = [LinearCritic(tabular_features(2)) for _ in range(env.n_agents)]
-    weights = run_policy_evaluation(env, policies, critics,
-                                    StepSchedule.polynomial(0.5, 0.6),
-                                    n_steps, seed)
+    weights = run_theory(env, GraphSchedule.line(env.n_agents), policies,
+                         critics, None, StepSchedule.polynomial(0.5, 0.6),
+                         n_steps, seed, protocol=None).critic_weights
     err = float(np.max(np.abs(np.array(weights) - fixed)))
     evals = np.linalg.eigvals(ode_matrix(model.transition_pi, sol.d_pi,
                                          model.spec.gamma))

@@ -149,7 +149,16 @@ def test_run_writes_metrics_and_summary(config_file, tmp_path, capsys):
     assert summary[0] == "algorithm,seed,final100_mean_team_return"
     assert summary[1].startswith("dac_td,0,")
     assert summary[2].startswith("independent_ac,0,")
-    assert "summary" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "summary" in out
+    # The run ends with the algorithms ranked by mean final-100 return.
+    finals = {row.split(",")[0]: float(row.split(",")[2]) for row in summary[1:]}
+    ranking = out.split("mean final-100-episode team return over seeds:\n")[1]
+    ranked = [line.split()[0] for line in ranking.splitlines()]
+    assert ranked == sorted(finals, key=lambda label: -finals[label])
+    for line in ranking.splitlines():
+        label, mean = line.split()[:2]
+        assert mean == f"{finals[label]:.3f}"
 
 
 def test_reruns_are_byte_identical(config_file, tmp_path):

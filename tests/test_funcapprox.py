@@ -9,8 +9,13 @@ from dactd.funcapprox import (FeatureMap, FixedTablePolicy, LinearCritic,
                               TabularSoftmaxPolicy, finite_difference,
                               joint_tabular_features, leaky, leaky_grad,
                               load_params, max_relative_error, one_hot,
-                              sample_from_probs, save_params, softmax,
-                              tabular_features)
+                              save_params, softmax, tabular_features)
+
+
+def take_action(pol, s_local, u):
+    """The learners' two-action draw: action 1 exactly when the uniform draw
+    u is at least pi(0|s)."""
+    return int(pol.probs(s_local)[0] <= u)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +121,14 @@ def test_score_rejects_actions_outside_the_set():
 def test_uniform_sampling_frequency():
     pol = TabularSoftmaxPolicy(2, 2)
     rng = np.random.default_rng(123)
-    draws = sum(pol.sample_action(0, rng) for _ in range(100_000))
+    draws = sum(take_action(pol, 0, rng.random()) for _ in range(100_000))
     assert abs(draws / 100_000 - 0.5) < 0.01
 
 
 def test_saturated_logits_almost_always_win():
     pol = TabularSoftmaxPolicy(2, 2, logits=np.array([[0.0, 20.0], [0.0, 0.0]]))
     rng = np.random.default_rng(7)
-    wins = sum(pol.sample_action(0, rng) for _ in range(20_000))
+    wins = sum(take_action(pol, 0, rng.random()) for _ in range(20_000))
     assert wins / 20_000 > 0.999
 
 
@@ -132,15 +137,21 @@ def test_sampling_is_reproducible_under_seed():
 
     def sequence():
         rng = np.random.default_rng(42)
-        return [pol.sample_action(t % 2, rng) for t in range(20)]
+        return [take_action(pol, t % 2, rng.random()) for t in range(20)]
 
     assert sequence() == sequence()
 
 
 def test_inverse_cdf_sampling_breaks_ties_in_ascending_order():
+    # A draw equal to pi(0|s) is past the first action's mass: action 1.
+    always_one = FixedTablePolicy(np.array([[0.0, 1.0]]))
+    always_zero = FixedTablePolicy(np.array([[1.0, 0.0]]))
     rng = np.random.default_rng(0)
-    assert sample_from_probs(np.array([0.0, 1.0]), rng) == 1
-    assert sample_from_probs(np.array([1.0, 0.0]), rng) == 0
+    assert all(take_action(always_one, 0, u) == 1 for u in rng.random(100))
+    assert all(take_action(always_zero, 0, u) == 0 for u in rng.random(100))
+    half = FixedTablePolicy(np.array([[0.5, 0.5]]))
+    assert take_action(half, 0, 0.5) == 1
+    assert take_action(half, 0, np.nextafter(0.5, 0.0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -302,4 +313,4 @@ def test_fixed_table_policy_is_exactly_the_table():
     pol = FixedTablePolicy(table)
     assert np.array_equal(pol.probs(0), [0.25, 0.75])
     rng = np.random.default_rng(0)
-    assert pol.sample_action(1, rng) == 0
+    assert take_action(pol, 1, rng.random()) == 0

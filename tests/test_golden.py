@@ -18,7 +18,7 @@ import numpy as np
 from dactd.config import load_config
 from dactd.envs import CoupledEnv, micro_env
 from dactd.funcapprox import LinearCritic, TabularSoftmaxPolicy, tabular_features
-from dactd.learner import StepSchedule, run_experiment, run_policy_evaluation, run_theory
+from dactd.learner import StepSchedule, run_experiment, run_theory
 from dactd.protocol import run_acyclic_exchange, run_general_exchange
 from dactd.topology import GraphSchedule, latency_bound
 from dactd.transport import Channel, ChannelModel, payload_digest
@@ -108,9 +108,9 @@ def test_online_digest():
     assert res.K == 9 and res.updates_applied.sum() == 200 - 9
     assert np.abs(res.actor_params).max() == 0.05
     policies, critics = _tabular_learners(rng, 2, 1.0)
-    weights = run_policy_evaluation(micro_env(), policies, critics,
-                                    StepSchedule.polynomial(0.5, 0.6),
-                                    3000, seed=16)
+    weights = run_theory(micro_env(), GraphSchedule.line(2), policies, critics,
+                         None, StepSchedule.polynomial(0.5, 0.6), 3000,
+                         seed=16, protocol=None).critic_weights
     assert payload_digest([res.states, res.local_deltas, res.team_estimates,
                            res.actor_params, res.critic_weights,
                            weights]) == ONLINE_DIGEST

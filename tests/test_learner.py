@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from dactd.config import AlgorithmChoice, ExperimentConfig
 from dactd.envs import CoupledEnv, micro_env
 from dactd.errors import ConfigurationError, NumericError
-from dactd.funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
-                              max_relative_error, softmax, tabular_features)
-from dactd.learner import (StepSchedule, _fit_gradient, _score_table,
-                           actor_update, critic_update, cumulative_neighborhood,
-                           local_td_error, resolve_latency_window,
-                           run_experiment, run_policy_evaluation, run_theory,
+from dactd.funcapprox import (FeatureMap, LinearCritic, MlpCritic,
+                              MlpSoftmaxPolicy, MlpStack, TabularSoftmaxPolicy,
+                              joint_tabular_features, max_relative_error,
+                              softmax, tabular_features)
+from dactd.learner import (StepSchedule, TheoryRunResult, _fit_gradient,
+                           _make_driver, _score_table, actor_step, critic_step,
+                           cumulative_neighborhood, resolve_latency_window,
+                           run_experiment, run_theory, td_errors,
                            validate_two_timescale)
 from dactd.protocol import ascending_mean
 from dactd.topology import GraphSchedule
@@ -70,48 +72,237 @@ def test_valid_pair_has_vanishing_step_ratio():
 
 
 # ---------------------------------------------------------------------------
-# Single-transition primitives
+# Whole-team steps of the online loop
 # ---------------------------------------------------------------------------
 
 def test_td_error_examples():
-    zero = LinearCritic(tabular_features(2))
-    assert local_td_error(zero, 0.9, 0, 1.0, 1) == 1.0
-    ones = LinearCritic(tabular_features(2), v=np.array([1.0, 1.0]))
-    assert local_td_error(ones, 0.9, 0, 0.0, 1) == pytest.approx(-0.1)
+    zero = np.zeros((1, 2))
+    assert td_errors(zero, 0.9, np.array([0]), np.array([1.0]),
+                     np.array([1])) == [1.0]
+    ones = np.ones((2, 2))
+    out = td_errors(ones, 0.9, np.array([0, 1]), np.array([0.0, 1.0]),
+                    np.array([1, 1]))
+    assert out == pytest.approx([-0.1, 0.9])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_td_error_refuses_non_finite_values():
-    broken = LinearCritic(tabular_features(2), v=np.array([np.inf, 0.0]))
+    broken = np.array([[np.inf, 0.0], [0.0, 0.0]])
     with pytest.raises(NumericError):
-        local_td_error(broken, 0.9, 0, 1.0, 1)
+        td_errors(broken, 0.9, np.array([0, 0]), np.array([1.0, 1.0]),
+                  np.array([1, 1]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_critic_update_examples():
-    critic = LinearCritic(tabular_features(2))
-    critic_update(critic, 1.0, np.array([1.0, 0.0]), 0.1)
-    assert critic.v == pytest.approx([0.1, 0.0], abs=1e-15)
-    before = critic.get_flat()
-    critic_update(critic, 5.0, np.array([1.0, 1.0]), 0.0)
-    assert np.array_equal(critic.get_flat(), before)
+    v = critic_step(np.zeros((2, 2)), np.array([0, 1]), np.array([1.0, -2.0]),
+                    0.1)
+    assert np.allclose(v, [[0.1, 0.0], [0.0, -0.2]], rtol=0, atol=1e-15)
+    assert np.array_equal(critic_step(v, np.array([1, 0]),
+                                      np.array([5.0, 5.0]), 0.0), v)
+    with pytest.raises(NumericError):
+        critic_step(v, np.array([0, 0]), np.array([1e308, 0.0]), 1e10)
 
 
 def test_actor_update_examples():
-    theta = np.array([0.5, -0.5])
-    assert np.array_equal(actor_update(theta, 0.0, np.ones(2), 0.1, 10.0),
-                          theta)
-    clamped = actor_update(np.array([0.9]), 1.0, np.array([10.0]), 1.0, 1.0)
-    assert clamped == pytest.approx([1.0])
-    clamped = actor_update(np.array([-0.9]), 1.0, np.array([-10.0]), 1.0, 1.0)
-    assert clamped == pytest.approx([-1.0])
+    theta = np.array([[[0.5, -0.5], [0.0, 1.0]]])
+    assert np.array_equal(actor_step(theta, np.array([0.0]), np.ones((1, 2, 2)),
+                                     0.1, 10.0), theta)
+    eta = np.array([[[10.0, -10.0], [0.0, 0.0]]])
+    clamped = actor_step(np.full((1, 2, 2), 0.9), np.array([1.0]), eta, 1.0, 1.0)
+    assert np.array_equal(clamped, [[[1.0, -1.0], [0.9, 0.9]]])
 
 
 @given(theta=st.floats(-5, 5), delta=st.floats(-100, 100),
        eta=st.floats(-100, 100), alpha=st.floats(0, 10),
        box=st.floats(0.01, 10))
 def test_actor_update_respects_the_box(theta, delta, eta, alpha, box):
-    out = actor_update(np.array([theta]), delta, np.array([eta]), alpha, box)
-    assert abs(out[0]) <= box
+    out = actor_step(np.full((1, 2, 2), theta), np.array([delta]),
+                     np.full((1, 2, 2), eta), alpha, box)
+    assert np.abs(out).max() <= box
+
+
+# ---------------------------------------------------------------------------
+# The per-agent online loop: the slow reference of run_theory's table loop
+# ---------------------------------------------------------------------------
+
+def sample_from_probs(probs, rng):
+    """Inverse-CDF draw over ascending action ids."""
+    cum = np.cumsum(probs)
+    u = rng.random()
+    return min(int(np.searchsorted(cum, u, side="right")), probs.shape[-1] - 1)
+
+
+def local_td_error(critic, gamma, s_local, reward, s_next_local):
+    delta = reward + gamma * critic.value(s_next_local) - critic.value(s_local)
+    if not np.isfinite(delta):
+        raise NumericError(f"non-finite TD error {delta!r}")
+    return float(delta)
+
+
+def critic_update(critic, delta, grad, beta):
+    w = critic.get_flat() + beta * delta * grad
+    if not np.all(np.isfinite(w)):
+        raise NumericError("critic weights diverged to non-finite values")
+    critic.set_flat(w)
+
+
+def actor_update(theta, delta_team, eta, alpha, box):
+    out = theta + alpha * delta_team * eta
+    np.clip(out, -box, box, out=out)
+    return out
+
+
+def reference_run(env, graph, policies, critics, actor_schedule,
+                  critic_schedule, n_steps, seed, protocol="general",
+                  channel_model=None, theta_box=10.0):
+    """run_theory as a loop over per-agent objects: scalar draws, one-hot dot
+    products and flat parameter vectors."""
+    n = env.n_agents
+    _, env_ss, policy_ss, channel_ss = np.random.SeedSequence(seed).spawn(4)
+    rng_env = np.random.default_rng(env_ss)
+    rng_policy = np.random.default_rng(policy_ss)
+    driver = None if protocol is None else _make_driver(
+        "dac_td", protocol, graph, channel_model, 0, (),
+        channel_ss.generate_state(1)[0])
+    K = 0 if driver is None else driver.K
+    s = env.initial_state()
+    states = np.zeros((n_steps + 1, n), dtype=np.int64)
+    states[0] = s
+    local_deltas = np.zeros((n_steps, n))
+    team_estimates = np.zeros((n_steps, n))
+    applied = np.zeros(n_steps, dtype=bool)
+    eta_hist, alpha_hist = {}, {}
+    for t in range(n_steps):
+        actions = np.array([sample_from_probs(policies[i].probs(int(s[i])),
+                                              rng_policy)
+                            for i in range(n)], dtype=np.int64)
+        s_next, rewards = env.step(s, actions, rng_env)
+        deltas = np.empty(n)
+        for i in range(n):
+            deltas[i] = local_td_error(critics[i], env.gamma, int(s[i]),
+                                       float(rewards[i]), int(s_next[i]))
+            critic_update(critics[i], deltas[i], critics[i].grad(int(s[i])),
+                          critic_schedule.value(t))
+        if actor_schedule is not None:
+            eta_hist[t] = [policies[i].score(int(s[i]), int(actions[i]))
+                           for i in range(n)]
+            alpha_hist[t] = actor_schedule.value(t)
+        local_deltas[t] = deltas
+        if driver is not None:
+            team = driver.tick(t, deltas)
+            team_estimates[t] = team
+            if t >= K and actor_schedule is not None:
+                etas, alpha = eta_hist.pop(t - K), alpha_hist.pop(t - K)
+                for i in range(n):
+                    policies[i].set_flat(actor_update(
+                        policies[i].get_flat(), float(team[i]), etas[i],
+                        alpha, theta_box))
+                applied[t] = True
+        s = s_next
+        states[t + 1] = s
+    return TheoryRunResult(
+        K=K, states=states, local_deltas=local_deltas,
+        team_estimates=team_estimates, updates_applied=applied,
+        critic_weights=[np.copy(c.v) for c in critics],
+        actor_params=[p.get_flat() for p in policies])
+
+
+def _random_learners(n, seed):
+    # Random logits and critic weights, so no zero is trivially +0.
+    rng = np.random.default_rng(seed)
+    policies = [TabularSoftmaxPolicy(2, 2, logits=rng.normal(size=(2, 2)))
+                for _ in range(n)]
+    critics = [LinearCritic(tabular_features(2), v=rng.normal(size=2))
+               for _ in range(n)]
+    return policies, critics
+
+
+def _period_two_graph(n):
+    line = {(i, i + 1) for i in range(1, n)}
+    chords = [{(1, n)} if n > 2 else set(), {(2, n)} if n > 3 else set()]
+    return GraphSchedule(n, [edges | {(j, i) for i, j in edges}
+                             for edges in (line | chords[0], line | chords[1])])
+
+
+CONST = (StepSchedule.constant(0.05), StepSchedule.constant(0.1))
+POLY = (StepSchedule.polynomial(0.5, 0.9), StepSchedule.polynomial(0.5, 0.6))
+LOSSY = ChannelModel(t1=1, t2=2, drop_prob=0.3)
+
+
+@pytest.mark.parametrize("n, protocol, schedules, channel, box", [
+    (1, "general", CONST, None, 10.0),
+    (3, "general", POLY, LOSSY, 10.0),
+    (7, "general", CONST, LOSSY, 10.0),
+    (3, "centralized", POLY, None, 10.0),
+    (7, "centralized", CONST, None, 0.001),
+    (1, "acyclic", POLY, None, 0.001),
+    (3, "acyclic", CONST, None, 10.0),
+    (7, "acyclic", POLY, None, 10.0),
+    (3, "general", (None, CONST[1]), LOSSY, 10.0),
+    (7, "general", CONST, LOSSY, 0.001),
+    (1, None, (None, POLY[1]), None, 10.0),
+    (3, None, (None, CONST[1]), None, 10.0),
+    (7, None, (None, POLY[1]), None, 10.0),
+])
+def test_table_loop_is_bitwise_the_per_agent_reference(n, protocol, schedules,
+                                                       channel, box):
+    # acyclic needs a tree, so it runs on the static line.
+    graph = GraphSchedule.line(n) if protocol == "acyclic" else _period_two_graph(n)
+    runs = []
+    for run in (run_theory, reference_run):
+        policies, critics = _random_learners(n, 100 + n)
+        res = run(CoupledEnv(n, 0.9), graph, policies, critics, *schedules,
+                  150, seed=n, protocol=protocol, channel_model=channel,
+                  theta_box=box)
+        runs.append((res, [p.logits for p in policies], [c.v for c in critics]))
+    (fast, fast_logits, fast_v), (slow, slow_logits, slow_v) = runs
+    assert fast.K == slow.K
+    if protocol is not None and schedules[0] is not None:
+        assert fast.updates_applied.sum() == 150 - fast.K
+    for field in ("states", "local_deltas", "team_estimates", "updates_applied"):
+        a, b = getattr(fast, field), getattr(slow, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    for a, b in zip(fast.actor_params + fast.critic_weights + fast_logits + fast_v,
+                    slow.actor_params + slow.critic_weights + slow_logits + slow_v):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    if box == 0.001:
+        assert np.abs(fast.actor_params).max() == box
+
+
+def _bad_online_inputs():
+    rng = np.random.default_rng(0)
+    not_one_hot = FeatureMap(dim=2, eval=lambda s: np.array([1.0, float(s)]))
+    policies, critics = _fresh_learners(2)
+    cases = {
+        "mlp policy": dict(policies=[MlpSoftmaxPolicy(2, 2, (3,), rng)] * 2),
+        "3-state policy": dict(policies=[TabularSoftmaxPolicy(3, 2)] * 2),
+        "mlp critic": dict(critics=[MlpCritic(2, (3,), rng)] * 2),
+        "joint features": dict(critics=[LinearCritic(
+            joint_tabular_features((2, 2)))] * 2),
+        "not one-hot": dict(critics=[LinearCritic(not_one_hot)] * 2),
+        "negative steps": dict(n_steps=-1),
+        "fractional steps": dict(n_steps=2.5),
+        "bool steps": dict(n_steps=True),
+        "zero box": dict(theta_box=0.0),
+        "negative box": dict(theta_box=-1.0),
+        "infinite box": dict(theta_box=float("inf")),
+        "nan box": dict(theta_box=float("nan")),
+        "no driver with an actor": dict(protocol=None),
+    }
+    base = dict(policies=policies, critics=critics, n_steps=5, theta_box=1.0,
+                protocol="general")
+    return {name: {**base, **case} for name, case in cases.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_bad_online_inputs()))
+def test_run_theory_rejects_what_the_table_loop_cannot_run(name):
+    kw = _bad_online_inputs()[name]
+    with pytest.raises(ConfigurationError):
+        run_theory(CoupledEnv(2, 0.9), GraphSchedule.line(2), kw["policies"],
+                   kw["critics"], StepSchedule.constant(0.01),
+                   StepSchedule.constant(0.05), kw["n_steps"], seed=0,
+                   protocol=kw["protocol"], theta_box=kw["theta_box"])
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +443,14 @@ def test_tight_box_confines_the_policy_parameters():
 def test_policy_evaluation_approaches_the_projected_fixed_point():
     env = micro_env()
     policies, critics = _fresh_learners(2)
-    weights = run_policy_evaluation(env, policies, critics,
-                                    StepSchedule.polynomial(0.5, 0.6),
-                                    30_000, seed=4)
+    res = run_theory(env, GraphSchedule.line(2), policies, critics, None,
+                     StepSchedule.polynomial(0.5, 0.6), 30_000, seed=4,
+                     protocol=None)
+    weights = res.critic_weights
     assert np.abs(weights[0] - [4.77386935, 5.22613065]).max() < 0.5
     assert np.array_equal(weights[1], np.zeros(2))
+    assert res.K == 0 and not res.team_estimates.any()
+    assert not res.updates_applied.any()
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +589,20 @@ def test_score_table_rows_match_per_step_scores():
 
 def test_episode_uniform_blocks_equal_per_step_draws():
     # run_experiment draws each episode's policy and environment uniforms as
-    # one (T, n) block per generator; they are the per-step draws, bit for bit.
+    # one (T, n) block per generator, and run_theory its policy uniforms; they
+    # are the per-step draws, and the per-agent scalar draws, bit for bit.
     n, T = 5, 100
     _, env_ss, policy_ss, _ = np.random.SeedSequence(7).spawn(4)
     for ss in (env_ss, policy_ss):
         block_rng = np.random.default_rng(ss)
         step_rng = np.random.default_rng(ss)
+        scalar_rng = np.random.default_rng(ss)
         for _ in range(3):
             block = block_rng.random((T, n))
             steps = np.stack([step_rng.random(n) for _ in range(T)])
-            assert block.tobytes() == steps.tobytes()
+            scalars = np.array([[scalar_rng.random() for _ in range(n)]
+                                for _ in range(T)])
+            assert block.tobytes() == steps.tobytes() == scalars.tobytes()
 
 
 def test_episodic_run_shapes_and_reward_structure():
