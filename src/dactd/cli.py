@@ -2,9 +2,9 @@
 
 Subcommands:
 
-* ``run``         — execute every (algorithm, seed) pair of a config,
-                    write one metrics CSV per run plus a summary CSV, and
-                    rank the algorithms by mean final-100 return.
+* ``run``         — execute every (algorithm, seed) pair of a config, write
+                    one metrics CSV per run plus a summary CSV, and rank
+                    the algorithms by their mean final-100 return.
 * ``verify``      — randomized property suites with exact oracles.
 * ``oracle``      — dump exact quantities (stationary law, values, gradient)
                     for an enumerable config.
@@ -96,11 +96,10 @@ def cmd_run(ns: argparse.Namespace) -> int:
     for (alg, seed), res in zip(grid, results):
         run_path = out_dir / f"{alg.label}_seed{seed}.csv"
         _write_run_csv(run_path, res)
-        final = _final_mean(res)
-        by_alg.setdefault(alg.label, []).append(final)
-        summary.append(f"{alg.label},{seed},{_fmt(final)}")
+        by_alg.setdefault(alg.label, []).append(_final_mean(res))
+        summary.append(f"{alg.label},{seed},{_fmt(_final_mean(res))}")
         print(f"{alg.label} seed={seed}: K={res.K} "
-              f"final100={final:.3f} -> {run_path}")
+              f"final100={_final_mean(res):.3f} -> {run_path}")
     (out_dir / "summary.csv").write_text("\n".join(summary) + "\n")
     print(f"summary -> {out_dir / 'summary.csv'}")
     print("\nmean final-100-episode team return over seeds:")

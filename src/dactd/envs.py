@@ -102,8 +102,7 @@ class CoupledEnv:
 
     def coupling(self, s, a) -> float:
         """Shared Bernoulli parameter (1/2N) * sum_j (s_j + a_j)."""
-        return float((np.asarray(s).sum() + np.asarray(a).sum())
-                     / (2 * self.n_agents))
+        return float((np.sum(s) + np.sum(a)) / (2 * self.n_agents))
 
     def rewards(self, s, a) -> np.ndarray:
         """Private rewards: agent 1 earns the coupling value, others zero."""
@@ -115,10 +114,8 @@ class CoupledEnv:
         """Sample the next state and return (s', rewards)."""
         s = self._validate(s, "state")
         a = self._validate(a, "action")
-        q = self.coupling(s, a)
-        s_next = (rng.random(self.n_agents) < q).astype(np.int64)
-        rewards = np.zeros(self.n_agents)
-        rewards[0] = q
+        rewards = self.rewards(s, a)         # agent 1 earns the coupling
+        s_next = (rng.random(self.n_agents) < rewards[0]).astype(np.int64)
         return s_next, rewards
 
     def count_model(self) -> tuple[np.ndarray, np.ndarray]:

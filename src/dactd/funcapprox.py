@@ -88,10 +88,6 @@ class LinearCritic:
     def grad(self, s_local) -> np.ndarray:
         return self.features(s_local)
 
-    @property
-    def n_params(self) -> int:
-        return self.features.dim
-
     def get_flat(self) -> np.ndarray:
         return self.v.copy()
 
@@ -341,10 +337,6 @@ class MlpCritic:
                  rng: np.random.Generator, slope: float = 0.3):
         self.n_states = n_states
         self.net = MlpStack((n_states, *hidden, 1), 1, rng, slope)
-
-    @property
-    def n_params(self) -> int:
-        return self.net.n_params
 
     def value(self, s_local: int) -> float:
         x = one_hot(np.array([[int(s_local)]]), self.n_states)

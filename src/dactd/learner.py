@@ -5,10 +5,8 @@ Two clock regimes share the same aggregation machinery:
 * the *online* regime (`run_theory`) runs one continuing trajectory,
   performs a protocol tick per environment step, and applies each policy
   update exactly K steps after the data that produced it.  It is one loop on
-  whole-team tables: (n, 2, 2) softmax logits and (n, 2) linear-critic
-  weights over the two local states, so every step is a few (n,)-array
-  operations, one `CoupledEnv.step` and one driver tick.  Its no-driver mode
-  (``protocol=None`` with a frozen actor) is fixed-policy TD(0);
+  whole-team tables, (n, 2, 2) logits and (n, 2) critic weights; with
+  ``protocol=None`` and a frozen actor it is fixed-policy TD(0);
 * the *episodic* regime (`run_experiment(cfg, algorithm, seed)`) runs one
   cell of an `ExperimentConfig`'s (algorithm, seed) grid: fixed-length
   episodes, batch critics trained between episodes, each episode's TD-error
@@ -40,8 +38,8 @@ import numpy as np
 
 from .envs import CoupledEnv
 from .errors import ConfigurationError, NumericError
-from .funcapprox import (FeatureMap, LinearCritic, MlpStack,
-                         TabularSoftmaxPolicy, softmax)
+from .funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
+                         softmax)
 from .protocol import (AcyclicProtocolDriver, GeneralProtocolDriver,
                        NeighborhoodDriver)
 from .topology import GraphSchedule, khop_neighbors, latency_bound
@@ -53,8 +51,6 @@ if TYPE_CHECKING:
 PROTOCOLS = ("general", "acyclic", "centralized")
 ALGORITHMS = ("dac_td", "independent_ac", "khop_sac")
 ONE_HOT = np.eye(2)
-# Steps of policy draws taken from the generator at once in the online loop.
-POLICY_DRAW_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +106,8 @@ def validate_two_timescale(actor: StepSchedule, critic: StepSchedule) -> None:
 
 def td_errors(v: np.ndarray, gamma: float, s: np.ndarray, rewards: np.ndarray,
               s_next: np.ndarray) -> np.ndarray:
-    """Every agent's one-step TD error from its private observations and its
-    own row of the (n, 2) local-state value table."""
-    agents = np.arange(v.shape[0])
+    """Each agent's one-step TD error under its row of the (n, 2) values."""
+    agents = np.arange(len(v))
     delta = rewards + gamma * v[agents, s_next] - v[agents, s]
     if not np.isfinite(delta).all():
         raise NumericError(f"non-finite TD error {delta!r}")
@@ -121,9 +116,8 @@ def td_errors(v: np.ndarray, gamma: float, s: np.ndarray, rewards: np.ndarray,
 
 def critic_step(v: np.ndarray, s: np.ndarray, delta: np.ndarray,
                 beta: float) -> np.ndarray:
-    """One TD(0) step of every critic.  The gradient of V(s) = v . phi(s) is
-    the one-hot row phi(s); stepping the whole row, zeros included, keeps the
-    bits (signed zeros too) of the flat update v + beta * delta * phi(s)."""
+    """One TD(0) step of every critic along its gradient, the one-hot phi(s).
+    Stepping whole rows keeps the signed zeros of v + beta * delta * phi(s)."""
     w = v + (beta * delta)[:, None] * ONE_HOT[s]
     if not np.isfinite(w).all():
         raise NumericError("critic weights diverged to non-finite values")
@@ -132,8 +126,7 @@ def critic_step(v: np.ndarray, s: np.ndarray, delta: np.ndarray,
 
 def actor_step(theta: np.ndarray, delta_team: np.ndarray, eta: np.ndarray,
                alpha: float, box: float) -> np.ndarray:
-    """One clamped ascent step of every agent's (2, 2) logit table along its
-    score table ``eta``, scaled by its team TD error."""
+    """One clamped ascent step of every (2, 2) logit table along its score."""
     out = theta + (alpha * delta_team)[:, None, None] * eta
     np.clip(out, -box, box, out=out)
     return out
@@ -194,36 +187,26 @@ class TheoryRunResult:
     actor_params: list[np.ndarray]
 
 
-def _is_local_one_hot(features: FeatureMap) -> bool:
-    return (features.dim == 2
-            and np.array_equal([features(0), features(1)], ONE_HOT))
-
-
 def _check_online_inputs(policies, critics, actor_schedule, n_steps,
                          protocol, theta_box) -> None:
     """Reject up front what the table loop cannot run."""
-    for pol in policies:
-        if not (isinstance(pol, TabularSoftmaxPolicy)
-                and pol.logits.shape == (2, 2)):
-            raise ConfigurationError(
-                f"run_theory needs 2x2 TabularSoftmaxPolicy policies, got {pol!r}")
-    for critic in critics:
-        if not (isinstance(critic, LinearCritic) and np.shape(critic.v) == (2,)
-                and _is_local_one_hot(critic.features)):
-            raise ConfigurationError(
-                "run_theory needs LinearCritics with one-hot features on the "
-                f"two local states, got {critic!r}")
-    if (isinstance(n_steps, (bool, np.bool_))
+    if not all(isinstance(p, TabularSoftmaxPolicy) and p.logits.shape == (2, 2)
+               for p in policies):
+        raise ConfigurationError("policies must be 2x2 TabularSoftmaxPolicy")
+    if not all(isinstance(c, LinearCritic) and c.features.dim == 2
+               and np.array_equal([c.features(0), c.features(1)], ONE_HOT)
+               for c in critics):
+        raise ConfigurationError("critics must be LinearCritics with one-hot "
+                                 "features on the two local states")
+    if (isinstance(n_steps, bool)
             or not isinstance(n_steps, (int, np.integer)) or n_steps < 0):
-        raise ConfigurationError(
-            f"n_steps must be a non-negative integer, got {n_steps!r}")
+        raise ConfigurationError(f"n_steps must be an integer >= 0, "
+                                 f"got {n_steps!r}")
     if not (theta_box > 0.0 and np.isfinite(theta_box)):
-        raise ConfigurationError(
-            f"theta_box must be positive and finite, got {theta_box!r}")
+        raise ConfigurationError(f"theta_box must be positive and finite, "
+                                 f"got {theta_box!r}")
     if protocol is None and actor_schedule is not None:
-        raise ConfigurationError(
-            "protocol=None reads no team TD error, so it needs "
-            "actor_schedule=None")
+        raise ConfigurationError("protocol=None needs actor_schedule=None")
 
 
 def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
@@ -240,11 +223,8 @@ def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
     K-step-old cohort is readable — apply the delayed policy update with the
     score table saved when that data was generated.  actor_schedule=None
     freezes the policies (pure evaluation); protocol=None, which needs it,
-    also runs no driver (fixed-policy TD(0), with K = 0 and no read-out).
-
-    The loop runs on whole-team tables: (n, 2, 2) logits and their softmax,
-    and (n, 2) critic weights, read from ``policies`` and ``critics`` at the
-    start and written back into them at the end."""
+    also runs no driver (K = 0, no read-out).  The final logit and weight
+    tables are written back into ``policies`` and ``critics``."""
     n = env.n_agents
     if graph.n_agents != n or len(policies) != n or len(critics) != n:
         raise ValueError("agent count mismatch between env, graph and learners")
@@ -255,14 +235,12 @@ def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
             raise ConfigurationError("two-timescale check needs an actor schedule")
         validate_two_timescale(actor_schedule, critic_schedule)
 
-    ss = np.random.SeedSequence(seed)
-    init_ss, env_ss, policy_ss, channel_ss = ss.spawn(4)
+    _, env_ss, policy_ss, channel_ss = np.random.SeedSequence(seed).spawn(4)
     rng_env = np.random.default_rng(env_ss)
     rng_policy = np.random.default_rng(policy_ss)
-    driver = None
-    if protocol is not None:
-        driver = _make_driver("dac_td", protocol, graph, channel_model, 0, (),
-                              channel_ss.generate_state(1)[0])
+    driver = None if protocol is None else _make_driver(
+        "dac_td", protocol, graph, channel_model, 0, (),
+        channel_ss.generate_state(1)[0])
     K = 0 if driver is None else driver.K
 
     theta = np.array([pol.logits for pol in policies])      # (n, s, a)
@@ -278,26 +256,21 @@ def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
     eta_hist: dict[int, np.ndarray] = {}
     alpha_hist: dict[int, float] = {}
 
+    # With two actions, inverse-CDF sampling takes action 1 exactly when the
+    # draw is at least pi(0|s); one block holds the per-step draws bit for bit.
+    u_policy = rng_policy.random((n_steps, n))
     for t in range(n_steps):
-        # With two actions, inverse-CDF sampling takes action 1 exactly when
-        # the draw is at least pi(0|s).  Policy draws come in blocks that
-        # hold the per-step draws bit for bit.
-        row = t % POLICY_DRAW_BLOCK
-        if row == 0:
-            u_policy = rng_policy.random((min(POLICY_DRAW_BLOCK, n_steps - t), n))
         p_here = probs[agents, s]                           # (n, a)
-        a = (p_here[:, 0] <= u_policy[row]).astype(np.int64)
+        a = (p_here[:, 0] <= u_policy[t]).astype(np.int64)
         s_next, rewards = env.step(s, a, rng_env)
         deltas = td_errors(v, env.gamma, s, rewards, s_next)
         v = critic_step(v, s, deltas, critic_schedule.value(t))
         local_deltas[t] = deltas
         if actor_schedule is not None:
-            # Score of log pi(a|s) on the logit table: onehot(a) - pi(.|s)
-            # in row s, under the behaviour policy.
-            eta = np.zeros((n, 2, 2))
+            # Score of log pi(a|s): onehot(a) - pi(.|s) in logit row s.
+            eta_hist[t] = eta = np.zeros((n, 2, 2))
             eta[agents, s] = -p_here
             eta[agents, s, a] += 1.0
-            eta_hist[t] = eta
             alpha_hist[t] = actor_schedule.value(t)
 
         if driver is not None:
@@ -414,10 +387,8 @@ def run_experiment(cfg: ExperimentConfig, algorithm: AlgorithmChoice,
         # Roll out one episode under the current (frozen) policies.  With two
         # actions, inverse-CDF sampling takes action 1 exactly when the draw
         # is at least pi(0|s), so each step's action for either local state
-        # is read off the episode's (T, n) block of policy draws.  The
-        # rollout carries only the coupling count |s| + |a| = base + s @ gain:
-        # an agent in state 0 adds its state-0 action, one in state 1 adds 1
-        # plus its state-1 action.  Actions are gathered afterwards.
+        # is read off the episode's (T, n) block of policy draws.  The rollout
+        # carries only the coupling count |s| + |a| = base + s @ gain.
         probs = softmax(actor.forward(basis))            # (n, s, a)
         u_policy = rng_policy.random((T, n))
         u_env = rng_env.random((T, n))
