@@ -9,8 +9,10 @@ Agents recover the exact team-average TD error of tick ``t - K`` at tick
   the recovered mean is bitwise equal to a centralized collector's;
 * the **acyclic protocol** runs on static connected acyclic (tree) graphs
   with unit delay and no losses, exchanging only K per-cohort increments per
-  edge; per-neighbor correction buffers cancel the overlap between adjacent
-  neighborhoods so every value is counted exactly once;
+  edge; a correction per directed neighbour pair cancels the overlap between
+  adjacent neighbourhoods so every value is counted exactly once.  One
+  driver holds the whole team's level sums, increments and corrections as
+  arrays and advances them with whole-array operations;
 * the **neighbourhood driver** is an oracle that averages each agent's
   neighbourhood directly, K ticks late: the centralized collector, the
   k-hop baseline and independent learning are all instances of it.
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, IncompleteAggregationError,
                      ProtocolCorruptionError)
-from .topology import GraphSchedule, classify
+from .topology import GraphSchedule, classify, khop_neighbors, latency_bound
 from .transport import Channel, Message
 
 
@@ -69,19 +71,6 @@ class TDVector:
     known: np.ndarray           # (n_agents,) bool
 
 
-def init_td_vector(i: int, delta_i: Any, t: int, n_agents: int,
-                   value_shape: tuple[int, ...] = ()) -> TDVector:
-    """Fresh vector for origin t: slot i known with agent i's TD error,
-    every other slot unknown."""
-    if not (1 <= i <= n_agents):
-        raise ValueError(f"agent id {i} outside 1..{n_agents}")
-    values = np.zeros((n_agents, *value_shape))
-    known = np.zeros(n_agents, dtype=bool)
-    values[i - 1] = delta_i
-    known[i - 1] = True
-    return TDVector(origin_tick=t, values=values, known=known)
-
-
 @dataclass(frozen=True)
 class WindowPayload:
     """Snapshot of a sender's freshest K origins (the per-tick message).
@@ -107,10 +96,6 @@ class WindowPayload:
     @property
     def slot_count(self) -> int:
         return self.known.shape[0] * self.known.shape[1]
-
-    def vectors(self) -> list[TDVector]:
-        return [TDVector(o, self.values[r], self.known[r])
-                for r, o in enumerate(self.origins)]
 
     def as_tuple(self) -> tuple:
         return (self.origins, self.values, self.known)
@@ -173,27 +158,6 @@ class TDHistory:
         self._values[r, self.owner - 1] = value
         self._known[r, self.owner - 1] = True
 
-    def merge(self, received: Iterable[TDVector]) -> "TDHistory":
-        """Fill-in rule: copy received known values into unknown slots.
-
-        Write-once — known slots are never touched; receiving a bitwise
-        different value for an already-known slot raises
-        ProtocolCorruptionError.  Idempotent and order-independent.
-        """
-        for vec in received:
-            r = self._row(vec.origin_tick)
-            both = self._known[r] & vec.known
-            if both.any():
-                if not np.array_equal(self._values[r][both], vec.values[both]):
-                    raise ProtocolCorruptionError(
-                        f"agent {self.owner}: conflicting values for origin "
-                        f"{vec.origin_tick}")
-            new = vec.known & ~self._known[r]
-            if new.any():
-                self._values[r][new] = vec.values[new]
-                self._known[r][new] = True
-        return self
-
     def _ring_slices(self, tau: int, count: int) -> list[tuple[int, int]]:
         """Ring slices [start, stop) holding ages tau..tau+count-1, oldest
         age last; at most two, since the ages wrap the ring at most once."""
@@ -206,9 +170,11 @@ class TDHistory:
     def merge_payload(self, payload: WindowPayload) -> "TDHistory":
         """Vectorized merge of a whole window payload.
 
-        Identical semantics to merge(payload.vectors()) — write-once fill-in
-        with a bitwise conflict check — done in place on ring slices.
-        Rows older than the local window are silently dropped (their cohort
+        Fill-in rule: received known values are copied into unknown slots.
+        Write-once: known slots are never touched, and a value that compares
+        unequal to an already-known slot raises ProtocolCorruptionError, so
+        merges are idempotent and order-independent.  Done in place on ring
+        slices.  Rows older than the local window are silently dropped (their cohort
         was already read out and can no longer change), as are rows newer
         than it.
         """
@@ -268,19 +234,6 @@ class TDHistory:
         known.setflags(write=False)
         return WindowPayload(origins=origins, values=values, known=known)
 
-    def trace_rows(self) -> list[tuple]:
-        """(tick, agent, tau, slot, value, known) rows for the current window
-        (scalar slot values only)."""
-        rows = []
-        for tau in range(self.K + 1):
-            r = self._row(self.newest_tick - tau)
-            for j in range(self.n_agents):
-                rows.append((self.newest_tick, self.owner, tau, j + 1,
-                             float(np.asarray(self._values[r, j]).ravel()[0]),
-                             bool(self._known[r, j])))
-        return rows
-
-
 class TeamTDAggregator:
     """Per-agent driver of the general protocol over a real channel.
 
@@ -311,153 +264,6 @@ class TeamTDAggregator:
 
     def read_team(self, t_minus_K: int) -> Any:
         return self.history.team_td(t_minus_K)
-
-
-# ---------------------------------------------------------------------------
-# Acyclic protocol: per-cohort increments with per-neighbor corrections
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AcyclicState:
-    """Per-agent state of the acyclic protocol.
-
-    After the step at tick w, ``level_sums[d]`` holds the cohort-(w-d) sum
-    of local TD errors over all agents within distance d of this agent;
-    ``outbox[d]`` is the increment between successive levels (the K-value
-    message sent to every neighbor); ``corrections[j][d]`` is the cohort-
-    (w-d) sum over agents at distance exactly d from this agent that are
-    *not* within distance d-1 of neighbor j — the overlap that must be
-    subtracted when fusing neighbor j's increments.  Two ticks of correction
-    history are kept because the recursion consumes corrections computed two
-    ticks earlier.
-    """
-
-    agent: int
-    n_agents: int
-    K: int
-    neighbors: tuple[int, ...]
-    level_sums: np.ndarray                       # (K+1, *vs)
-    outbox: np.ndarray                           # (K, *vs)
-    corrections: dict[int, np.ndarray]           # neighbor -> (K, *vs)
-    corrections_prev: dict[int, np.ndarray]      # neighbor -> (K, *vs)
-    tick: int = -1
-
-    @property
-    def readout_origin(self) -> int:
-        return self.tick - self.K
-
-    def read_team(self) -> Any:
-        val = self.level_sums[self.K] / self.n_agents
-        return float(val) if val.ndim == 0 else val.copy()
-
-
-def make_acyclic_state(agent: int, n_agents: int, K: int, neighbors: Iterable[int],
-                       value_shape: tuple[int, ...] = ()) -> AcyclicState:
-    if K < 1:
-        raise ValueError(f"window bound K must be >= 1, got {K}")
-    vs = tuple(value_shape)
-    nbrs = tuple(sorted(neighbors))
-    return AcyclicState(
-        agent=agent, n_agents=n_agents, K=K, neighbors=nbrs,
-        level_sums=np.zeros((K + 1, *vs)),
-        outbox=np.zeros((K, *vs)),
-        corrections={j: np.zeros((K, *vs)) for j in nbrs},
-        corrections_prev={j: np.zeros((K, *vs)) for j in nbrs},
-    )
-
-
-def build_acyclic_states(graph: GraphSchedule, K: int,
-                         value_shape: tuple[int, ...] = ()) -> dict[int, AcyclicState]:
-    """States for every agent, after validating the graph: static, symmetric
-    edges, connected and acyclic (a tree)."""
-    cls = classify(graph)  # raises ConfigurationError on time-varying schedules
-    edges = graph.edges_at(0)
-    if any((dst, src) not in edges for (src, dst) in edges):
-        raise ConfigurationError(
-            "acyclic protocol requires symmetric (undirected) edges")
-    if not cls.acyclic_undirected:
-        raise ConfigurationError("acyclic protocol requires an acyclic graph")
-    if graph.n_agents > 1 and not cls.strongly_connected:
-        raise ConfigurationError("acyclic protocol requires a connected graph")
-    return {i: make_acyclic_state(i, graph.n_agents, K, graph.out_neighbors(i),
-                                  value_shape)
-            for i in range(1, graph.n_agents + 1)}
-
-
-def _shift1(arr: np.ndarray) -> np.ndarray:
-    """[0, a_0, ..., a_{K-2}] along the slot axis."""
-    out = np.zeros_like(arr)
-    out[1:] = arr[:-1]
-    return out
-
-
-def _shift2(arr: np.ndarray) -> np.ndarray:
-    """[0, 0, a_0, ..., a_{K-3}] along the slot axis."""
-    out = np.zeros_like(arr)
-    out[2:] = arr[:-2]
-    return out
-
-
-def acyclic_step(st: AcyclicState, delta_i: Any,
-                 received: dict[int, np.ndarray]) -> AcyclicState:
-    """One lockstep tick of the acyclic protocol.
-
-    ``received`` maps each neighbor to the increment message (K slots) it
-    sent last tick; pass all-zero arrays on the first tick.  Slot 0 of every
-    buffer restarts at the own TD error; higher slots advance one cohort via
-
-        level_sums'[d]     = level_sums[d-1]
-                             + sum_j (received[j][d-1] - corrections2[j][d-2])
-        outbox'[d]         = level_sums'[d] - level_sums[d-1]
-        corrections'[j][d] = corrections2[j][d-2] + outbox'[d] - received[j][d-1]
-
-    where corrections2 are the corrections of two ticks ago and out-of-range
-    indices read as zero.  Mutates and returns ``st``; afterwards the team
-    read-out for tick ``st.tick - K`` is available via read_team().
-    """
-    if set(received) != set(st.neighbors):
-        raise ValueError(
-            f"agent {st.agent}: received increments from {sorted(received)}, "
-            f"expected exactly neighbors {list(st.neighbors)}")
-    K = st.K
-    x = st.level_sums
-    corr2 = st.corrections_prev
-    delta_arr = np.asarray(delta_i, dtype=np.float64)
-    if delta_arr.shape != x.shape[1:]:
-        raise ValueError(
-            f"TD value shape {delta_arr.shape} != expected {x.shape[1:]}")
-
-    new_x = np.empty_like(x)
-    new_x[0] = delta_arr
-    acc = x[:-1].copy()
-    for j in st.neighbors:
-        inc = np.asarray(received[j])
-        if inc.shape != st.outbox.shape:
-            raise ValueError(
-                f"agent {st.agent}: increment from {j} has shape {inc.shape}, "
-                f"expected {st.outbox.shape}")
-        acc += inc - _shift1(corr2[j])
-    new_x[1:] = acc
-
-    new_y = np.empty_like(st.outbox)
-    new_y[0] = delta_arr
-    if K >= 2:
-        new_y[1:] = new_x[1:K] - x[: K - 1]
-
-    new_corr = {}
-    for j in st.neighbors:
-        zj = np.empty_like(corr2[j])
-        zj[0] = delta_arr
-        if K >= 2:
-            zj[1:] = _shift2(corr2[j])[1:] + new_y[1:] - received[j][: K - 1]
-        new_corr[j] = zj
-
-    st.level_sums = new_x
-    st.outbox = new_y
-    st.corrections_prev = st.corrections
-    st.corrections = new_corr
-    st.tick += 1
-    return st
 
 
 # ---------------------------------------------------------------------------
@@ -503,58 +309,113 @@ class GeneralProtocolDriver:
         origin = t - self.K
         return np.stack([self.aggs[i].read_team(origin) for i in range(1, n + 1)])
 
-    def trace_rows(self) -> list[tuple]:
-        rows: list[tuple] = []
-        for i in sorted(self.aggs):
-            rows.extend(self.aggs[i].history.trace_rows())
-        return rows
-
-
 class AcyclicProtocolDriver:
-    """One lockstep round of the acyclic protocol.
+    """The acyclic protocol: one lockstep round per tick, on team arrays.
 
-    Increment messages move through an internal mailbox with exactly one
-    tick of latency — the degenerate lossless unit-delay channel this
-    protocol is defined for.
+    The graph must be static, symmetric, connected and acyclic (a tree), and
+    K at least its unit-delay latency bound.  Increments move with exactly
+    one tick of latency and no losses, the degenerate channel this protocol
+    is defined for.  After the tick at time w:
+
+    * ``x[i, d]`` (level sums, ``(N, K+1, *vs)``) is the cohort-(w-d) sum of
+      local TD errors over the agents within distance d of agent i;
+    * ``y[i, d]`` (``(N, K, *vs)``) is the increment between successive
+      levels, the K-value message agent i sends every neighbour;
+    * ``z[e, d]`` (``(E, K, *vs)``), for the directed neighbour pair
+      ``(i, j) = pairs[e]`` (sorted by receiver i, then sender j), is the
+      cohort-(w-d) sum over the agents at distance exactly d from i that are
+      not within distance d-1 of j: the overlap subtracted when i fuses j's
+      increments.  ``z2`` is the previous tick's ``z``, because the
+      recursion consumes corrections computed two ticks earlier.
+
+    A tick receives ``y[j]`` from before the tick from every neighbour j,
+    restarts slot 0 of every buffer at the own TD error and advances the
+    higher slots one cohort:
+
+        x'[i, d]  = x[i, d-1] + sum_j (y[j, d-1] - z2[ij, d-2])
+        y'[i, d]  = x'[i, d] - x[i, d-1]
+        z'[ij, d] = z2[ij, d-2] + y'[i, d] - y[j, d-1]
+
+    where out-of-range slots read as zero and the neighbour terms are added
+    in ascending j.  Agent i's read-out of tick t - K is ``x'[i, K] / N``.
     """
 
     def __init__(self, graph: GraphSchedule, K: int,
                  value_shape: tuple[int, ...] = ()):
+        cls = classify(graph)  # raises ConfigurationError on time-varying schedules
+        edges = graph.edges_at(0)
+        if any((dst, src) not in edges for (src, dst) in edges):
+            raise ConfigurationError(
+                "acyclic protocol requires symmetric (undirected) edges")
+        if not cls.acyclic_undirected:
+            raise ConfigurationError("acyclic protocol requires an acyclic graph")
+        if graph.n_agents > 1 and not cls.strongly_connected:
+            raise ConfigurationError("acyclic protocol requires a connected graph")
+        bound = latency_bound(graph, 0, 1)
+        if K < bound:
+            raise ConfigurationError(
+                f"acyclic protocol needs K >= {bound}, the tree's unit-delay "
+                f"latency bound, got K={K}")
+        n, vs = graph.n_agents, tuple(value_shape)
         self.graph = graph
         self.K = K
-        self.n_agents = graph.n_agents
-        self.states = build_acyclic_states(graph, K, value_shape)
-        zero = np.zeros((K, *value_shape))
-        self._inbox = {i: {j: zero.copy() for j in self.states[i].neighbors}
-                       for i in self.states}
+        self.n_agents = n
+        self.value_shape = vs
+        self.newest_tick = -1
+        self.pairs = sorted(edges)
+        ends = np.array(self.pairs, dtype=np.int64).reshape(-1, 2) - 1
+        self._receiver, self._sender = ends[:, 0], ends[:, 1]
+        # (receivers, pair rows) of each receiver's k-th neighbour, k = 0, 1,
+        # ...: a tick adds the neighbour terms one rank at a time, so every
+        # agent sums them in ascending sender order.
+        rank = np.arange(len(ends)) - np.searchsorted(self._receiver,
+                                                      self._receiver)
+        self._ranks = [(self._receiver[rank == k], np.flatnonzero(rank == k))
+                       for k in range(int(rank.max(initial=-1)) + 1)]
+        self.x = np.zeros((n, K + 1, *vs))
+        self.y = np.zeros((n, K, *vs))
+        self.z = np.zeros((len(ends), K, *vs))
+        self.z2 = np.zeros_like(self.z)
 
     @property
     def payload_slots(self) -> int:
         return self.K
 
     def tick(self, t: int, deltas: np.ndarray) -> np.ndarray:
-        n = self.n_agents
-        for i in range(1, n + 1):
-            acyclic_step(self.states[i], deltas[i - 1], self._inbox[i])
-        outboxes = {i: self.states[i].outbox.copy() for i in self.states}
-        self._inbox = {i: {j: outboxes[j] for j in self.states[i].neighbors}
-                       for i in self.states}
-        return np.stack([self.states[i].read_team() for i in range(1, n + 1)])
+        if t != self.newest_tick + 1:
+            raise ValueError(f"ticks must advance by 1, got {self.newest_tick} -> {t}")
+        delta = np.asarray(deltas, dtype=np.float64)
+        if delta.shape != (self.n_agents, *self.value_shape):
+            raise ValueError(f"expected shape {(self.n_agents, *self.value_shape)}, "
+                             f"got {delta.shape}")
+        x, y, z2 = self.x, self.y, self.z2
+        rcv, snd = self._receiver, self._sender
+        fused = y[snd]
+        fused[:, 1:] -= z2[:, :-1]
+        new_x = np.empty_like(x)
+        new_x[:, 0] = delta
+        new_x[:, 1:] = x[:, :-1]
+        acc = new_x[:, 1:]
+        for agents, k_th in self._ranks:
+            acc[agents] += fused[k_th]
+        new_y = np.empty_like(y)
+        new_y[:, 0] = delta
+        np.subtract(new_x[:, 1:-1], x[:, :-2], out=new_y[:, 1:])
+        # z2 shifted two slots along the slot axis, zero-filled, then
+        # z' = (shifted z2 + y'[i]) - y[j].
+        new_z = np.empty_like(z2)
+        new_z[:, 0] = delta[rcv]
+        new_z[:, 1:2] = 0.0
+        new_z[:, 2:] = z2[:, :-2]
+        new_z[:, 1:] += new_y[rcv, 1:]
+        new_z[:, 1:] -= y[snd, :-1]
+        self.x, self.y, self.z2, self.z = new_x, new_y, self.z, new_z
+        self.newest_tick = t
+        return new_x[:, -1] / self.n_agents
 
-    def snapshot(self) -> dict[int, tuple]:
-        return {i: (st.level_sums.copy(),
-                    {j: st.corrections[j].copy() for j in st.neighbors})
-                for i, st in self.states.items()}
-
-    def trace_rows(self) -> list[tuple]:
-        rows = []
-        for i, st in sorted(self.states.items()):
-            for tau in range(self.K + 1):
-                rho = (float(np.asarray(st.outbox[tau]).ravel()[0])
-                       if tau < self.K else float("nan"))
-                rows.append((st.tick, i, tau,
-                             float(np.asarray(st.level_sums[tau]).ravel()[0]), rho))
-        return rows
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the level sums ``x`` and the corrections ``z``."""
+        return self.x.copy(), self.z.copy()
 
 
 class NeighborhoodDriver:
@@ -614,18 +475,18 @@ class ExchangeResult:
     readouts[t, i-1] is agent i's recovered team TD error of tick t - K (the
     pre-start cohorts read as zero); reference[t] is the centralized mean of
     the same origin.  payload_slots is the per-edge per-tick message size in
-    slot values.
+    slot values.  snapshots, when collected, hold the acyclic driver's
+    ``snapshot()`` after every tick.
     """
 
     K: int
     readouts: np.ndarray
     reference: np.ndarray
     payload_slots: int
-    trace_rows: list[tuple] | None = None
-    snapshots: list[dict[int, tuple]] | None = None
+    snapshots: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
-def _drive(driver, deltas: np.ndarray, collect_trace: bool = False,
+def _drive(driver, deltas: np.ndarray,
            collect_snapshots: bool = False) -> ExchangeResult:
     """Tick a driver once per row of deltas (ticks, n_agents, *value_shape)
     and record each tick's read-outs beside the centralized mean."""
@@ -634,58 +495,52 @@ def _drive(driver, deltas: np.ndarray, collect_trace: bool = False,
         raise ValueError("delta stream width != n_agents")
     readouts = np.zeros_like(deltas)
     reference = np.zeros((ticks, *deltas.shape[2:]))
-    trace: list[tuple] | None = [] if collect_trace else None
-    snaps: list[dict[int, tuple]] | None = [] if collect_snapshots else None
+    snaps = [] if collect_snapshots else None
     for t in range(ticks):
         readouts[t] = driver.tick(t, deltas[t])
-        if trace is not None:
-            trace.extend(driver.trace_rows())
         if snaps is not None:
             snaps.append(driver.snapshot())
         if t >= driver.K:
             reference[t] = centralized_team_td(deltas[t - driver.K])
     return ExchangeResult(K=driver.K, readouts=readouts, reference=reference,
-                          payload_slots=driver.payload_slots, trace_rows=trace,
-                          snapshots=snaps)
+                          payload_slots=driver.payload_slots, snapshots=snaps)
 
 
 def run_general_exchange(graph: GraphSchedule, channel: Channel,
-                         deltas: np.ndarray, K: int,
-                         collect_trace: bool = False) -> ExchangeResult:
+                         deltas: np.ndarray, K: int) -> ExchangeResult:
     """Drive the general protocol for deltas.shape[0] ticks over a channel.
 
     deltas has shape (ticks, n_agents, *value_shape); agents exchange their
     windows every tick over the scheduled edges and read out tick t - K."""
     deltas = np.asarray(deltas, dtype=np.float64)
     return _drive(GeneralProtocolDriver(graph, channel, K, deltas.shape[2:]),
-                  deltas, collect_trace)
+                  deltas)
 
 
 def run_acyclic_exchange(graph: GraphSchedule, deltas: np.ndarray, K: int,
-                         collect_trace: bool = False,
                          collect_snapshots: bool = False) -> ExchangeResult:
     """Drive the acyclic protocol (unit delay, no losses) on a tree."""
     deltas = np.asarray(deltas, dtype=np.float64)
     return _drive(AcyclicProtocolDriver(graph, K, deltas.shape[2:]),
-                  deltas, collect_trace, collect_snapshots)
+                  deltas, collect_snapshots)
 
 
 def check_neighborhood_invariant(graph: GraphSchedule, deltas: np.ndarray,
-                                 snapshots: list[dict[int, tuple]],
+                                 snapshots: list[tuple[np.ndarray, np.ndarray]],
                                  K: int) -> float:
     """Worst absolute deviation of traced acyclic-protocol state from the
     exact-distance neighborhood sums it must equal.
 
-    For every tick w, agent i, depth d in [1, K]: level_sums[d] must equal
-    the sum of tick-(w-d) TD errors over agents within distance <= d of i;
-    for every neighbor j and depth d in [1, K-1]: corrections[j][d] must
-    equal the sum over agents at distance exactly d of i minus those within
-    distance d-1 of j.  Cohorts before tick 0 count as zero.
+    For every tick w, agent i, depth d in [1, K]: the level sum x[i, d] must
+    equal the sum of tick-(w-d) TD errors over agents within distance <= d
+    of i; for every neighbour pair (i, j) and depth d in [1, K-1]: the
+    correction z[ij, d] must equal the sum over agents at distance exactly d
+    of i minus those within distance d-1 of j.  Cohorts before tick 0 count
+    as zero.
     """
-    from .topology import khop_neighbors
-
     deltas = np.asarray(deltas, dtype=np.float64)
     n = graph.n_agents
+    pairs = sorted(graph.edges_at(0))     # the driver's correction rows
     maxd = max(K, 1)
     exact: dict[int, list[set[int]]] = {
         i: [khop_neighbors(graph, i, d) for d in range(maxd + 1)]
@@ -708,14 +563,15 @@ def check_neighborhood_invariant(graph: GraphSchedule, deltas: np.ndarray,
         return total
 
     worst = 0.0
-    for w, snap in enumerate(snapshots):
-        for i, (level_sums, corrections) in snap.items():
+    for w, (level_sums, corrections) in enumerate(snapshots):
+        for i in range(1, n + 1):
             for d in range(1, K + 1):
                 expected = cohort_sum(cum[i][d], w - d)
-                worst = max(worst, float(np.max(np.abs(level_sums[d] - expected))))
-            for j, zarr in corrections.items():
-                for d in range(1, K):
-                    ring = exact[i][d] - cum[j][d - 1]
-                    expected = cohort_sum(ring, w - d)
-                    worst = max(worst, float(np.max(np.abs(zarr[d] - expected))))
+                worst = max(worst, float(np.max(np.abs(level_sums[i - 1, d]
+                                                       - expected))))
+        for (i, j), zarr in zip(pairs, corrections):
+            for d in range(1, K):
+                ring = exact[i][d] - cum[j][d - 1]
+                expected = cohort_sum(ring, w - d)
+                worst = max(worst, float(np.max(np.abs(zarr[d] - expected))))
     return worst

@@ -63,9 +63,12 @@ def test_acyclic_exchange_digest():
     deltas = rng.normal(size=(3 * K, 7, 3))
     res = run_acyclic_exchange(g, deltas, K, collect_snapshots=True)
     assert np.abs(res.readouts[K:] - res.reference[K:, None, :]).max() <= 1e-12
-    snaps = [[(i, sums, sorted(corr.items()))
-              for i, (sums, corr) in sorted(snap.items())]
-             for snap in res.snapshots]
+    # Per agent i: (i, level sums, [(j, correction toward j), ...]).
+    pairs = sorted(g.edges_at(0))
+    snaps = [[(i, sums[i - 1], [(j, corr[e]) for e, (r, j) in enumerate(pairs)
+                                if r == i])
+              for i in range(1, 8)]
+             for sums, corr in res.snapshots]
     assert len(snaps) == 3 * K
     assert payload_digest([res.readouts, snaps]) == ACYCLIC_DIGEST
 

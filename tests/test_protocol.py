@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dactd.errors import IncompleteAggregationError, ProtocolCorruptionError
-from dactd.protocol import (NeighborhoodDriver, TDHistory, TDVector,
-                            WindowPayload, ascending_mean,
-                            centralized_team_td, init_td_vector,
+from dactd.protocol import (NeighborhoodDriver, TDHistory, WindowPayload,
+                            ascending_mean, centralized_team_td,
                             run_general_exchange)
 from dactd.topology import GraphSchedule, latency_bound
 from dactd.transport import Channel, ChannelModel
@@ -45,27 +44,39 @@ def test_ascending_mean_fixes_the_summation_order():
 # ---------------------------------------------------------------------------
 
 def test_fresh_vector_knows_only_its_own_slot():
-    vec = init_td_vector(2, 0.5, t=9, n_agents=3)
+    h = TDHistory(2, 3, K=1)
+    for t in range(10):
+        h.advance(t)
+    h.set_own(9, 0.5)
+    vec = h.vector_at(9)
     assert vec.origin_tick == 9
     assert list(vec.known) == [False, True, False]
     assert vec.values[1] == 0.5
 
 
 def test_zero_value_is_still_known():
-    vec = init_td_vector(1, 0.0, t=0, n_agents=2)
+    h = TDHistory(1, 2, K=1)
+    h.advance(0)
+    h.set_own(0, 0.0)
+    vec = h.vector_at(0)
     assert vec.known[0] and not vec.known[1]
     assert vec.values[0] == 0.0
 
 
 def test_single_agent_vector_is_complete_immediately():
-    vec = init_td_vector(1, -1.5, t=4, n_agents=1)
-    assert vec.known.all()
-    assert centralized_team_td(vec.values) == -1.5
+    h = TDHistory(1, 1, K=1)
+    for t in range(5):
+        h.advance(t)
+    h.set_own(4, -1.5)
+    assert h.vector_at(4).known.all()
+    assert h.team_td(4) == -1.5
 
 
 def test_invalid_origin_agent_rejected():
     with pytest.raises(ValueError):
-        init_td_vector(0, 1.0, t=0, n_agents=3)
+        TDHistory(0, 3, K=1)
+    with pytest.raises(ValueError):
+        TDHistory(4, 3, K=1)
 
 
 # ---------------------------------------------------------------------------
@@ -78,21 +89,26 @@ def _history(owner=1, n=3, K=2):
     return h
 
 
+def _one_row(origin, values, known):
+    return WindowPayload(origins=(origin,), values=np.array([values]),
+                         known=np.array([known]))
+
+
 def test_disjoint_fill_in_completes_a_row():
     h = _history()
     h.set_own(0, 1.0)
-    h.merge([TDVector(0, np.array([0.0, 2.0, 0.0]), np.array([False, True, False])),
-             TDVector(0, np.array([0.0, 0.0, 3.0]), np.array([False, False, True]))])
+    h.merge_payload(_one_row(0, [0.0, 2.0, 0.0], [False, True, False]))
+    h.merge_payload(_one_row(0, [0.0, 0.0, 3.0], [False, False, True]))
     assert h.team_td(0) == 2.0
 
 
 def test_merge_is_idempotent():
     h = _history()
     h.set_own(0, 1.0)
-    vec = TDVector(0, np.array([0.0, 2.0, 0.0]), np.array([False, True, False]))
-    h.merge([vec])
+    payload = _one_row(0, [0.0, 2.0, 0.0], [False, True, False])
+    h.merge_payload(payload)
     before = h.vector_at(0)
-    h.merge([vec])
+    h.merge_payload(payload)
     after = h.vector_at(0)
     assert np.array_equal(before.values, after.values)
     assert np.array_equal(before.known, after.known)
@@ -101,10 +117,10 @@ def test_merge_is_idempotent():
 def test_conflicting_known_values_raise():
     h = _history()
     h.set_own(0, 1.0)
-    h.merge([TDVector(0, np.array([0.0, 2.0, 0.0]), np.array([False, True, False]))])
-    clash = TDVector(0, np.array([0.0, 2.5, 0.0]), np.array([False, True, False]))
+    h.merge_payload(_one_row(0, [0.0, 2.0, 0.0], [False, True, False]))
+    clash = _one_row(0, [0.0, 2.5, 0.0], [False, True, False])
     with pytest.raises(ProtocolCorruptionError):
-        h.merge([clash])
+        h.merge_payload(clash)
 
 
 def test_own_slot_is_write_once():
@@ -187,12 +203,40 @@ def test_stale_payload_rows_are_ignored():
     assert not receiver.vector_at(1).known[0]
 
 
-@st.composite
-def payload_pairs(draw):
-    """A receiver history plus a same-shape payload with consecutive origins.
+def _window(hist):
+    """Origin -> copy of the history's vector, for every origin in its window."""
+    return {o: hist.vector_at(o)
+            for o in range(hist.newest_tick - hist.K, hist.newest_tick + 1)}
 
-    Slots are scalar or 3-vectors, and the payload's newest origin ranges
-    from older than the receiver's window to ahead of its newest tick."""
+
+def reference_merge(window, payload):
+    """Per-slot write-once fill-in of a payload into ``_window`` vectors.
+
+    Every known payload slot whose origin is in the window is checked first:
+    a slot known on both sides with a different value raises
+    ProtocolCorruptionError before anything is written.  Then each slot
+    unknown locally takes the payload's value and becomes known."""
+    slots = [(o, r, j) for r, o in enumerate(payload.origins) if o in window
+             for j in range(payload.known.shape[1]) if payload.known[r, j]]
+    for o, r, j in slots:
+        local = window[o]
+        if local.known[j] and np.any(local.values[j] != payload.values[r, j]):
+            raise ProtocolCorruptionError(f"conflicting values for origin {o}")
+    for o, r, j in slots:
+        if not window[o].known[j]:
+            window[o].values[j] = payload.values[r, j]
+            window[o].known[j] = True
+
+
+@st.composite
+def history_and_payloads(draw):
+    """A receiver history plus 1-3 same-shape payloads with consecutive
+    origins, merged in turn.
+
+    Slots are scalar or 3-vectors, each payload's newest origin ranges from
+    older than the receiver's window to ahead of its newest tick, and a
+    payload may carry one forged value that conflicts with what the receiver
+    knows."""
     n = draw(st.integers(min_value=2, max_value=5))
     K = draw(st.integers(min_value=1, max_value=4))
     owner = draw(st.integers(min_value=1, max_value=n))
@@ -208,34 +252,47 @@ def payload_pairs(draw):
         hist.advance(t)
         hist.set_own(t, base[t, owner - 1])
 
-    sender_newest = draw(st.integers(min_value=max(0, ticks - K),
-                                     max_value=ticks + ahead))
-    origins = tuple(sender_newest - tau for tau in range(K))
-    known = np.zeros((K, n), dtype=bool)
-    values = np.zeros((K, n, *value_shape))
-    for r, o in enumerate(origins):
-        mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        for j, m in enumerate(mask):
-            if m and o >= 0:
-                known[r, j] = True
-                values[r, j] = base[o, j]
-    return hist, WindowPayload(origins=origins, values=values, known=known)
+    payloads = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        sender_newest = draw(st.integers(min_value=max(0, ticks - K),
+                                         max_value=ticks + ahead))
+        origins = tuple(sender_newest - tau for tau in range(K))
+        known = np.zeros((K, n), dtype=bool)
+        values = np.zeros((K, n, *value_shape))
+        for r, o in enumerate(origins):
+            mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            for j, m in enumerate(mask):
+                if m and o >= 0:
+                    known[r, j] = True
+                    values[r, j] = base[o, j]
+        if known.any() and draw(st.booleans()):
+            r, j = np.argwhere(known)[draw(st.integers(0, int(known.sum()) - 1))]
+            values[r, j] += 0.5
+        payloads.append(WindowPayload(origins=origins, values=values,
+                                      known=known))
+    return hist, payloads
 
 
-@settings(max_examples=80, deadline=None)
-@given(payload_pairs())
-def test_vectorized_merge_equals_row_by_row_merge(pair):
-    hist, payload = pair
-    import copy
-
-    a = copy.deepcopy(hist)
-    b = copy.deepcopy(hist)
-    a.merge_payload(payload)
-    oldest = b.newest_tick - b.K
-    b.merge([v for v in payload.vectors()
-             if oldest <= v.origin_tick <= b.newest_tick])
-    assert np.array_equal(a._values, b._values)
-    assert np.array_equal(a._known, b._known)
+@settings(max_examples=150, deadline=None)
+@given(history_and_payloads())
+def test_vectorized_merge_equals_row_by_row_merge(case):
+    hist, payloads = case
+    expected = _window(hist)
+    for payload in payloads:
+        try:
+            reference_merge(expected, payload)
+            conflict = False
+        except ProtocolCorruptionError:
+            conflict = True
+        if conflict:
+            with pytest.raises(ProtocolCorruptionError):
+                hist.merge_payload(payload)
+        else:
+            hist.merge_payload(payload)
+        got = _window(hist)
+        for o, vec in expected.items():
+            assert got[o].values.tobytes() == vec.values.tobytes()
+            assert (got[o].known == vec.known).all()
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +351,6 @@ def test_exchange_rejects_mismatched_stream_width():
     ch = Channel(ChannelModel(), g)
     with pytest.raises(ValueError):
         run_general_exchange(g, ch, np.zeros((4, 2)), K=2)
-
-
-def test_trace_rows_cover_every_window_slot():
-    g = GraphSchedule.line(2)
-    K = 1
-    ch = Channel(ChannelModel(seed=2), g)
-    res = run_general_exchange(g, ch, np.ones((3, 2)), K, collect_trace=True)
-    per_tick = 2 * (K + 1) * 2           # agents * window rows * slots
-    assert len(res.trace_rows) == 3 * per_tick
 
 
 def test_malformed_payloads_are_rejected():
