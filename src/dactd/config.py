@@ -68,7 +68,8 @@ class ExperimentConfig:
     """One comparison study, and the only description of an experiment:
     `learner.run_experiment(cfg, algorithm, seed)` runs one cell of its
     (algorithm, seed) grid.  Every setting is checked here, when the config
-    is built."""
+    is built.  Each run replaces the channel's seed field with a stream
+    spawned from the run seed."""
 
     name: str = "experiment"
     n_agents: int = 5
@@ -104,6 +105,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown graph kind {self.graph_kind!r}")
         if self.graph_kind == "custom" and not self.graph_edges:
             raise ConfigurationError("custom graph needs an edge list")
+        if self.graph_kind != "custom" and self.graph_edges:
+            raise ConfigurationError(
+                f"edges are set on a {self.graph_kind!r} graph; only a custom "
+                "graph takes edges")
         if not self.seeds:
             raise ConfigurationError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
@@ -169,8 +174,7 @@ class ExperimentConfig:
                       "edges": [list(e) for e in self.graph_edges]},
             "channel": {"t1": self.channel.t1, "t2": self.channel.t2,
                         "drop_prob": self.channel.drop_prob,
-                        "delay_law": self.channel.delay_law,
-                        "seed": self.channel.seed},
+                        "delay_law": self.channel.delay_law},
             "protocol": self.protocol,
             "algorithms": [{"kind": a.kind, "k": a.k} for a in self.algorithms],
             "actor": {"step": self.actor_step,
@@ -237,7 +241,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     graph_kind = str(graph.get("kind", "line"))
 
     chan = _require_mapping(raw.get("channel"), "channel")
-    _known_keys(chan, {"t1", "t2", "drop_prob", "delay_law", "seed"}, "channel")
+    _known_keys(chan, {"t1", "t2", "drop_prob", "delay_law"}, "channel")
 
     protocol_raw = str(raw.get("protocol", "general"))
     if protocol_raw not in PROTOCOL_ALIASES:
@@ -263,8 +267,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             t1=_as_int(chan.get("t1", 0), "t1"),
             t2=_as_int(chan.get("t2", 1), "t2"),
             drop_prob=float(chan.get("drop_prob", 0.0)),
-            delay_law=str(chan.get("delay_law", "uniform")),
-            seed=_as_int(chan.get("seed", 0), "channel seed"))
+            delay_law=str(chan.get("delay_law", "uniform")))
         return ExperimentConfig(
             name=str(raw.get("name", path.stem)),
             n_agents=env.get("n_agents", 5),

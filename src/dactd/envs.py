@@ -54,19 +54,8 @@ class JommdpSpec:
     def n_actions(self) -> int:
         return prod(self.local_action_sizes)
 
-    def state_index(self, s) -> int:
-        return int(np.ravel_multi_index(tuple(int(x) for x in s),
-                                        self.local_state_sizes))
-
     def index_state(self, idx: int) -> np.ndarray:
         return np.array(np.unravel_index(idx, self.local_state_sizes), dtype=np.int64)
-
-    def action_index(self, a) -> int:
-        return int(np.ravel_multi_index(tuple(int(x) for x in a),
-                                        self.local_action_sizes))
-
-    def index_action(self, idx: int) -> np.ndarray:
-        return np.array(np.unravel_index(idx, self.local_action_sizes), dtype=np.int64)
 
 
 class CoupledEnv:
@@ -131,10 +120,6 @@ class CoupledEnv:
         rewards[0] = q
         return rows, rewards
 
-    def next_state_probs(self, s, a) -> np.ndarray:
-        """Exact distribution over global next-state indices given (s, a)."""
-        return self.count_model()[0][int(np.sum(s) + np.sum(a))]
-
 
 def micro_env(gamma: float = 0.9) -> CoupledEnv:
     """Two-agent instance, small enough for exact oracle computations."""
@@ -168,10 +153,6 @@ class EnumeratedModel:
                            minlength=S * C).reshape(S, C)
         self.transition_pi = mass @ self.count_transition
         self.rewards_pi = self.count_rewards @ mass.T
-
-    @property
-    def team_rewards_pi(self) -> np.ndarray:
-        return self.rewards_pi.mean(axis=0)
 
 
 def joint_policy_probs(spec: JommdpSpec, local_policies) -> np.ndarray:

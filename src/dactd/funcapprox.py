@@ -67,12 +67,6 @@ def tabular_features(n_states: int) -> FeatureMap:
     return FeatureMap(dim=n_states, eval=lambda s: one_hot(int(s), n_states))
 
 
-def joint_tabular_features(local_sizes: tuple[int, ...]) -> FeatureMap:
-    """One-hot over the *global* state index (full-state tabular critic)."""
-    total = int(np.prod(local_sizes))
-    return FeatureMap(dim=total, eval=lambda s: one_hot(int(s), total))
-
-
 class LinearCritic:
     """V(s) = v . phi(s); the parameter gradient is exactly phi(s)."""
 
@@ -102,8 +96,8 @@ class LinearCritic:
 class MlpStack:
     """n_copies independent MLPs with shared architecture.
 
-    All parameters live in one (n_copies, n_params) array in the flat
-    checkpoint layout (each layer's weights row-major, then its biases).
+    All parameters live in one (n_copies, n_params) array, each row laid
+    out flat (each layer's weights row-major, then its biases).
     W[layer], of shape (n_copies, out, in), and b[layer], of shape
     (n_copies, out), are views of that array, so a flat step updates them
     in place.  Inputs are (n_copies, batch, in).  Hidden layers use the
@@ -190,7 +184,7 @@ class MlpStack:
                 delta = (delta @ self.W[l]) * leaky_grad(pre[l - 1], self.slope)
         return grads
 
-    # -- flat parameter vector (checkpoint format) --------------------------
+    # -- flat parameter vector ---------------------------------------------
 
     def _check_flat(self, flat: np.ndarray) -> np.ndarray:
         flat = np.asarray(flat, dtype=np.float64)
@@ -211,32 +205,6 @@ class MlpStack:
         self._flat += self._check_flat(flat_step)
 
 
-def save_params(path, stack: MlpStack) -> None:
-    """Portable text checkpoint: a small header plus one value per line."""
-    flat = stack.get_flat()
-    with open(path, "w") as fh:
-        fh.write("dactd-params v1\n")
-        fh.write("sizes: " + " ".join(str(s) for s in stack.sizes) + "\n")
-        fh.write(f"n_copies: {stack.n_copies}\n")
-        fh.write(f"slope: {stack.slope!r}\n")
-        for val in flat.ravel():
-            fh.write(f"{float(val)!r}\n")
-
-
-def load_params(path) -> MlpStack:
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != "dactd-params v1":
-            raise ValueError(f"unrecognized checkpoint header {magic!r}")
-        sizes = tuple(int(tok) for tok in fh.readline().split(":")[1].split())
-        n_copies = int(fh.readline().split(":")[1])
-        slope = float(fh.readline().split(":")[1])
-        values = np.array([float(line) for line in fh if line.strip()])
-    stack = MlpStack(sizes, n_copies, rng=None, slope=slope)
-    stack.set_flat(values.reshape(n_copies, stack.n_params))
-    return stack
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -244,21 +212,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Softmax policies (tabular logits or MLP logits)
+# Tabular softmax policies
 # ---------------------------------------------------------------------------
-
-class FixedTablePolicy:
-    """Non-parametric policy given directly as per-state action probabilities
-    (used for oracle sweeps over fixed policies, e.g. deterministic ones)."""
-
-    def __init__(self, table: np.ndarray):
-        self.table = np.asarray(table, dtype=np.float64)
-        if self.table.ndim != 2 or not np.allclose(self.table.sum(axis=1), 1.0):
-            raise ValueError("rows must be probability distributions")
-
-    def probs(self, s_local: int) -> np.ndarray:
-        return self.table[int(s_local)]
-
 
 class TabularSoftmaxPolicy:
     """One logit per (local state, action); parameters are the logit table."""
@@ -295,63 +250,6 @@ class TabularSoftmaxPolicy:
     def set_flat(self, flat: np.ndarray) -> None:
         self.logits = np.asarray(flat, dtype=np.float64).reshape(
             self.n_states, self.n_actions).copy()
-
-
-class MlpSoftmaxPolicy:
-    """Softmax head over MLP logits; local states enter one-hot encoded."""
-
-    def __init__(self, n_states: int, n_actions: int, hidden: tuple[int, ...],
-                 rng: np.random.Generator, slope: float = 0.3):
-        self.n_states = n_states
-        self.n_actions = n_actions
-        self.net = MlpStack((n_states, *hidden, n_actions), 1, rng, slope)
-
-    @property
-    def n_params(self) -> int:
-        return self.net.n_params
-
-    def probs(self, s_local: int) -> np.ndarray:
-        x = one_hot(np.array([[int(s_local)]]), self.n_states)
-        return softmax(self.net.forward(x))[0, 0]
-
-    def score(self, s_local: int, a_local: int) -> np.ndarray:
-        if not (0 <= a_local < self.n_actions):
-            raise ValueError(f"action {a_local} outside 0..{self.n_actions - 1}")
-        x = one_hot(np.array([[int(s_local)]]), self.n_states)
-        p = softmax(self.net.forward(x))
-        out_grad = -p
-        out_grad[0, 0, int(a_local)] += 1.0
-        return self.net.param_grads(x, out_grad)[0, 0]
-
-    def get_flat(self) -> np.ndarray:
-        return self.net.get_flat()[0]
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        self.net.set_flat(np.asarray(flat)[None, :])
-
-
-class MlpCritic:
-    """Scalar-output MLP critic; local states enter one-hot encoded."""
-
-    def __init__(self, n_states: int, hidden: tuple[int, ...],
-                 rng: np.random.Generator, slope: float = 0.3):
-        self.n_states = n_states
-        self.net = MlpStack((n_states, *hidden, 1), 1, rng, slope)
-
-    def value(self, s_local: int) -> float:
-        x = one_hot(np.array([[int(s_local)]]), self.n_states)
-        return float(self.net.forward(x)[0, 0, 0])
-
-    def grad(self, s_local: int) -> np.ndarray:
-        x = one_hot(np.array([[int(s_local)]]), self.n_states)
-        ones = np.ones((1, 1, 1))
-        return self.net.param_grads(x, ones)[0, 0]
-
-    def get_flat(self) -> np.ndarray:
-        return self.net.get_flat()[0]
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        self.net.set_flat(np.asarray(flat)[None, :])
 
 
 def finite_difference(f: Callable[[np.ndarray], float], x: np.ndarray,

@@ -144,9 +144,7 @@ def _make_driver(algorithm: str, protocol: str, graph: GraphSchedule,
             khop, value_shape)
     K = resolve_latency_window(protocol, graph, channel_model)
     if protocol == "general":
-        model = channel_model if channel_model is not None else ChannelModel()
-        if channel_seed is not None:
-            model = replace(model, seed=channel_seed)
+        model = replace(channel_model or ChannelModel(), seed=channel_seed)
         return GeneralProtocolDriver(graph, Channel(model, graph), K, value_shape)
     if protocol == "acyclic":
         return AcyclicProtocolDriver(graph, K, value_shape)

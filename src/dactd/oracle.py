@@ -96,14 +96,12 @@ def solve_model(model: EnumeratedModel) -> ExactSolution:
                          v_team=v_agents.mean(axis=0))
 
 
-def feature_matrix(spec: JommdpSpec, agent: int, fmap: FeatureMap,
-                   on_global: bool = False) -> np.ndarray:
-    """Features of every global state: rows are phi(s^agent) for local maps
-    or phi(global index) when on_global is set."""
+def feature_matrix(spec: JommdpSpec, agent: int,
+                   fmap: FeatureMap) -> np.ndarray:
+    """Features of every global state: row s is phi(s^agent), the local map
+    applied to the agent's own coordinate of s."""
     if not (1 <= agent <= spec.n_agents):
         raise ValueError(f"agent id {agent} outside 1..{spec.n_agents}")
-    if on_global:
-        return np.array([fmap(si) for si in range(spec.n_states)])
     local = np.array([fmap(x)
                       for x in range(spec.local_state_sizes[agent - 1])])
     return local[np.indices(spec.local_state_sizes)[agent - 1].ravel()]
@@ -210,17 +208,3 @@ def correction_terms(model: EnumeratedModel, d_pi: np.ndarray,
     corr_sa = corr_c[model.count_index] - dV[:, None]
     return _direction_from_table(model, d_pi, corr_sa, policies)
 
-
-def surrogate_objective(model: EnumeratedModel, d_frozen: np.ndarray,
-                        critic_tables: np.ndarray, local_policies) -> float:
-    """Scalar objective whose policy gradient equals update_direction when
-    the state distribution and critics are frozen:
-
-        J'(theta) = sum_s d(s) sum_a pi_theta(a|s) * delta_hat(s, a)
-
-    Used for finite-difference verification of the analytic direction."""
-    from .envs import joint_policy_probs
-
-    policy = joint_policy_probs(model.spec, local_policies)
-    table = advantage_table(model, np.asarray(critic_tables).mean(axis=0))
-    return float(d_frozen @ (policy * table).sum(axis=1))

@@ -35,7 +35,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .errors import (ConfigurationError, IncompleteAggregationError,
-                     ProtocolCorruptionError)
+                     NumericError, ProtocolCorruptionError)
 from .topology import GraphSchedule, classify, khop_neighbors, latency_bound
 from .transport import Channel, Message
 
@@ -97,9 +97,6 @@ class WindowPayload:
     def slot_count(self) -> int:
         return self.known.shape[0] * self.known.shape[1]
 
-    def as_tuple(self) -> tuple:
-        return (self.origins, self.values, self.known)
-
 
 class TDHistory:
     """Ring buffer of K+1 TD vectors, indexed by age tau = newest - origin.
@@ -128,6 +125,7 @@ class TDHistory:
         self.newest_tick = -1
         self._base = 0
         self._values = np.zeros((K + 1, n_agents, *self.value_shape))
+        self._bits = self._values.view(np.uint64)   # for bitwise compares
         self._known = np.ones((K + 1, n_agents), dtype=bool)
 
     def _row(self, origin_tick: int) -> int:
@@ -171,11 +169,12 @@ class TDHistory:
         """Vectorized merge of a whole window payload.
 
         Fill-in rule: received known values are copied into unknown slots.
-        Write-once: known slots are never touched, and a value that compares
-        unequal to an already-known slot raises ProtocolCorruptionError, so
-        merges are idempotent and order-independent.  Done in place on ring
-        slices.  Rows older than the local window are silently dropped (their cohort
-        was already read out and can no longer change), as are rows newer
+        Write-once: known slots are never touched, and a value whose bit
+        pattern differs from an already-known slot's (-0.0 against +0.0
+        included) raises ProtocolCorruptionError, so merges are idempotent
+        and order-independent.  Done in place on ring slices.  Rows older
+        than the local window are silently dropped (their cohort was
+        already read out and can no longer change), as are rows newer
         than it.
         """
         if not payload.origins:
@@ -185,29 +184,37 @@ class TDHistory:
         stop = min(len(payload.origins), self.K + 1 - lag)
         if first >= stop:
             return self
-        segments = []
+        segments = []                  # (ring rows, payload rows) pairs
         r = first
         for a, b in self._ring_slices(lag + first, stop - first):
-            segments.append((r, self._values[a:b], self._known[a:b],
-                             payload.values[r:r + b - a],
-                             payload.known[r:r + b - a]))
+            segments.append((slice(a, b), slice(r, r + b - a)))
             r += b - a
+        inc_bits = payload.values.view(np.uint64)
         slot_axes = tuple(range(2, 2 + len(self.value_shape)))
-        for r, loc_vals, loc_known, inc_vals, inc_known in segments:
-            both = loc_known & inc_known
-            if both.any():
-                differ = (loc_vals != inc_vals).any(axis=slot_axes)
-                if (both & differ).any():
-                    bad = np.argwhere(both & differ)[0]
-                    raise ProtocolCorruptionError(
-                        f"agent {self.owner}: conflicting values for origin "
-                        f"{payload.origins[r + int(bad[0])]}")
-        for _, loc_vals, loc_known, inc_vals, inc_known in segments:
-            new = inc_known & ~loc_known
-            if new.any():
-                np.copyto(loc_vals, inc_vals,
-                          where=new.reshape(new.shape + (1,) * len(slot_axes)))
-                loc_known |= new
+        for ring, rows in segments:
+            differ = self._bits[ring] != inc_bits[rows]
+            if slot_axes:
+                differ = differ.any(axis=slot_axes)
+            clash = self._known[ring] & payload.known[rows] & differ
+            if clash.any():
+                bad = np.argwhere(clash)[0]
+                raise ProtocolCorruptionError(
+                    f"agent {self.owner}: conflicting values for origin "
+                    f"{payload.origins[rows.start + int(bad[0])]}")
+        for ring, rows in segments:
+            loc_vals, loc_known = self._values[ring], self._known[ring]
+            inc_vals = payload.values[rows]
+            new = payload.known[rows] & ~loc_known
+            if not new.any():
+                continue
+            if slot_axes:
+                # A payload adds few slots: copying them by index costs
+                # their width, where a masked copy passes over the segment.
+                idx = np.nonzero(new)
+                loc_vals[idx] = inc_vals[idx]
+            else:
+                np.copyto(loc_vals, inc_vals, where=new)
+            loc_known |= new
         return self
 
     def vector_at(self, origin_tick: int) -> TDVector:
@@ -295,6 +302,14 @@ class GeneralProtocolDriver:
 
     def tick(self, t: int, deltas: np.ndarray) -> np.ndarray:
         n = self.n_agents
+        deltas = np.asarray(deltas, dtype=np.float64)
+        if deltas.shape != (n, *self.value_shape):
+            raise ValueError(f"expected shape {(n, *self.value_shape)}, "
+                             f"got {deltas.shape}")
+        bad = ~np.isfinite(deltas.reshape(n, -1)).all(axis=1)
+        if bad.any():
+            raise NumericError(f"tick {t}: non-finite TD error from agents "
+                               f"{(np.flatnonzero(bad) + 1).tolist()}")
         pre = {i: self.channel.drain(i, t) for i in range(1, n + 1)}
         for i in range(1, n + 1):
             self.aggs[i].begin_tick(t, deltas[i - 1])
@@ -528,7 +543,7 @@ def run_acyclic_exchange(graph: GraphSchedule, deltas: np.ndarray, K: int,
 def check_neighborhood_invariant(graph: GraphSchedule, deltas: np.ndarray,
                                  snapshots: list[tuple[np.ndarray, np.ndarray]],
                                  K: int) -> float:
-    """Worst absolute deviation of traced acyclic-protocol state from the
+    """Worst absolute deviation of snapshotted acyclic-protocol state from the
     exact-distance neighborhood sums it must equal.
 
     For every tick w, agent i, depth d in [1, K]: the level sum x[i, d] must

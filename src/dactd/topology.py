@@ -56,14 +56,6 @@ class GraphSchedule:
             raise ValueError(f"tick must be non-negative, got {t}")
         return self._period[t % len(self._period)]
 
-    def out_neighbors(self, i: int, t: int = 0) -> list[int]:
-        self._check_agent(i)
-        return sorted(dst for (src, dst) in self.edges_at(t) if src == i)
-
-    def in_neighbors(self, i: int, t: int = 0) -> list[int]:
-        self._check_agent(i)
-        return sorted(src for (src, dst) in self.edges_at(t) if dst == i)
-
     def always_present_edges(self) -> frozenset[Edge]:
         """Edges present at every tick of the period."""
         inter = set(self._period[0])

@@ -14,8 +14,7 @@ the seeded generator plus the caller iterating edges in a fixed order.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -65,29 +64,15 @@ class Message:
     deliver_tick: int
 
 
-@dataclass
-class SendAttempt:
-    """Trace record of one attempt_send call (for post-hoc guarantee checks)."""
-
-    tick: int
-    src: int
-    dst: int
-    success: bool
-    deliver_tick: int | None
-
-
 class Channel:
     """Stateful medium binding a ChannelModel to a GraphSchedule."""
 
-    def __init__(self, model: ChannelModel, graph: GraphSchedule,
-                 trace: bool = False):
+    def __init__(self, model: ChannelModel, graph: GraphSchedule):
         self.model = model
         self.graph = graph
         self._rng = np.random.default_rng(model.seed)
         self._pending: dict[tuple[int, int], list[Message]] = {}
         self._drop_streak: dict[tuple[int, int], int] = {}
-        self.attempt_log: list[SendAttempt] | None = [] if trace else None
-        self.delivery_log: list[Message] | None = [] if trace else None
 
     def attempt_send(self, edge: tuple[int, int], payload: Any, t: int) -> int | None:
         """Try to send payload over edge at tick t.
@@ -105,8 +90,6 @@ class Channel:
             success = self._rng.random() >= self.model.drop_prob
         if not success:
             self._drop_streak[edge] = streak + 1
-            if self.attempt_log is not None:
-                self.attempt_log.append(SendAttempt(t, src, dst, False, None))
             return None
         self._drop_streak[edge] = 0
         if self.model.delay_law == "fixed":
@@ -117,8 +100,6 @@ class Channel:
         msg = Message(src=src, dst=dst, payload=payload,
                       sent_tick=t, deliver_tick=deliver)
         self._pending.setdefault((deliver, dst), []).append(msg)
-        if self.attempt_log is not None:
-            self.attempt_log.append(SendAttempt(t, src, dst, True, deliver))
         return deliver
 
     def drain(self, dst: int, t: int) -> list[Message]:
@@ -126,49 +107,7 @@ class Channel:
         (src, sent_tick) with arrival order breaking ties."""
         msgs = self._pending.pop((t, dst), [])
         msgs.sort(key=lambda m: (m.src, m.sent_tick))
-        if self.delivery_log is not None:
-            self.delivery_log.extend(msgs)
         return msgs
 
     def pending_count(self) -> int:
         return sum(len(v) for v in self._pending.values())
-
-
-def payload_digest(payload: Any) -> str:
-    """Short stable hash of a payload (numpy arrays, scalars, tuples/lists)."""
-    h = hashlib.blake2b(digest_size=8)
-
-    def feed(obj: Any) -> None:
-        if isinstance(obj, np.ndarray):
-            h.update(b"A")
-            h.update(str(obj.dtype).encode())
-            h.update(str(obj.shape).encode())
-            h.update(np.ascontiguousarray(obj).tobytes())
-        elif isinstance(obj, (tuple, list)):
-            h.update(b"T")
-            for item in obj:
-                feed(item)
-        else:
-            h.update(b"S")
-            h.update(repr(obj).encode())
-
-    feed(payload)
-    return h.hexdigest()
-
-
-def check_delivery_guarantee(attempts: list[SendAttempt], t1: int, t2: int) -> bool:
-    """Post-hoc check of the channel guarantee on a send-attempt trace:
-    no edge accumulates more than t1 consecutive drops, and every delivery
-    delay is at most t2."""
-    streaks: dict[tuple[int, int], int] = {}
-    for a in attempts:
-        edge = (a.src, a.dst)
-        if a.success:
-            if a.deliver_tick is None or not (0 <= a.deliver_tick - a.tick <= t2):
-                return False
-            streaks[edge] = 0
-        else:
-            streaks[edge] = streaks.get(edge, 0) + 1
-            if streaks[edge] > t1:
-                return False
-    return True

@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import enumerate_model, micro_env
-from .funcapprox import (LinearCritic, MlpCritic, MlpSoftmaxPolicy, MlpStack,
-                         TabularSoftmaxPolicy, finite_difference,
-                         max_relative_error, one_hot, softmax,
-                         tabular_features)
-from .learner import StepSchedule, run_theory
+from .funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
+                         finite_difference, max_relative_error, one_hot,
+                         softmax, tabular_features)
+from .learner import StepSchedule, _score_table, run_theory
 from .oracle import (correction_terms, critic_fixed_point,
                      exact_policy_gradient, feature_matrix, ode_matrix,
                      solve_model, update_direction)
@@ -227,28 +226,31 @@ def _fd_case(kind: int, rng: np.random.Generator) -> float:
         slope = float(rng.choice([0.1, 0.3, 0.5]))
         net_rng = np.random.default_rng(int(rng.integers(2**31)))
         if kind == 0:
-            critic = MlpCritic(2, hidden, net_rng, slope)
-            s = int(rng.integers(0, 2))
-            if _min_hidden_preact(critic.net, one_hot([[s]], 2)) < KINK_MARGIN:
+            critic = MlpStack((2, *hidden, 1), 1, net_rng, slope)
+            x = one_hot([[int(rng.integers(0, 2))]], 2)
+            if _min_hidden_preact(critic, x) < KINK_MARGIN:
                 continue
-            analytic = critic.grad(s)
+            analytic = critic.param_grads(x, np.ones((1, 1, 1)))[0, 0]
 
             def f(flat):
-                critic.set_flat(flat)
-                return critic.value(s)
-            fd = finite_difference(f, critic.get_flat())
+                critic.set_flat(flat[None, :])
+                return float(critic.forward(x)[0, 0, 0])
+            fd = finite_difference(f, critic.get_flat()[0])
             return max_relative_error(analytic, fd)
         if kind == 1:
-            policy = MlpSoftmaxPolicy(2, 2, hidden, net_rng, slope)
+            # The episodic learner's own score table, row 2*s + a.
+            actor = MlpStack((2, *hidden, 2), 1, net_rng, slope)
             s, a = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-            if _min_hidden_preact(policy.net, one_hot([[s]], 2)) < KINK_MARGIN:
+            basis = np.eye(2)[None]
+            if _min_hidden_preact(actor, basis[:, [s]]) < KINK_MARGIN:
                 continue
-            analytic = policy.score(s, a)
+            probs = softmax(actor.forward(basis))
+            analytic = _score_table(actor, basis, probs)[0, 2 * s + a]
 
             def f(flat):
-                policy.set_flat(flat)
-                return float(np.log(policy.probs(s)[a]))
-            fd = finite_difference(f, policy.get_flat())
+                actor.set_flat(flat[None, :])
+                return float(np.log(softmax(actor.forward(basis))[0, s, a]))
+            fd = finite_difference(f, actor.get_flat()[0])
             return max_relative_error(analytic, fd)
         if kind == 2:
             policy = TabularSoftmaxPolicy(3, 3,

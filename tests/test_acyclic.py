@@ -65,7 +65,8 @@ def reference_run(graph, deltas, K):
     agent (corrections keyed by neighbour), from N per-agent states."""
     n, vs = graph.n_agents, deltas.shape[2:]
     agents = range(1, n + 1)
-    nbrs = {i: tuple(sorted(graph.out_neighbors(i))) for i in agents}
+    nbrs = {i: tuple(sorted(j for src, j in graph.edges_at(0) if src == i))
+            for i in agents}
     x = {i: np.zeros((K + 1, *vs)) for i in agents}
     y = {i: np.zeros((K, *vs)) for i in agents}
     corr = {i: {j: np.zeros((K, *vs)) for j in nbrs[i]} for i in agents}

@@ -81,6 +81,7 @@ def test_unknown_keys_are_rejected(tmp_path):
         "episodes: 5\nwalrus: 1\n",
         "env: {n_agents: 2, speed: 3}\n",
         "channel: {t1: 0, jitter: 2}\n",
+        "channel: {seed: 5}\n",      # each run spawns the channel's seed
         "actor: {step: 0.1, momentum: 0.9}\n",
         "critic: {step: 0.1, l2: 0.01}\n",
         "graph: {kind: line, weighted: true}\n",
@@ -216,6 +217,12 @@ def test_validation_failures_exit_1(config_file, tmp_path, capsys):
         """, name="stray.yaml")
     assert cli.main(["run", "--config", str(stray_radius), "--dry-run"]) == 1
     assert "only khop_sac takes k" in capsys.readouterr().err
+
+    # Edges on a named graph kind would be ignored.
+    ring_edges = _write(tmp_path, "graph: {kind: ring, edges: [[1, 2]]}\n",
+                        name="ring_edges.yaml")
+    assert cli.main(["run", "--config", str(ring_edges), "--dry-run"]) == 1
+    assert "only a custom graph takes edges" in capsys.readouterr().err
 
     # Values the model cannot honour, integers that would be truncated, and
     # malformed values.

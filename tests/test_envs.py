@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from dactd.envs import (CoupledEnv, enumerate_model, joint_policy_probs,
                         line_env, micro_env)
 from dactd.errors import CapacityError
-from dactd.funcapprox import FixedTablePolicy, TabularSoftmaxPolicy
+from dactd.funcapprox import TabularSoftmaxPolicy
+
+from helpers import FixedTablePolicy
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +83,7 @@ def test_next_state_law_is_an_independent_product():
     env = micro_env()
     s, a = np.array([1, 0]), np.array([0, 0])
     q = env.coupling(s, a)
-    probs = env.next_state_probs(s, a)
+    probs = env.count_model()[0][s.sum() + a.sum()]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     spec = env.spec
     joint = {tuple(spec.index_state(i)): probs[i] for i in range(spec.n_states)}
@@ -114,11 +116,11 @@ def test_initial_state_is_all_zeros():
 # ---------------------------------------------------------------------------
 
 def test_spec_indexing_round_trips():
-    spec = micro_env().spec
+    spec = CoupledEnv(3).spec
     for i in range(spec.n_states):
-        assert spec.state_index(spec.index_state(i)) == i
-    for i in range(spec.n_actions):
-        assert spec.action_index(spec.index_action(i)) == i
+        s = spec.index_state(i)
+        assert s.dtype == np.int64 and ((s == 0) | (s == 1)).all()
+        assert np.ravel_multi_index(tuple(s), spec.local_state_sizes) == i
 
 
 def test_transition_rows_are_stochastic():
@@ -132,7 +134,7 @@ def test_forced_policy_saturates_the_all_ones_state():
     force_one = FixedTablePolicy(np.array([[0.0, 1.0], [0.0, 1.0]]))
     model = enumerate_model(micro_env(), [force_one, force_one])
     spec = model.spec
-    s_all1 = spec.state_index(np.array([1, 1]))
+    s_all1 = np.ravel_multi_index((1, 1), spec.local_state_sizes)
     row = model.transition_pi[s_all1]
     assert row[s_all1] == pytest.approx(1.0, abs=1e-12)
 
@@ -156,8 +158,8 @@ def test_joint_policy_is_the_product_of_locals():
     probs = joint_policy_probs(spec, pols)
     assert probs.shape == (4, 4)
     assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
-    s = spec.state_index(np.array([0, 0]))
-    a = spec.action_index(np.array([0, 1]))
+    s = np.ravel_multi_index((0, 0), spec.local_state_sizes)
+    a = np.ravel_multi_index((0, 1), spec.local_action_sizes)
     expected = pols[0].probs(0)[0] * pols[1].probs(0)[1]
     assert probs[s, a] == pytest.approx(expected, abs=1e-15)
 
@@ -180,9 +182,3 @@ def test_ten_agents_enumerate_quickly_without_a_dense_kernel():
     assert time.perf_counter() - start < 2.0
     assert model.transition_pi.shape == (1024, 1024)
     assert np.abs(model.transition_pi.sum(axis=1) - 1.0).max() <= 1e-12
-
-
-def test_team_reward_is_the_agent_mean():
-    model = enumerate_model(micro_env(),
-                            [TabularSoftmaxPolicy(2, 2) for _ in range(2)])
-    assert np.allclose(model.team_rewards_pi, model.rewards_pi.mean(axis=0))

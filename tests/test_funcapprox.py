@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dactd.funcapprox import (FeatureMap, FixedTablePolicy, LinearCritic,
-                              MlpCritic, MlpSoftmaxPolicy, MlpStack,
-                              TabularSoftmaxPolicy, finite_difference,
-                              joint_tabular_features, leaky, leaky_grad,
-                              load_params, max_relative_error, one_hot,
-                              save_params, softmax, tabular_features)
+from dactd.funcapprox import (FeatureMap, LinearCritic, MlpStack,
+                              TabularSoftmaxPolicy, finite_difference, leaky,
+                              leaky_grad, max_relative_error, one_hot, softmax,
+                              tabular_features)
+from dactd.learner import _score_table
+
+from helpers import FixedTablePolicy
 
 
 def take_action(pol, s_local, u):
@@ -48,12 +49,6 @@ def test_feature_map_shape_is_enforced():
     bad = FeatureMap(dim=2, eval=lambda s: np.zeros(3))
     with pytest.raises(ValueError):
         bad(0)
-
-
-def test_joint_tabular_features_cover_the_product_space():
-    fmap = joint_tabular_features((2, 2))
-    assert fmap.dim == 4
-    assert np.array_equal(fmap(3), [0, 0, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +95,10 @@ def test_uniform_policy_scores_cancel_in_expectation():
 
 
 def test_probs_of_mlp_policy_normalize():
-    pol = MlpSoftmaxPolicy(2, 2, hidden=(4,), rng=np.random.default_rng(0))
-    for s in range(2):
-        p = pol.probs(s)
-        assert abs(p.sum() - 1.0) <= 1e-12
-        assert (p > 0).all()
+    actor = MlpStack((2, 4, 2), 1, np.random.default_rng(0), 0.3)
+    p = softmax(actor.forward(np.eye(2)[None]))[0]
+    assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
+    assert (p > 0).all()
 
 
 def test_dominant_action_has_vanishing_score():
@@ -164,16 +158,17 @@ def _fd_check(value_fn, grad, x0, tol=1e-4):
 
 
 def test_mlp_critic_gradient_matches_finite_differences():
-    critic = MlpCritic(2, hidden=(5, 5), rng=np.random.default_rng(3), slope=0.3)
-    x0 = critic.get_flat()
+    critic = MlpStack((2, 5, 5, 1), 1, np.random.default_rng(3), 0.3)
+    x = np.array([[[0.0, 1.0]]])          # local state 1, one-hot
+    x0 = critic.get_flat()[0]
 
     def value(w):
-        critic.set_flat(w)
-        return critic.value(1)
+        critic.set_flat(w[None, :])
+        return float(critic.forward(x)[0, 0, 0])
 
-    grad = critic.grad(1)
+    grad = critic.param_grads(x, np.ones((1, 1, 1)))[0, 0]
     _fd_check(value, grad, x0)
-    critic.set_flat(x0)
+    critic.set_flat(x0[None, :])
 
 
 def test_tabular_score_matches_finite_differences():
@@ -189,16 +184,21 @@ def test_tabular_score_matches_finite_differences():
 
 
 def test_mlp_policy_score_matches_finite_differences():
-    pol = MlpSoftmaxPolicy(2, 2, hidden=(6,), rng=np.random.default_rng(11),
-                           slope=0.3)
-    x0 = pol.get_flat()
+    # Row 2*s + a of the learner's score table is the gradient of
+    # log pi(a|s) = log softmax(actor(onehot(s)))[a].
+    actor = MlpStack((2, 6, 2), 2, np.random.default_rng(11), 0.3)
+    basis = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
+    table = _score_table(actor, basis, softmax(actor.forward(basis)))
+    x0 = actor.get_flat()
+    for agent, s, a in ((0, 0, 1), (1, 1, 0)):
+        def logp(w):
+            full = x0.copy()
+            full[agent] = w
+            actor.set_flat(full)
+            return float(np.log(softmax(actor.forward(basis))[agent, s, a]))
 
-    def logp(w):
-        pol.set_flat(w)
-        return float(np.log(pol.probs(0)[1]))
-
-    _fd_check(logp, pol.score(0, 1), x0)
-    pol.set_flat(x0)
+        _fd_check(logp, table[agent, 2 * s + a], x0[agent])
+    actor.set_flat(x0)
 
 
 def test_quadratic_finite_difference_sanity():
@@ -292,16 +292,6 @@ def test_stack_gradient_matches_finite_differences():
     grad = net.param_grads(x, og, per_sample=False)[0]
     _fd_check(value, grad, x0)
     net.set_flat(x0[None, :])
-
-
-def test_checkpoint_round_trip(tmp_path):
-    net = _stack(seed=6)
-    path = tmp_path / "weights.txt"
-    save_params(path, net)
-    loaded = load_params(path)
-    x = np.random.default_rng(7).normal(size=(3, 2, 2))
-    assert np.array_equal(net.forward(x), loaded.forward(x))
-    assert np.array_equal(net.get_flat(), loaded.get_flat())
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from dactd.funcapprox import LinearCritic, TabularSoftmaxPolicy, tabular_feature
 from dactd.learner import StepSchedule, run_experiment, run_theory
 from dactd.protocol import run_acyclic_exchange, run_general_exchange
 from dactd.topology import GraphSchedule, latency_bound
-from dactd.transport import Channel, ChannelModel, payload_digest
+from dactd.transport import Channel, ChannelModel
+
+from helpers import payload_digest
 
 LINE5 = Path(__file__).resolve().parents[1] / "configs" / "line5.yaml"
 
@@ -31,21 +33,34 @@ ACYCLIC_DIGEST = "800bf3e97c013c0c"
 ONLINE_DIGEST = "1bd385562499f2be"
 
 
+class RecordingChannel(Channel):
+    """A channel that keeps every message its receivers drain, in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.delivered = []
+
+    def drain(self, dst, t):
+        msgs = super().drain(dst, t)
+        self.delivered.extend(msgs)
+        return msgs
+
+
 def test_lossy_exchange_traffic_digest():
     # Lossy 6-agent line with delays: K = 20, and 3K ticks wrap every
     # agent's (K+1)-row ring several times while stale rows keep arriving.
     g = GraphSchedule.line(6)
     K = latency_bound(g, 2, 2)
-    ch = Channel(ChannelModel(t1=2, t2=2, drop_prob=0.4, seed=11), g,
-                 trace=True)
+    ch = RecordingChannel(ChannelModel(t1=2, t2=2, drop_prob=0.4, seed=11), g)
     deltas = np.random.default_rng(12).normal(size=(3 * K, 6, 3))
     res = run_general_exchange(g, ch, deltas, K)
     assert (res.readouts[K:] == res.reference[K:, None, :]).all()
     traffic = [(m.src, m.dst, m.sent_tick, m.deliver_tick,
-                payload_digest(m.payload.as_tuple()))
-               for m in ch.delivery_log]
+                payload_digest((m.payload.origins, m.payload.values,
+                                m.payload.known)))
+               for m in ch.delivered]
     # A delay of 2 ticks delivers a row older than the receiver's window.
-    assert max(m.deliver_tick - m.sent_tick for m in ch.delivery_log) == 2
+    assert max(m.deliver_tick - m.sent_tick for m in ch.delivered) == 2
     assert payload_digest([traffic, res.readouts]) == EXCHANGE_DIGEST
 
 

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from dactd.config import AlgorithmChoice, ExperimentConfig
 from dactd.envs import CoupledEnv, micro_env
 from dactd.errors import ConfigurationError, NumericError
-from dactd.funcapprox import (FeatureMap, LinearCritic, MlpCritic,
-                              MlpSoftmaxPolicy, MlpStack, TabularSoftmaxPolicy,
-                              joint_tabular_features, max_relative_error,
+from dactd.funcapprox import (FeatureMap, LinearCritic, MlpStack,
+                              TabularSoftmaxPolicy, max_relative_error,
                               softmax, tabular_features)
 from dactd.learner import (StepSchedule, TheoryRunResult, _fit_gradient,
                            _make_driver, _score_table, actor_step, critic_step,
@@ -275,11 +274,11 @@ def _bad_online_inputs():
     not_one_hot = FeatureMap(dim=2, eval=lambda s: np.array([1.0, float(s)]))
     policies, critics = _fresh_learners(2)
     cases = {
-        "mlp policy": dict(policies=[MlpSoftmaxPolicy(2, 2, (3,), rng)] * 2),
+        "mlp policy": dict(policies=[MlpStack((2, 3, 2), 1, rng)] * 2),
         "3-state policy": dict(policies=[TabularSoftmaxPolicy(3, 2)] * 2),
-        "mlp critic": dict(critics=[MlpCritic(2, (3,), rng)] * 2),
+        "mlp critic": dict(critics=[MlpStack((2, 3, 1), 1, rng)] * 2),
         "joint features": dict(critics=[LinearCritic(
-            joint_tabular_features((2, 2)))] * 2),
+            tabular_features(4))] * 2),             # one-hot over (2, 2)
         "not one-hot": dict(critics=[LinearCritic(not_one_hot)] * 2),
         "negative steps": dict(n_steps=-1),
         "fractional steps": dict(n_steps=2.5),
@@ -512,6 +511,10 @@ def test_spec_validation():
     # The graph is built from n_agents; edges naming a fourth agent fail.
     with pytest.raises(ValueError):
         replace(BASE, graph_kind="custom", graph_edges=((3, 4), (4, 3)))
+    # Edges on a named graph kind would be ignored.
+    with pytest.raises(ConfigurationError, match="only a custom graph"):
+        ExperimentConfig(n_agents=3, graph_kind="line",
+                         graph_edges=((1, 3), (3, 1)))
     # A run outside the config's grid skips none of its checks.
     with pytest.raises(ConfigurationError):
         run_experiment(BASE, AlgorithmChoice("khop_sac", 1), 0)

@@ -2,21 +2,34 @@
 import numpy as np
 import pytest
 
-from dactd.envs import CoupledEnv, enumerate_model, micro_env
+from dactd.envs import (CoupledEnv, enumerate_model, joint_policy_probs,
+                        micro_env)
 from dactd.errors import ModelError, RankError
-from dactd.funcapprox import (FixedTablePolicy, TabularSoftmaxPolicy,
-                              joint_tabular_features, max_relative_error,
+from dactd.funcapprox import (TabularSoftmaxPolicy, max_relative_error,
                               tabular_features)
-from dactd.oracle import (correction_terms, critic_fixed_point,
-                          exact_policy_gradient, feature_matrix, ode_matrix,
-                          solve_model, stationary_distribution,
-                          surrogate_objective, update_direction,
+from dactd.oracle import (advantage_table, correction_terms,
+                          critic_fixed_point, exact_policy_gradient,
+                          feature_matrix, ode_matrix, solve_model,
+                          stationary_distribution, update_direction,
                           value_functions)
+
+from helpers import FixedTablePolicy
 
 
 def _uniform_model():
     return enumerate_model(micro_env(),
                            [TabularSoftmaxPolicy(2, 2) for _ in range(2)])
+
+
+def surrogate_objective(model, d_frozen, critic_tables, local_policies):
+    """Scalar objective whose policy gradient equals update_direction when
+    the state distribution and critics are frozen:
+
+        J'(theta) = sum_s d(s) sum_a pi_theta(a|s) * delta_hat(s, a)
+    """
+    policy = joint_policy_probs(model.spec, local_policies)
+    table = advantage_table(model, np.asarray(critic_tables).mean(axis=0))
+    return float(d_frozen @ (policy * table).sum(axis=1))
 
 
 def _random_policies(seed=42):
@@ -93,7 +106,7 @@ def test_all_ones_is_the_best_deterministic_policy():
               np.array([[0.0, 1.0], [0.0, 1.0]]),   # always 1
               np.array([[1.0, 0.0], [0.0, 1.0]]),   # copy state
               np.array([[0.0, 1.0], [1.0, 0.0]])]   # flip state
-    start = env.spec.state_index(np.array([0, 0]))
+    start = 0                                        # the all-zeros state
     scores = {}
     for i, ta in enumerate(tables):
         for j, tb in enumerate(tables):
@@ -123,8 +136,7 @@ def test_myopic_fixed_point_is_the_reward_vector():
 def test_full_state_fixed_point_is_the_true_value_function():
     model = _uniform_model()
     d = stationary_distribution(model.transition_pi)
-    Phi = feature_matrix(model.spec, 1, joint_tabular_features((2, 2)),
-                         on_global=True)
+    Phi = np.eye(4)                         # one-hot over global states
     v = critic_fixed_point(model, d, 1, Phi)
     direct = np.linalg.solve(np.eye(4) - model.spec.gamma * model.transition_pi,
                              model.rewards_pi[0])
@@ -259,6 +271,10 @@ def test_ode_matrix_scales_rows_like_the_diagonal_product():
 # Slow references: the per-(s, a) loops the count-factorised model replaced
 # ---------------------------------------------------------------------------
 
+def _index_action(spec, ai):
+    return np.array(np.unravel_index(ai, spec.local_action_sizes))
+
+
 def _ref_next_state_probs(env, s, a):
     q = env.coupling(s, a)
     per_agent = np.array([1.0 - q, q])
@@ -289,7 +305,7 @@ def _ref_enumerate(env, local_policies):
     policy = _ref_joint_policy_probs(spec, local_policies)
     transition_sa = np.zeros((S, A, S))
     rewards_sa = np.zeros((spec.n_agents, S, A))
-    actions = [spec.index_action(ai) for ai in range(A)]
+    actions = [_index_action(spec, ai) for ai in range(A)]
     for si in range(S):
         s = spec.index_state(si)
         for ai, a in enumerate(actions):
@@ -301,7 +317,7 @@ def _ref_enumerate(env, local_policies):
 def _ref_direction_from_table(spec, policy_probs, d_pi, table_sa, policies):
     w_sa = d_pi[:, None] * policy_probs * table_sa
     states = [spec.index_state(si) for si in range(spec.n_states)]
-    actions = [spec.index_action(ai) for ai in range(spec.n_actions)]
+    actions = [_index_action(spec, ai) for ai in range(spec.n_actions)]
     out = []
     for i, pol in enumerate(policies):
         w_local = np.zeros((spec.local_state_sizes[i],
@@ -318,11 +334,11 @@ def _ref_direction_from_table(spec, policy_probs, d_pi, table_sa, policies):
     return out
 
 
-def _ref_feature_matrix(spec, agent, fmap, on_global=False):
+def _ref_feature_matrix(spec, agent, fmap):
     rows = []
     for si in range(spec.n_states):
         s = spec.index_state(si)
-        rows.append(fmap(si if on_global else int(s[agent - 1])))
+        rows.append(fmap(int(s[agent - 1])))
     return np.array(rows)
 
 
@@ -366,9 +382,6 @@ def test_count_model_matches_the_dense_reference(n, draw):
     for i in range(1, n + 1):
         assert np.array_equal(feature_matrix(spec, i, fmap),
                               _ref_feature_matrix(spec, i, fmap))
-    joint = joint_tabular_features(spec.local_state_sizes)
-    assert np.array_equal(feature_matrix(spec, 1, joint, on_global=True),
-                          _ref_feature_matrix(spec, 1, joint, on_global=True))
 
     sol = solve_model(model)
     critics = rng.normal(size=(n, spec.n_states))

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dactd.errors import IncompleteAggregationError, ProtocolCorruptionError
-from dactd.protocol import (NeighborhoodDriver, TDHistory, WindowPayload,
-                            ascending_mean, centralized_team_td,
-                            run_general_exchange)
+from dactd.errors import (IncompleteAggregationError, NumericError,
+                          ProtocolCorruptionError)
+from dactd.protocol import (GeneralProtocolDriver, NeighborhoodDriver,
+                            TDHistory, WindowPayload, ascending_mean,
+                            centralized_team_td, run_general_exchange)
 from dactd.topology import GraphSchedule, latency_bound
 from dactd.transport import Channel, ChannelModel
 
@@ -213,14 +214,15 @@ def reference_merge(window, payload):
     """Per-slot write-once fill-in of a payload into ``_window`` vectors.
 
     Every known payload slot whose origin is in the window is checked first:
-    a slot known on both sides with a different value raises
+    a slot known on both sides with different bits raises
     ProtocolCorruptionError before anything is written.  Then each slot
     unknown locally takes the payload's value and becomes known."""
     slots = [(o, r, j) for r, o in enumerate(payload.origins) if o in window
              for j in range(payload.known.shape[1]) if payload.known[r, j]]
     for o, r, j in slots:
         local = window[o]
-        if local.known[j] and np.any(local.values[j] != payload.values[r, j]):
+        if (local.known[j] and local.values[j].tobytes()
+                != payload.values[r, j].tobytes()):
             raise ProtocolCorruptionError(f"conflicting values for origin {o}")
     for o, r, j in slots:
         if not window[o].known[j]:
@@ -351,6 +353,10 @@ def test_exchange_rejects_mismatched_stream_width():
     ch = Channel(ChannelModel(), g)
     with pytest.raises(ValueError):
         run_general_exchange(g, ch, np.zeros((4, 2)), K=2)
+    # One value per agent would otherwise fill every 3-value slot.
+    driver = GeneralProtocolDriver(g, ch, 2, (3,))
+    with pytest.raises(ValueError, match=r"expected shape \(3, 3\)"):
+        driver.tick(0, np.zeros((3, 1)))
 
 
 def test_malformed_payloads_are_rejected():
@@ -377,6 +383,36 @@ def test_forged_conflicting_payload_is_detected():
                            known=np.array([[True, False]]))
     with pytest.raises(ProtocolCorruptionError):
         h.merge_payload(forged)
+
+
+def test_forged_signed_zero_over_a_known_zero_is_detected():
+    # The conflict check compares bits: -0.0 == +0.0, but it is not the
+    # value the origin sent.
+    h = TDHistory(1, 2, K=1)
+    h.advance(0)
+    h.set_own(0, 0.0)
+    h.merge_payload(_one_row(0, [0.0, 0.0], [True, False]))
+    with pytest.raises(ProtocolCorruptionError, match="origin 0"):
+        h.merge_payload(_one_row(0, [-0.0, 0.0], [True, False]))
+
+
+def test_non_finite_td_error_is_rejected_before_the_tick_changes_state():
+    g = GraphSchedule.line(3)
+    K = latency_bound(g, 0, 1)
+    driver = GeneralProtocolDriver(g, Channel(ChannelModel(), g), K)
+    deltas = _random_stream(np.random.default_rng(8), K + 4, 3)
+    poisoned = deltas[1].copy()
+    poisoned[1] = np.nan
+    driver.tick(0, deltas[0])
+    with pytest.raises(NumericError, match=r"tick 1: .* agents \[2\]"):
+        driver.tick(1, poisoned)
+    # Nothing was drained, advanced or sent: the run resumes unchanged.
+    readouts = [driver.tick(t, deltas[t]) for t in range(1, len(deltas))]
+    for t, got in enumerate(readouts[K - 1:], start=K):
+        assert (got == centralized_team_td(deltas[t - K])).all()
+    with pytest.raises(NumericError):
+        run_general_exchange(g, Channel(ChannelModel(), g),
+                             np.where(np.arange(3) == 2, np.inf, deltas), K)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from dactd.errors import ConfigurationError, TransportError
 from dactd.topology import GraphSchedule
-from dactd.transport import (Channel, ChannelModel, check_delivery_guarantee,
-                             payload_digest)
+from dactd.transport import Channel, ChannelModel
+
+from helpers import payload_digest
 
 PAIR = GraphSchedule.static(2, {(1, 2), (2, 1)})
 
@@ -137,6 +138,24 @@ def test_payload_carried_verbatim():
 # The delivery guarantee, checked on traces
 # ---------------------------------------------------------------------------
 
+def check_delivery_guarantee(attempts, t1: int, t2: int) -> bool:
+    """Post-hoc check of the channel guarantee on ``(tick, edge, result)``
+    records of ``attempt_send`` calls, where the result is None for a drop
+    and the delivery tick otherwise: no edge accumulates more than t1
+    consecutive drops, and every delivery delay is at most t2."""
+    streaks: dict[tuple[int, int], int] = {}
+    for tick, edge, deliver in attempts:
+        if deliver is None:
+            streaks[edge] = streaks.get(edge, 0) + 1
+            if streaks[edge] > t1:
+                return False
+        else:
+            if not (0 <= deliver - tick <= t2):
+                return False
+            streaks[edge] = 0
+    return True
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=3),
        st.integers(min_value=1, max_value=3),
@@ -144,24 +163,21 @@ def test_payload_carried_verbatim():
        st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_traces_always_satisfy_the_guarantee(t1, t2, drop, seed):
     model = ChannelModel(t1=t1, t2=t2, drop_prob=drop, seed=seed)
-    ch = Channel(model, PAIR, trace=True)
-    for t in range(60):
-        ch.attempt_send((1, 2), t, t)
-        ch.attempt_send((2, 1), t, t)
-    assert check_delivery_guarantee(ch.attempt_log, t1, t2)
-    for a in ch.attempt_log:
-        if a.success:
-            assert 0 <= a.deliver_tick - a.tick <= t2
+    ch = Channel(model, PAIR)
+    attempts = [(t, edge, ch.attempt_send(edge, t, t))
+                for t in range(60) for edge in ((1, 2), (2, 1))]
+    assert check_delivery_guarantee(attempts, t1, t2)
+    for tick, _, deliver in attempts:
+        if deliver is not None:
+            assert 0 <= deliver - tick <= t2
 
 
 def test_guarantee_checker_flags_violations():
-    from dactd.transport import SendAttempt
-
-    late = [SendAttempt(0, 1, 2, True, 5)]
+    late = [(0, (1, 2), 5)]
     assert not check_delivery_guarantee(late, t1=2, t2=1)
-    streak = [SendAttempt(t, 1, 2, False, None) for t in range(3)]
+    streak = [(t, (1, 2), None) for t in range(3)]
     assert not check_delivery_guarantee(streak, t1=1, t2=1)
-    ok = [SendAttempt(0, 1, 2, False, None), SendAttempt(1, 1, 2, True, 2)]
+    ok = [(0, (1, 2), None), (1, (1, 2), 2)]
     assert check_delivery_guarantee(ok, t1=1, t2=1)
 
 
