@@ -543,8 +543,8 @@ def run_acyclic_exchange(graph: GraphSchedule, deltas: np.ndarray, K: int,
 def check_neighborhood_invariant(graph: GraphSchedule, deltas: np.ndarray,
                                  snapshots: list[tuple[np.ndarray, np.ndarray]],
                                  K: int) -> float:
-    """Worst absolute deviation of snapshotted acyclic-protocol state from the
-    exact-distance neighborhood sums it must equal.
+    """Worst absolute deviation of the acyclic driver's snapshots from the
+    exact-distance neighborhood sums they must equal.
 
     For every tick w, agent i, depth d in [1, K]: the level sum x[i, d] must
     equal the sum of tick-(w-d) TD errors over agents within distance <= d
