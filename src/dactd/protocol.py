@@ -92,6 +92,10 @@ class WindowPayload:
             raise ValueError(
                 f"payload of {len(self.origins)} origins has values "
                 f"{self.values.shape} and known {self.known.shape}")
+        if self.values.dtype != np.float64:
+            # The conflict check compares float64 bit patterns.
+            raise ValueError(f"payload values are {self.values.dtype}, "
+                             f"not float64")
 
     @property
     def slot_count(self) -> int:
@@ -125,7 +129,6 @@ class TDHistory:
         self.newest_tick = -1
         self._base = 0
         self._values = np.zeros((K + 1, n_agents, *self.value_shape))
-        self._bits = self._values.view(np.uint64)   # for bitwise compares
         self._known = np.ones((K + 1, n_agents), dtype=bool)
 
     def _row(self, origin_tick: int) -> int:
@@ -184,37 +187,29 @@ class TDHistory:
         stop = min(len(payload.origins), self.K + 1 - lag)
         if first >= stop:
             return self
-        segments = []                  # (ring rows, payload rows) pairs
+        segments = []
         r = first
         for a, b in self._ring_slices(lag + first, stop - first):
-            segments.append((slice(a, b), slice(r, r + b - a)))
+            segments.append((r, self._values[a:b], self._known[a:b],
+                             payload.values[r:r + b - a],
+                             payload.known[r:r + b - a]))
             r += b - a
-        inc_bits = payload.values.view(np.uint64)
         slot_axes = tuple(range(2, 2 + len(self.value_shape)))
-        for ring, rows in segments:
-            differ = self._bits[ring] != inc_bits[rows]
-            if slot_axes:
-                differ = differ.any(axis=slot_axes)
-            clash = self._known[ring] & payload.known[rows] & differ
-            if clash.any():
-                bad = np.argwhere(clash)[0]
-                raise ProtocolCorruptionError(
-                    f"agent {self.owner}: conflicting values for origin "
-                    f"{payload.origins[rows.start + int(bad[0])]}")
-        for ring, rows in segments:
-            loc_vals, loc_known = self._values[ring], self._known[ring]
-            inc_vals = payload.values[rows]
-            new = payload.known[rows] & ~loc_known
-            if not new.any():
-                continue
-            if slot_axes:
-                # A payload adds few slots: copying them by index costs
-                # their width, where a masked copy passes over the segment.
-                idx = np.nonzero(new)
-                loc_vals[idx] = inc_vals[idx]
-            else:
-                np.copyto(loc_vals, inc_vals, where=new)
-            loc_known |= new
+        for r, loc_vals, loc_known, inc_vals, inc_known in segments:
+            both = loc_known & inc_known
+            if both.any():
+                differ = (loc_vals.view(np.uint64) != inc_vals.view(np.uint64)
+                          ).any(axis=slot_axes)
+                if (both & differ).any():
+                    bad = np.argwhere(both & differ)[0]
+                    raise ProtocolCorruptionError(
+                        f"agent {self.owner}: conflicting values for origin "
+                        f"{payload.origins[r + int(bad[0])]}")
+        for _, loc_vals, loc_known, inc_vals, inc_known in segments:
+            new = inc_known & ~loc_known
+            if new.any():
+                loc_vals[new] = inc_vals[new]
+                loc_known |= new
         return self
 
     def vector_at(self, origin_tick: int) -> TDVector:

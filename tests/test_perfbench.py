@@ -18,7 +18,7 @@ KNOWN_MISSING = {"TabularSoftmaxPolicy.sample_action"}
 def test_bench_patch_sites_exist(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
-    import workloads
+    import workloads  # noqa: F401  (fails if a name it imports is gone)
     from spans import Tracer
 
     tracer = Tracer()
@@ -27,5 +27,3 @@ def test_bench_patch_sites_exist(monkeypatch):
     finally:
         tracer.unpatch()
     assert set(tracer.missing) <= KNOWN_MISSING, tracer.missing
-    assert set(workloads.WORKLOADS) == {"episodic_line5", "exchange_n40",
-                                        "online_tv7"}

@@ -372,6 +372,9 @@ def test_malformed_payloads_are_rejected():
     with pytest.raises(ValueError):       # known one row short
         WindowPayload(origins=(2, 1), values=np.zeros((2, 2)),
                       known=np.zeros((1, 2), dtype=bool))
+    with pytest.raises(ValueError):       # integer values
+        WindowPayload(origins=(2, 1), values=np.zeros((2, 2), dtype=int),
+                      known=np.zeros((2, 2), dtype=bool))
 
 
 def test_forged_conflicting_payload_is_detected():
