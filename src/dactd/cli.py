@@ -8,7 +8,6 @@ Subcommands:
 * ``verify``      — randomized property suites with exact oracles.
 * ``oracle``      — dump exact quantities (stationary law, values, gradient)
                     for an enumerable config.
-* ``grad-check``  — finite-difference check of all analytic gradients.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime protocol violation,
 3 property-suite failure.
@@ -32,7 +31,7 @@ from .errors import (ConfigurationError, DactdError, IncompleteAggregationError,
 from .funcapprox import TabularSoftmaxPolicy
 from .learner import RunResult, run_experiment
 from .oracle import exact_policy_gradient, ode_matrix, solve_model
-from .verify import ALL_SUITES, gradient_suite, run_suite
+from .verify import ALL_SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -140,38 +139,24 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     grads = exact_policy_gradient(sol, policies)
 
     spec = model.spec
+    rows = ["state,d_pi," + ",".join(f"v_{i}" for i in range(1, n_agents + 1))
+            + ",v_team"]
+    for s in range(spec.n_states):
+        vals = ",".join(_fmt(sol.v_agents[i, s]) for i in range(n_agents))
+        rows.append(f"{spec.index_state(s)},{_fmt(sol.d_pi[s])},{vals},"
+                    f"{_fmt(sol.v_team[s])}")
     print(f"states: {spec.n_states}, joint actions: {spec.n_actions}, "
           f"gamma: {gamma}")
     print(f"drift-matrix max eigenvalue real part: {evals.real.max():.6g}")
-    print("state,d_pi," + ",".join(f"v_{i}" for i in range(1, n_agents + 1))
-          + ",v_team")
-    for s in range(spec.n_states):
-        vals = ",".join(_fmt(sol.v_agents[i, s]) for i in range(n_agents))
-        print(f"{spec.index_state(s)},{_fmt(sol.d_pi[s])},{vals},"
-              f"{_fmt(sol.v_team[s])}")
+    print("\n".join(rows))
     for i, g in enumerate(grads, start=1):
         print(f"grad agent {i}: " + " ".join(_fmt(v) for v in g))
     if ns.out is not None:
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
-        rows = ["state,d_pi,"
-                + ",".join(f"v_{i}" for i in range(1, n_agents + 1)) + ",v_team"]
-        for s in range(spec.n_states):
-            vals = ",".join(_fmt(sol.v_agents[i, s]) for i in range(n_agents))
-            rows.append(f"\"{spec.index_state(s)}\",{_fmt(sol.d_pi[s])},{vals},"
-                        f"{_fmt(sol.v_team[s])}")
         (out / "oracle.csv").write_text("\n".join(rows) + "\n")
         print(f"oracle table -> {out / 'oracle.csv'}")
     return EXIT_OK
-
-
-def cmd_grad_check(ns: argparse.Namespace) -> int:
-    kwargs = {"n_cases": ns.draws}
-    if ns.seed is not None:
-        kwargs["seed"] = ns.seed
-    report = gradient_suite(**kwargs)
-    print(report.summary())
-    return EXIT_OK if report.passed else EXIT_SUITE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,11 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="random policy logits (default: uniform policies)")
     p_or.add_argument("--out", default=None)
     p_or.set_defaults(func=cmd_oracle)
-
-    p_gc = sub.add_parser("grad-check", help="finite-difference gradient check")
-    p_gc.add_argument("--draws", type=int, default=100)
-    p_gc.add_argument("--seed", type=int, default=None)
-    p_gc.set_defaults(func=cmd_grad_check)
     return parser
 
 

@@ -24,10 +24,12 @@ over the four (local state, action) pairs.
 Every algorithm is one aggregation driver ticked once per episode: `dac_td`
 runs a protocol driver, and the baselines are `NeighborhoodDriver`s, the
 k-hop neighbourhood mean with lag k for `khop_sac` and k = 0 for
-`independent_ac`.  All algorithms consume the environment / policy /
-initialization random streams identically; with k equal to the
-communication graph's diameter the k-hop baseline reproduces the
-decentralized run bit for bit.
+`independent_ac`.  Agent i's k-hop neighbourhood is every agent with a
+directed path of at most k edges to i, the agents whose TD errors any
+protocol can deliver to i within k hops.  All algorithms consume the
+environment / policy / initialization random streams identically; with k
+equal to the communication graph's diameter the k-hop baseline reproduces
+the decentralized run bit for bit.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from .funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
                          softmax)
 from .protocol import (AcyclicProtocolDriver, GeneralProtocolDriver,
                        NeighborhoodDriver)
-from .topology import GraphSchedule, khop_neighbors, latency_bound
+from .topology import GraphSchedule, cumulative_neighborhoods, latency_bound
 from .transport import Channel, ChannelModel
 
 if TYPE_CHECKING:
@@ -139,9 +141,8 @@ def _make_driver(algorithm: str, protocol: str, graph: GraphSchedule,
     is an `AlgorithmChoice`'s k, which is 0 for every kind but khop_sac."""
     n = graph.n_agents
     if algorithm != "dac_td":
-        return NeighborhoodDriver(
-            [cumulative_neighborhood(graph, i, khop) for i in range(1, n + 1)],
-            khop, value_shape)
+        return NeighborhoodDriver(cumulative_neighborhoods(graph, khop),
+                                  khop, value_shape)
     K = resolve_latency_window(protocol, graph, channel_model)
     if protocol == "general":
         model = replace(channel_model or ChannelModel(), seed=channel_seed)
@@ -309,15 +310,6 @@ class RunResult:
     payload_slots: int
     actor_params: np.ndarray        # (n, P) final policy parameters
     critic_params: np.ndarray       # (n, Q) final critic parameters
-
-
-def cumulative_neighborhood(graph: GraphSchedule, agent: int,
-                            k: int) -> list[int]:
-    """Sorted agents within graph distance k of ``agent`` (self included)."""
-    members: set[int] = set()
-    for d in range(k + 1):
-        members |= khop_neighbors(graph, agent, d)
-    return sorted(members)
 
 
 def _value_table(net: MlpStack, basis: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, IncompleteAggregationError,
                      NumericError, ProtocolCorruptionError)
-from .topology import GraphSchedule, classify, khop_neighbors, latency_bound
+from .topology import GraphSchedule, classify, hop_distances, latency_bound
 from .transport import Channel, Message
 
 
@@ -551,37 +551,28 @@ def check_neighborhood_invariant(graph: GraphSchedule, deltas: np.ndarray,
     deltas = np.asarray(deltas, dtype=np.float64)
     n = graph.n_agents
     pairs = sorted(graph.edges_at(0))     # the driver's correction rows
-    maxd = max(K, 1)
-    exact: dict[int, list[set[int]]] = {
-        i: [khop_neighbors(graph, i, d) for d in range(maxd + 1)]
-        for i in range(1, n + 1)}
-    cum: dict[int, list[set[int]]] = {}
-    for i in range(1, n + 1):
-        run: set[int] = set()
-        cum[i] = []
-        for d in range(maxd + 1):
-            run = run | exact[i][d]
-            cum[i].append(set(run))
+    dist = hop_distances(n, graph.edges_at(0), undirected=True)
 
-    def cohort_sum(agents: set[int], origin: int) -> np.ndarray:
-        shape = deltas.shape[2:]
-        if origin < 0 or not agents:
-            return np.zeros(shape) if shape else np.float64(0.0)
-        total = np.zeros(shape) if shape else np.float64(0.0)
-        for a in sorted(agents):
-            total = total + deltas[origin, a - 1]
+    def within(i: int, d: int) -> np.ndarray:
+        return (dist[i - 1] >= 0) & (dist[i - 1] <= d)
+
+    def cohort_sum(agents: np.ndarray, origin: int) -> np.ndarray:
+        total = np.zeros(deltas.shape[2:])
+        if origin >= 0:
+            for a in np.flatnonzero(agents):
+                total = total + deltas[origin, a]
         return total
 
     worst = 0.0
     for w, (level_sums, corrections) in enumerate(snapshots):
         for i in range(1, n + 1):
             for d in range(1, K + 1):
-                expected = cohort_sum(cum[i][d], w - d)
+                expected = cohort_sum(within(i, d), w - d)
                 worst = max(worst, float(np.max(np.abs(level_sums[i - 1, d]
                                                        - expected))))
         for (i, j), zarr in zip(pairs, corrections):
             for d in range(1, K):
-                ring = exact[i][d] - cum[j][d - 1]
+                ring = (dist[i - 1] == d) & ~within(j, d - 1)
                 expected = cohort_sum(ring, w - d)
                 worst = max(worst, float(np.max(np.abs(zarr[d] - expected))))
     return worst

@@ -3,7 +3,8 @@
 A :class:`GraphSchedule` assigns a set of directed edges ``(src, dst)`` over
 agents ``{1..n_agents}`` to every tick.  Time-varying schedules repeat a
 finite sequence of edge sets.  The module answers the structural queries the
-aggregation protocols need: exact-distance neighborhoods, the worst-case
+aggregation protocols need, all from one hop-distance table
+(:func:`hop_distances`): exact-distance neighborhoods, the worst-case
 propagation bound of the delivery guarantee, and the static-graph
 classification that gates the acyclic protocol.
 
@@ -13,8 +14,10 @@ concurrently running simulation replicas.
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigurationError, TopologyError
 
@@ -109,30 +112,39 @@ class GraphSchedule:
         return f"GraphSchedule(n_agents={self.n_agents}, {kind})"
 
 
-def _adjacency(g: GraphSchedule, t: int, undirected: bool) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {i: set() for i in range(1, g.n_agents + 1)}
-    for src, dst in g.edges_at(t):
-        adj[src].add(dst)
+def hop_distances(n_agents: int, edges: Iterable[Edge],
+                  undirected: bool = False) -> np.ndarray:
+    """(N, N) fewest-edge path lengths, by one breadth-first search per source
+    agent: entry ``[i-1, j-1]`` counts the edges of a shortest directed path
+    from agent i to agent j, and is -1 where there is no path.
+    ``undirected=True`` also walks every edge backwards."""
+    adj: list[list[int]] = [[] for _ in range(n_agents)]
+    for src, dst in edges:
+        adj[src - 1].append(dst - 1)
         if undirected:
-            adj[dst].add(src)
-    return adj
-
-
-def _bfs_distances(adj: dict[int, set[int]], i: int) -> dict[int, int]:
-    dist = {i: 0}
-    frontier = deque([i])
-    while frontier:
-        u = frontier.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                frontier.append(v)
-    return dist
+            adj[dst - 1].append(src - 1)
+    rows = []
+    for i in range(n_agents):
+        row = [-1] * n_agents
+        row[i] = 0
+        frontier, d = [i], 0
+        while frontier:
+            d += 1
+            reached = []
+            for u in frontier:
+                for v in adj[u]:
+                    if row[v] < 0:
+                        row[v] = d
+                        reached.append(v)
+            frontier = reached
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
 
 
 def khop_neighbors(g: GraphSchedule, i: int, k: int,
-                   t: int = 0, undirected: bool = True) -> set[int]:
-    """Agents at graph distance exactly ``k`` from agent ``i`` at tick ``t``.
+                   undirected: bool = True) -> set[int]:
+    """Agents at graph distance exactly ``k`` from agent ``i`` over the edges
+    present at every tick.
 
     Distance 0 is the singleton ``{i}``; the result is empty once ``k``
     exceeds the eccentricity of ``i``.  By default edges are treated as
@@ -142,23 +154,17 @@ def khop_neighbors(g: GraphSchedule, i: int, k: int,
     g._check_agent(i)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    dist = _bfs_distances(_adjacency(g, t, undirected), i)
-    return {j for j, d in dist.items() if d == k}
+    dist = hop_distances(g.n_agents, g.always_present_edges(), undirected)
+    return set((np.flatnonzero(dist[i - 1] == k) + 1).tolist())
 
 
-def _directed_diameter(n_agents: int, edges: frozenset[Edge]) -> int | None:
-    """Max over ordered pairs of shortest directed path length; None if some
-    pair is unreachable."""
-    adj: dict[int, set[int]] = {i: set() for i in range(1, n_agents + 1)}
-    for src, dst in edges:
-        adj[src].add(dst)
-    worst = 0
-    for i in range(1, n_agents + 1):
-        dist = _bfs_distances(adj, i)
-        if len(dist) < n_agents:
-            return None
-        worst = max(worst, max(dist.values()))
-    return worst
+def cumulative_neighborhoods(g: GraphSchedule, k: int) -> list[list[int]]:
+    """Per agent i, the sorted agents with a directed path of at most ``k``
+    always-present edges to i, i included: the agents whose values can reach
+    i within k hops.  Column i of the hop table."""
+    dist = hop_distances(g.n_agents, g.always_present_edges())
+    near = (dist >= 0) & (dist <= k)
+    return [(np.flatnonzero(col) + 1).tolist() for col in near.T]
 
 
 def latency_bound(g: GraphSchedule, t1: int, t2: int) -> int:
@@ -174,12 +180,12 @@ def latency_bound(g: GraphSchedule, t1: int, t2: int) -> int:
         raise ValueError(f"t1 must be non-negative, got {t1}")
     if t2 < 1:
         raise ValueError(f"t2 must be positive, got {t2}")
-    k = _directed_diameter(g.n_agents, g.always_present_edges())
-    if k is None:
+    dist = hop_distances(g.n_agents, g.always_present_edges())
+    if (dist < 0).any():
         raise TopologyError(
             "graph schedule is not connected through always-present edges; "
             "the delivery guarantee cannot bound staleness")
-    return max(1, k * (t1 + t2))
+    return max(1, int(dist.max()) * (t1 + t2))
 
 
 @dataclass(frozen=True)
@@ -198,26 +204,16 @@ def classify(g: GraphSchedule) -> GraphClass:
     """
     if not g.static_flag:
         raise ConfigurationError("classification requires a static graph schedule")
-    edges = g.edges_at(0)
-    undirected = {frozenset(e) for e in edges}
-    # A forest has no cycle in the undirected closure: union-find over edges.
-    parent = list(range(g.n_agents + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    acyclic = True
-    for e in undirected:
-        a, b = tuple(e)
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            acyclic = False
-            break
-        parent[ra] = rb
-    diameter = _directed_diameter(g.n_agents, edges)
-    return GraphClass(acyclic_undirected=acyclic,
-                      strongly_connected=diameter is not None,
-                      diameter=diameter)
+    n, edges = g.n_agents, g.edges_at(0)
+    dist = hop_distances(n, edges)
+    connected = bool(dist.min() >= 0)
+    components = 1  # a strongly connected graph is one undirected component
+    if not connected:
+        linked = hop_distances(n, edges, undirected=True) >= 0
+        # An agent leads its component when no lower-numbered agent reaches it.
+        components = np.count_nonzero(linked.argmax(axis=0) == np.arange(n))
+    # A graph is a forest iff it has N - components undirected edges.
+    return GraphClass(
+        acyclic_undirected=len({frozenset(e) for e in edges}) == n - components,
+        strongly_connected=connected,
+        diameter=int(dist.max()) if connected else None)

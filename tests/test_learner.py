@@ -14,9 +14,8 @@ from dactd.funcapprox import (FeatureMap, LinearCritic, MlpStack,
                               softmax, tabular_features)
 from dactd.learner import (StepSchedule, TheoryRunResult, _fit_gradient,
                            _make_driver, _score_table, actor_step, critic_step,
-                           cumulative_neighborhood, resolve_latency_window,
-                           run_experiment, run_theory, td_errors,
-                           validate_two_timescale)
+                           resolve_latency_window, run_experiment, run_theory,
+                           td_errors, validate_two_timescale)
 from dactd.protocol import ascending_mean
 from dactd.topology import GraphSchedule
 from dactd.transport import ChannelModel
@@ -471,15 +470,6 @@ def test_latency_window_resolution():
     assert resolve_latency_window("centralized", line5, None) == 4
 
 
-def test_cumulative_neighborhoods():
-    line5 = GraphSchedule.line(5)
-    assert cumulative_neighborhood(line5, 1, 0) == [1]
-    assert cumulative_neighborhood(line5, 1, 2) == [1, 2, 3]
-    assert cumulative_neighborhood(line5, 3, 2) == [1, 2, 3, 4, 5]
-    star = GraphSchedule.star(4)
-    assert cumulative_neighborhood(star, 1, 1) == [1, 2, 3, 4]
-
-
 # ---------------------------------------------------------------------------
 # Episodic regime
 # ---------------------------------------------------------------------------
@@ -633,6 +623,19 @@ def test_full_diameter_neighborhood_baseline_is_bitwise_identical():
     assert np.array_equal(dac.actor_params, sac.actor_params)
     assert np.array_equal(dac.critic_params, sac.critic_params)
     assert sac.payload_slots == 0
+
+
+def test_one_way_ring_baseline_at_the_diameter_is_bitwise_identical():
+    sac3 = AlgorithmChoice("khop_sac", 3)
+    ring = replace(BASE, n_agents=4, graph_kind="custom",
+                   graph_edges=((1, 2), (2, 3), (3, 4), (4, 1)),
+                   algorithms=(DAC, sac3))
+    dac = run_experiment(ring, DAC, 0)
+    sac = run_experiment(ring, sac3, 0)
+    assert dac.K == sac.K == 3
+    assert np.array_equal(dac.team_returns, sac.team_returns)
+    assert np.array_equal(dac.actor_params, sac.actor_params)
+    assert np.array_equal(dac.critic_params, sac.critic_params)
 
 
 def test_zero_hop_baseline_collapses_to_independent_learning():

@@ -1,11 +1,15 @@
-"""Graph schedules, exact-distance neighborhoods, and the staleness bound."""
+"""Graph schedules, the hop-distance table, exact-distance neighborhoods, and
+the staleness bound."""
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dactd.errors import ConfigurationError, TopologyError
-from dactd.topology import GraphSchedule, classify, khop_neighbors, latency_bound
+from dactd.topology import (GraphSchedule, classify, cumulative_neighborhoods,
+                            hop_distances, khop_neighbors, latency_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +56,78 @@ def test_negative_tick_rejected():
 
 
 # ---------------------------------------------------------------------------
+# The hop-distance table
+# ---------------------------------------------------------------------------
+
+def bfs_distances(adj: dict[int, set[int]], i: int) -> dict[int, int]:
+    """Reference: hop counts from agent i by one breadth-first search."""
+    dist = {i: 0}
+    frontier = deque([i])
+    while frontier:
+        u = frontier.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                frontier.append(v)
+    return dist
+
+
+def reference_table(n: int, edges, undirected: bool) -> np.ndarray:
+    adj: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
+    for src, dst in edges:
+        adj[src].add(dst)
+        if undirected:
+            adj[dst].add(src)
+    table = np.full((n, n), -1)
+    for i in range(1, n + 1):
+        for j, d in bfs_distances(adj, i).items():
+            table[i - 1, j - 1] = d
+    return table
+
+
+def union_find_is_forest(n: int, edges) -> bool:
+    """Reference: no undirected edge joins two agents already connected."""
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in {frozenset(e) for e in edges}:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+    return True
+
+
+@st.composite
+def digraphs(draw):
+    """Any simple digraph on 1-10 agents: one-way edges, disconnected parts
+    and cycles all occur."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=3 * n)) if pairs else set()
+    return GraphSchedule.static(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs())
+def test_hop_table_matches_per_source_bfs(g):
+    n, edges = g.n_agents, g.edges_at(0)
+    for undirected in (False, True):
+        assert np.array_equal(hop_distances(n, edges, undirected),
+                              reference_table(n, edges, undirected))
+    directed = reference_table(n, edges, False)
+    info = classify(g)
+    assert info.acyclic_undirected == union_find_is_forest(n, edges)
+    assert info.strongly_connected == (directed >= 0).all()
+    assert info.diameter == (directed.max() if info.strongly_connected else None)
+
+
+# ---------------------------------------------------------------------------
 # Exact-distance neighborhoods
 # ---------------------------------------------------------------------------
 
@@ -83,6 +159,21 @@ def test_directed_distance_differs_from_undirected():
     g = GraphSchedule.static(3, {(1, 2), (2, 3)})
     assert khop_neighbors(g, 3, 1, undirected=False) == set()
     assert khop_neighbors(g, 3, 1, undirected=True) == {2}
+
+
+def test_cumulative_neighborhoods():
+    line5 = GraphSchedule.line(5)
+    assert cumulative_neighborhoods(line5, 0) == [[i] for i in range(1, 6)]
+    assert cumulative_neighborhoods(line5, 2)[0] == [1, 2, 3]
+    assert cumulative_neighborhoods(line5, 2)[2] == [1, 2, 3, 4, 5]
+    star = GraphSchedule.star(4)
+    assert cumulative_neighborhoods(star, 1)[0] == [1, 2, 3, 4]
+    # On the one-way ring 1->2->3->4->1 agent 1 hears agent 4 after one hop
+    # and agent 3 after two; agent 2 reaches it only after three.
+    ring = GraphSchedule.static(4, {(1, 2), (2, 3), (3, 4), (4, 1)})
+    assert cumulative_neighborhoods(ring, 1)[0] == [1, 4]
+    assert cumulative_neighborhoods(ring, 2)[0] == [1, 3, 4]
+    assert cumulative_neighborhoods(ring, 3) == [[1, 2, 3, 4]] * 4
 
 
 @st.composite
