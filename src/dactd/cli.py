@@ -25,9 +25,9 @@ import yaml
 
 from .config import load_config
 from .envs import CoupledEnv, enumerate_model
-from .errors import (ConfigurationError, DactdError, IncompleteAggregationError,
-                     NumericError, ProtocolCorruptionError, TopologyError,
-                     TransportError)
+from .errors import (CapacityError, ConfigurationError, DactdError,
+                     IncompleteAggregationError, NumericError,
+                     ProtocolCorruptionError, TopologyError, TransportError)
 from .funcapprox import TabularSoftmaxPolicy
 from .learner import RunResult, run_experiment
 from .oracle import exact_policy_gradient, ode_matrix, solve_model
@@ -40,7 +40,8 @@ EXIT_SUITE = 3
 
 _RUNTIME_ERRORS = (ProtocolCorruptionError, IncompleteAggregationError,
                    TransportError, NumericError)
-_VALIDATION_ERRORS = (ConfigurationError, TopologyError, ValueError)
+_VALIDATION_ERRORS = (CapacityError, ConfigurationError, TopologyError,
+                      ValueError)
 
 
 def _fmt(x: float) -> str:

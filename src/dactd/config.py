@@ -113,6 +113,8 @@ class ExperimentConfig:
             raise ConfigurationError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("duplicate seeds in seed list")
+        if min(self.seeds) < 0:
+            raise ConfigurationError("seeds must be >= 0")
         if not self.algorithms:
             raise ConfigurationError("at least one algorithm is required")
         for name in ("episodes", "steps", "critic_epochs", "target_refresh"):

@@ -126,11 +126,6 @@ def micro_env(gamma: float = 0.9) -> CoupledEnv:
     return CoupledEnv(2, gamma)
 
 
-def line_env(gamma: float = 0.9) -> CoupledEnv:
-    """Five-agent instance of the reference experiment."""
-    return CoupledEnv(5, gamma)
-
-
 @dataclass
 class EnumeratedModel:
     """Coupled environment under a fixed joint policy, factorised by the

@@ -25,10 +25,18 @@ from .funcapprox import FeatureMap
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Unique probability vector d with d P = d, residual <= 1e-12.
 
-    Solved by replacing one balance equation with the normalization; falls
-    back to power iteration when the solve is ill-conditioned.  Chains whose
-    unit eigenvalue has numerical multiplicity > 1 (reducible / multiple
-    stationary laws) are rejected.
+    Solves M d = e_S, where M is P^T - I with its last row replaced by ones.
+    The rows of P^T - I add up to the zero vector, so the dropped row is
+    implied by the others; a stationary law is orthogonal to all of them yet
+    has d . 1 = 1.  Hence M is singular exactly when the chain has more than
+    one stationary law.
+
+    Uniqueness rule: ModelError when cond_2(M) > 1e8 * S.  An accepted M is
+    at 2-norm distance at least ||M||_2 / (1e8 S) >= 1e-8 / sqrt(S) from
+    every singular matrix (the row of ones alone has norm sqrt(S)), so no
+    chain whose transition matrix is that close to P in 2-norm has two
+    stationary laws.  An exactly reducible chain has cond_2(M) near
+    1 / machine epsilon and is always rejected.
     """
     P = np.asarray(P, dtype=np.float64)
     n = P.shape[0]
@@ -37,36 +45,19 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     if not np.allclose(P.sum(axis=1), 1.0, atol=1e-10) or (P < -1e-15).any():
         raise ValueError("transition matrix rows must be distributions")
 
-    eigs = np.linalg.eigvals(P.T)
-    if int(np.sum(np.abs(eigs - 1.0) < 1e-8)) != 1:
-        raise ModelError("unit eigenvalue is not simple: chain is reducible "
-                         "or has multiple stationary laws")
-
     M = P.T - np.eye(n)
     M[-1, :] = 1.0
+    if not np.linalg.cond(M) <= 1e8 * n:
+        raise ModelError("stationary law is not numerically unique: chain is "
+                         "reducible or nearly so")
     b = np.zeros(n)
     b[-1] = 1.0
-    try:
-        d = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError:
-        d = None
-
-    def residual(vec: np.ndarray) -> float:
-        return float(np.max(np.abs(vec @ P - vec)))
-
-    if d is None or residual(d) > 1e-12 or d.min() < -1e-10:
-        d = np.full(n, 1.0 / n)
-        for _ in range(200000):
-            nxt = d @ P
-            if np.max(np.abs(nxt - d)) < 1e-15:
-                d = nxt
-                break
-            d = nxt
-        if residual(d) > 1e-12:
-            raise ModelError("stationary distribution did not converge")
+    d = np.linalg.solve(M, b)
+    if d.min() < -1e-10:
+        raise ModelError("stationary distribution has a negative entry")
     d = np.clip(d, 0.0, None)
     d = d / d.sum()
-    if residual(d) > 1e-12:
+    if np.max(np.abs(d @ P - d)) > 1e-12:
         raise ModelError("stationary distribution residual above tolerance")
     return d
 

@@ -4,7 +4,7 @@ A :class:`GraphSchedule` assigns a set of directed edges ``(src, dst)`` over
 agents ``{1..n_agents}`` to every tick.  Time-varying schedules repeat a
 finite sequence of edge sets.  The module answers the structural queries the
 aggregation protocols need, all from one hop-distance table
-(:func:`hop_distances`): exact-distance neighborhoods, the worst-case
+(:func:`hop_distances`): k-hop neighborhoods, the worst-case
 propagation bound of the delivery guarantee, and the static-graph
 classification that gates the acyclic protocol.
 
@@ -65,10 +65,6 @@ class GraphSchedule:
         for s in self._period[1:]:
             inter &= s
         return frozenset(inter)
-
-    def _check_agent(self, i: int) -> None:
-        if not (1 <= i <= self.n_agents):
-            raise ValueError(f"agent id {i} outside 1..{self.n_agents}")
 
     # -- common constructions -------------------------------------------------
 
@@ -139,23 +135,6 @@ def hop_distances(n_agents: int, edges: Iterable[Edge],
             frontier = reached
         rows.append(row)
     return np.array(rows, dtype=np.int64)
-
-
-def khop_neighbors(g: GraphSchedule, i: int, k: int,
-                   undirected: bool = True) -> set[int]:
-    """Agents at graph distance exactly ``k`` from agent ``i`` over the edges
-    present at every tick.
-
-    Distance 0 is the singleton ``{i}``; the result is empty once ``k``
-    exceeds the eccentricity of ``i``.  By default edges are treated as
-    undirected (the acyclic protocol's setting); pass ``undirected=False``
-    for directed reachability.
-    """
-    g._check_agent(i)
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    dist = hop_distances(g.n_agents, g.always_present_edges(), undirected)
-    return set((np.flatnonzero(dist[i - 1] == k) + 1).tolist())
 
 
 def cumulative_neighborhoods(g: GraphSchedule, k: int) -> list[list[int]]:

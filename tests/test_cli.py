@@ -245,6 +245,18 @@ def test_validation_failures_exit_1(config_file, tmp_path, capsys):
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+def test_negative_seeds_exit_1_before_any_output(config_file, tmp_path,
+                                                 capsys):
+    out = tmp_path / "results"
+    negative = _write(tmp_path, f"seeds: [-1]\nout_dir: {out}\n")
+    for argv in (["--config", str(negative)],
+                 ["--config", str(config_file), "--seed", "-1"]):
+        for dry_run in ([], ["--dry-run"]):
+            assert cli.main(["run", *argv, *dry_run]) == 1
+            assert "seeds must be >= 0" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_tree_protocol_on_a_lossy_channel_exits_1(tmp_path, capsys):
     # A baseline listed before dac_td must not train before the rejection.
     out = tmp_path / "results"
@@ -306,6 +318,13 @@ def test_oracle_dump(tmp_path, capsys):
     printed = text.splitlines()
     start = printed.index(table[0])
     assert printed[start:start + len(table)] == table
+
+
+def test_oracle_sizes_outside_the_model_exit_1(capsys):
+    # No agents, and 2^13 states, above the enumeration cap.
+    for agents in ("0", "13"):
+        assert cli.main(["oracle", "--agents", agents]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
 
 
 def test_oracle_reads_the_config_for_sizes(config_file, capsys):

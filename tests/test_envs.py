@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dactd.envs import (CoupledEnv, enumerate_model, joint_policy_probs,
-                        line_env, micro_env)
+                        micro_env)
 from dactd.errors import CapacityError
 from dactd.funcapprox import TabularSoftmaxPolicy
 
@@ -19,7 +19,7 @@ from helpers import FixedTablePolicy
 # ---------------------------------------------------------------------------
 
 def test_everything_on_gives_certain_transitions():
-    env = line_env()
+    env = CoupledEnv(5)
     ones = np.ones(5, dtype=np.int64)
     assert env.coupling(ones, ones) == 1.0
     rewards = env.rewards(ones, ones)
@@ -30,7 +30,7 @@ def test_everything_on_gives_certain_transitions():
 
 
 def test_everything_off_is_absorbing():
-    env = line_env()
+    env = CoupledEnv(5)
     zeros = np.zeros(5, dtype=np.int64)
     assert env.coupling(zeros, zeros) == 0.0
     s_next, r = env.step(zeros, zeros, np.random.default_rng(0))
@@ -39,7 +39,7 @@ def test_everything_off_is_absorbing():
 
 
 def test_single_active_pair_couples_at_one_fifth():
-    env = line_env()
+    env = CoupledEnv(5)
     s = np.array([1, 0, 0, 0, 0])
     a = np.array([1, 0, 0, 0, 0])
     assert env.coupling(s, a) == pytest.approx(0.2)
@@ -47,7 +47,7 @@ def test_single_active_pair_couples_at_one_fifth():
 
 
 def test_only_the_first_agent_is_paid():
-    env = line_env()
+    env = CoupledEnv(5)
     rng = np.random.default_rng(5)
     for _ in range(20):
         s = rng.integers(0, 2, size=5)
@@ -105,7 +105,7 @@ def test_transition_frequencies_match_the_analytic_law():
 
 
 def test_initial_state_is_all_zeros():
-    env = line_env()
+    env = CoupledEnv(5)
     assert (env.initial_state() == 0).all()
     assert env.gamma == 0.9
     assert env.n_agents == 5

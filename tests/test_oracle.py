@@ -80,6 +80,83 @@ def test_occupancy_matches_a_long_simulation():
 
 
 # ---------------------------------------------------------------------------
+# The uniqueness decision against the eigenvalue count it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_law_is_unique(P):
+    """Slow reference: exactly one eigenvalue of P within 1e-8 of 1."""
+    return int(np.sum(np.abs(np.linalg.eigvals(P.T) - 1.0) < 1e-8)) == 1
+
+
+def _ref_bordered_law(P):
+    """np.linalg.solve on P^T - I with its last row replaced by ones and
+    right-hand side e_S, clipped at zero and renormalised."""
+    n = P.shape[0]
+    M = P.T - np.eye(n)
+    M[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    d = np.clip(np.linalg.solve(M, b), 0.0, None)
+    return d / d.sum()
+
+
+def _two_block_chain(S, leak):
+    """Two random blocks of S/2 states; each row moves ``leak`` of its mass
+    uniformly onto the other block, so the second eigenvalue is 1 - 2 leak."""
+    rng = np.random.default_rng(S)
+    h = S // 2
+    P = np.full((S, S), leak / h)
+    for lo in (0, h):
+        B = rng.random((h, h))
+        P[lo:lo + h, lo:lo + h] = (1.0 - leak) * B / B.sum(axis=1,
+                                                            keepdims=True)
+    return P
+
+
+def _clamped_team_chain(n, L):
+    """CoupledEnv(n) under copy-state policies with logits [[L, -L], [-L, L]]
+    (the tables a team reaches at theta_box = L): the all-zeros and all-ones
+    states become nearly absorbing as L grows."""
+    table = np.array([[L, -L], [-L, L]], dtype=np.float64)
+    policies = [TabularSoftmaxPolicy(2, 2, logits=table) for _ in range(n)]
+    return enumerate_model(CoupledEnv(n), policies).transition_pi
+
+
+# (name, chain, accepted).  The conditioning rule agrees with the reference
+# on every chain listed here.
+UNIQUENESS_CHAINS = (
+    [(f"blocks-S{S}-leak{leak:g}", _two_block_chain(S, leak), leak >= 1e-8)
+     for S in (8, 128) for leak in (1e-3, 1e-6, 1e-8, 1e-10, 1e-13)]
+    + [(f"team-N{n}-L{L}", _clamped_team_chain(n, L), L <= 9)
+       for n in (2, 5, 7) for L in (2, 4, 6, 8, 9, 10, 12)]
+    + [("identity", np.eye(2), False),
+       ("two-cycle", np.array([[0.0, 1.0], [1.0, 0.0]]), True),
+       ("transient-state", np.array([[0.5, 0.5, 0.0],
+                                     [0.0, 0.3, 0.7],
+                                     [0.0, 0.6, 0.4]]), True)])
+
+
+@pytest.mark.parametrize("P, accepted",
+                         [pytest.param(P, a, id=name)
+                          for name, P, a in UNIQUENESS_CHAINS])
+def test_uniqueness_decision_matches_the_eigenvalue_count(P, accepted,
+                                                          monkeypatch):
+    assert _ref_law_is_unique(P) == accepted
+    want = _ref_bordered_law(P) if accepted else None
+
+    def no_eigendecomposition(*args, **kwargs):
+        raise AssertionError("stationary_distribution ran an eigensolver")
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, no_eigendecomposition)
+    if accepted:
+        assert stationary_distribution(P).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ModelError):
+            stationary_distribution(P)
+
+
+# ---------------------------------------------------------------------------
 # Value functions
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,5 @@
-"""Graph schedules, the hop-distance table, exact-distance neighborhoods, and
-the staleness bound."""
+"""Graph schedules, the hop-distance table, its distance shells and k-hop
+neighborhoods, and the staleness bound."""
 from collections import deque
 
 import numpy as np
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dactd.errors import ConfigurationError, TopologyError
 from dactd.topology import (GraphSchedule, classify, cumulative_neighborhoods,
-                            hop_distances, khop_neighbors, latency_bound)
+                            hop_distances, latency_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -128,37 +128,33 @@ def test_hop_table_matches_per_source_bfs(g):
 
 
 # ---------------------------------------------------------------------------
-# Exact-distance neighborhoods
+# Distance shells read from the table
 # ---------------------------------------------------------------------------
+
+def shell(g: GraphSchedule, i: int, k: int, undirected: bool = True) -> set[int]:
+    """Agents at exactly k hops from agent i over the always-present edges."""
+    dist = hop_distances(g.n_agents, g.always_present_edges(), undirected)
+    return set((np.flatnonzero(dist[i - 1] == k) + 1).tolist())
+
 
 def test_line_graph_distance_sets():
     g = GraphSchedule.line(5)
-    assert khop_neighbors(g, 1, 2) == {3}
-    assert khop_neighbors(g, 3, 1) == {2, 4}
-    assert khop_neighbors(g, 1, 5) == set()
+    assert shell(g, 1, 2) == {3}
+    assert shell(g, 3, 1) == {2, 4}
+    assert shell(g, 1, 5) == set()
 
 
 def test_distance_zero_is_self():
     g = GraphSchedule.ring(6)
     for i in range(1, 7):
-        assert khop_neighbors(g, i, 0) == {i}
-
-
-def test_khop_rejects_bad_arguments():
-    g = GraphSchedule.line(4)
-    with pytest.raises(ValueError):
-        khop_neighbors(g, 0, 1)
-    with pytest.raises(ValueError):
-        khop_neighbors(g, 5, 1)
-    with pytest.raises(ValueError):
-        khop_neighbors(g, 1, -1)
+        assert shell(g, i, 0) == {i}
 
 
 def test_directed_distance_differs_from_undirected():
     # One-way chain 1 -> 2 -> 3: undirected closure sees both directions.
     g = GraphSchedule.static(3, {(1, 2), (2, 3)})
-    assert khop_neighbors(g, 3, 1, undirected=False) == set()
-    assert khop_neighbors(g, 3, 1, undirected=True) == {2}
+    assert shell(g, 3, 1, undirected=False) == set()
+    assert shell(g, 3, 1, undirected=True) == {2}
 
 
 def test_cumulative_neighborhoods():
@@ -193,11 +189,11 @@ def undirected_graphs(draw):
 def test_distance_sets_partition_the_reachable_set(g, i):
     if i > g.n_agents:
         i = 1 + (i - 1) % g.n_agents
-    shells = [khop_neighbors(g, i, k) for k in range(g.n_agents + 1)]
+    shells = [shell(g, i, k) for k in range(g.n_agents + 1)]
     seen: set[int] = set()
-    for shell in shells:
-        assert not (shell & seen)
-        seen |= shell
+    for ring in shells:
+        assert not (ring & seen)
+        seen |= ring
     # every agent with a path to i appears in exactly one shell
     frontier, reachable = {i}, {i}
     while frontier:
