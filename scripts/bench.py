@@ -38,9 +38,6 @@ def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkouts", nargs="+", metavar="LABEL=PATH")
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length per bench run (default: BENCHMARK.json "
-                         "run_seconds)")
     return ap.parse_args(argv)
 
 
@@ -91,7 +88,7 @@ def main(argv=None) -> int:
         checkouts[label] = Path(path).resolve()
     first = next(iter(checkouts.values()))
     spec = json.loads((first / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
 

@@ -36,7 +36,10 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     every singular matrix (the row of ones alone has norm sqrt(S)), so no
     chain whose transition matrix is that close to P in 2-norm has two
     stationary laws.  An exactly reducible chain has cond_2(M) near
-    1 / machine epsilon and is always rejected.
+    1 / machine epsilon and is always rejected.  An accepted chain still
+    raises ModelError when d has an entry below -1e-10 or a residual above
+    1e-12, which the solve's error (up to about 1e-8 * S near the bound) can
+    cause on chains with almost no stationary mass on some states.
     """
     P = np.asarray(P, dtype=np.float64)
     n = P.shape[0]

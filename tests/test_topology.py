@@ -1,5 +1,5 @@
-"""Graph schedules, the hop-distance table, its distance shells and k-hop
-neighborhoods, and the staleness bound."""
+"""Graph schedules, the hop-distance table and its k-hop neighborhoods, and
+the staleness bound."""
 from collections import deque
 
 import numpy as np
@@ -128,33 +128,27 @@ def test_hop_table_matches_per_source_bfs(g):
 
 
 # ---------------------------------------------------------------------------
-# Distance shells read from the table
+# Distance rows of the table
 # ---------------------------------------------------------------------------
-
-def shell(g: GraphSchedule, i: int, k: int, undirected: bool = True) -> set[int]:
-    """Agents at exactly k hops from agent i over the always-present edges."""
-    dist = hop_distances(g.n_agents, g.always_present_edges(), undirected)
-    return set((np.flatnonzero(dist[i - 1] == k) + 1).tolist())
-
 
 def test_line_graph_distance_sets():
     g = GraphSchedule.line(5)
-    assert shell(g, 1, 2) == {3}
-    assert shell(g, 3, 1) == {2, 4}
-    assert shell(g, 1, 5) == set()
+    dist = hop_distances(5, g.always_present_edges(), undirected=True)
+    assert dist[0].tolist() == [0, 1, 2, 3, 4]
+    assert dist[2].tolist() == [2, 1, 0, 1, 2]
 
 
 def test_distance_zero_is_self():
     g = GraphSchedule.ring(6)
-    for i in range(1, 7):
-        assert shell(g, i, 0) == {i}
+    dist = hop_distances(6, g.always_present_edges(), undirected=True)
+    assert np.array_equal(dist == 0, np.eye(6, dtype=bool))
 
 
 def test_directed_distance_differs_from_undirected():
     # One-way chain 1 -> 2 -> 3: undirected closure sees both directions.
-    g = GraphSchedule.static(3, {(1, 2), (2, 3)})
-    assert shell(g, 3, 1, undirected=False) == set()
-    assert shell(g, 3, 1, undirected=True) == {2}
+    edges = {(1, 2), (2, 3)}
+    assert hop_distances(3, edges, undirected=False)[2].tolist() == [-1, -1, 0]
+    assert hop_distances(3, edges, undirected=True)[2].tolist() == [2, 1, 0]
 
 
 def test_cumulative_neighborhoods():
@@ -189,11 +183,7 @@ def undirected_graphs(draw):
 def test_distance_sets_partition_the_reachable_set(g, i):
     if i > g.n_agents:
         i = 1 + (i - 1) % g.n_agents
-    shells = [shell(g, i, k) for k in range(g.n_agents + 1)]
-    seen: set[int] = set()
-    for ring in shells:
-        assert not (ring & seen)
-        seen |= ring
+    row = hop_distances(g.n_agents, g.always_present_edges(), True)[i - 1]
     # every agent with a path to i appears in exactly one shell
     frontier, reachable = {i}, {i}
     while frontier:
@@ -204,7 +194,7 @@ def test_distance_sets_partition_the_reachable_set(g, i):
                     nxt.add(b)
         reachable |= nxt
         frontier = nxt
-    assert seen == reachable
+    assert set((np.flatnonzero(row >= 0) + 1).tolist()) == reachable
 
 
 # ---------------------------------------------------------------------------
