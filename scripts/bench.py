@@ -8,15 +8,19 @@ Each positional argument is ``label=path`` to a checkout holding
 checkout's ``BENCHMARK.json`` lists and every seed 1-5, the script runs
 ``perfbench/run.py --trace 0`` in each checkout in turn, alternating which
 checkout goes first so that machine drift falls on both sides.  It then
-times the Tier-1 suite once per checkout.  The output JSON holds, per
-checkout, the median and the per-seed values of every end-to-end metric,
-the output checks attempted and failed, the Tier-1 wall time, pass count
-and slowest tests, and the provenance: nproc, machine, Python and numpy
-versions, and git revision.
+times, once per checkout, the Tier-1 suite and one full
+``dactd run --config configs/line5.yaml`` into a temporary directory.  The
+output JSON holds, per checkout, the median and the per-seed values of
+every end-to-end metric, the output checks attempted and failed, the
+Tier-1 wall time, pass count and slowest tests, the line5 run's wall time,
+exit code and sha256 of its ``summary.csv`` (equal digests mean the two
+checkouts learned the same thing), and the provenance: nproc, machine,
+Python and numpy versions, and git revision.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -24,6 +28,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -32,6 +37,7 @@ import numpy as np
 SEEDS = (1, 2, 3, 4, 5)
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "--durations=5"]
+LINE5_RUN = ["run", "--config", "configs/line5.yaml"]
 
 
 def parse_args(argv):
@@ -59,12 +65,31 @@ def bench_run(path: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def tier1(path: Path) -> dict:
+def src_env() -> dict:
+    """The environment with the checkout's own ``src`` first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"]
                                  if env.get("PYTHONPATH") else "")
+    return env
+
+
+def line5_run(path: Path) -> dict:
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dactd.cli", *LINE5_RUN, "--out", out],
+            cwd=path, env=src_env(), capture_output=True, text=True)
+        wall = time.perf_counter() - t0
+        summary = Path(out) / "summary.csv"
+        digest = (hashlib.sha256(summary.read_bytes()).hexdigest()
+                  if summary.exists() else None)
+    return {"wall_s": round(wall, 1), "exit_code": proc.returncode,
+            "summary_sha256": digest}
+
+
+def tier1(path: Path) -> dict:
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=path, env=env,
+    proc = subprocess.run([sys.executable, *TIER1], cwd=path, env=src_env(),
                           capture_output=True, text=True)
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
@@ -127,6 +152,8 @@ def main(argv=None) -> int:
         print(f"{label}: Tier-1 ...", flush=True)
         entry["tier1"] = tier1(path)
         print(f"{label}: Tier-1 {entry['tier1']}", flush=True)
+        entry["line5_run"] = line5_run(path)
+        print(f"{label}: line5 run {entry['line5_run']}", flush=True)
         report["checkouts"][label] = entry
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     print(f"-> {args.out}")

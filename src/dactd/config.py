@@ -1,4 +1,4 @@
-"""Experiment configuration: YAML schema, validation, and run expansion.
+"""Experiment configuration: YAML layout, validation, and run expansion.
 
 A config file describes one comparison study: an environment, a
 communication graph + channel, a protocol choice, and a list of algorithms
@@ -8,35 +8,61 @@ to run over a list of seeds.  `expand_runs` turns it into the concrete
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _as_int, _as_real
 from .learner import ALGORITHMS, PROTOCOLS, resolve_latency_window
 from .topology import GraphSchedule, classify
 from .transport import ChannelModel
 
 # Config files may use these historical aliases for the protocol names.
-PROTOCOL_ALIASES = {"alg1": "general", "alg2": "acyclic",
-                    "general": "general", "acyclic": "acyclic",
-                    "centralized": "centralized"}
-GRAPH_KINDS = ("line", "ring", "star", "complete", "custom")
+PROTOCOL_ALIASES = {"alg1": "general", "alg2": "acyclic"}
+# Graph kind -> constructor; only a custom graph takes the edge list.
+GRAPH_KINDS = {"line": GraphSchedule.line, "ring": GraphSchedule.ring,
+               "star": GraphSchedule.star, "complete": GraphSchedule.complete,
+               "custom": GraphSchedule.static}
+# Where each ExperimentConfig field lives in a config file, in file order.
+# env.kind holds no field: it names the one environment there is.
+_LAYOUT = {
+    "name": "name",
+    "env": {"kind": None, "n_agents": "n_agents", "gamma": "gamma"},
+    "graph": {"kind": "graph_kind", "edges": "graph_edges"},
+    "channel": "channel",
+    "protocol": "protocol",
+    "algorithms": "algorithms",
+    "actor": {"step": "actor_step", "hidden": "actor_hidden"},
+    "critic": {"step": "critic_step", "hidden": "critic_hidden",
+               "epochs": "critic_epochs", "target_refresh": "target_refresh"},
+    "leaky_slope": "leaky_slope", "episodes": "episodes", "steps": "steps",
+    "theta_box": "theta_box", "seeds": "seeds", "out_dir": "out_dir",
+}
+_ENV_KIND = "coupled"
 
 
-def _as_int(value, where: str) -> int:
-    """An integer setting; a bool or a float with a fractional part is
-    rejected rather than truncated."""
-    fractional = (isinstance(value, (float, np.floating))
-                  and not float(value).is_integer())
-    if not (isinstance(value, (bool, np.bool_)) or fractional):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+def _as_str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _as_tuple(value, where: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{where} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _int_tuple(value, where: str) -> tuple[int, ...]:
+    return tuple(_as_int(v, where) for v in _as_tuple(value, where))
+
+
+def _edges(value, where: str) -> tuple[tuple[int, int], ...]:
+    edges = tuple(_int_tuple(e, "graph edge") for e in _as_tuple(value, where))
+    if any(len(e) != 2 for e in edges):
+        raise ConfigurationError(f"graph edges must be pairs, got {value!r}")
+    return edges
 
 
 @dataclass(frozen=True)
@@ -58,9 +84,7 @@ class AlgorithmChoice:
 
     @property
     def label(self) -> str:
-        if self.kind == "khop_sac":
-            return f"khop_sac_k{self.k}"
-        return self.kind
+        return f"khop_sac_k{self.k}" if self.kind == "khop_sac" else self.kind
 
 
 @dataclass(frozen=True)
@@ -93,12 +117,16 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        for name in ("n_agents", "critic_epochs", "target_refresh", "episodes",
-                     "steps"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        for name in ("actor_hidden", "critic_hidden", "seeds"):
-            object.__setattr__(self, name, tuple(
-                _as_int(v, name) for v in getattr(self, name)))
+        for names, check in (
+                (("name", "graph_kind", "protocol", "out_dir"), _as_str),
+                (("n_agents", "critic_epochs", "target_refresh", "episodes",
+                  "steps"), _as_int),
+                (("gamma", "actor_step", "critic_step", "leaky_slope",
+                  "theta_box"), _as_real),
+                (("actor_hidden", "critic_hidden", "seeds"), _int_tuple),
+                (("graph_edges",), _edges), (("algorithms",), _as_tuple)):
+            for name in names:
+                object.__setattr__(self, name, check(getattr(self, name), name))
         if self.protocol not in PROTOCOLS:
             raise ConfigurationError(f"unknown protocol {self.protocol!r}")
         if self.graph_kind not in GRAPH_KINDS:
@@ -117,7 +145,8 @@ class ExperimentConfig:
             raise ConfigurationError("seeds must be >= 0")
         if not self.algorithms:
             raise ConfigurationError("at least one algorithm is required")
-        for name in ("episodes", "steps", "critic_epochs", "target_refresh"):
+        for name in ("n_agents", "episodes", "steps", "critic_epochs",
+                     "target_refresh"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if not 0.0 < self.gamma < 1.0:
@@ -130,23 +159,7 @@ class ExperimentConfig:
             raise ConfigurationError("leaky_slope must be finite")
         if min(self.actor_hidden + self.critic_hidden, default=1) < 1:
             raise ConfigurationError("hidden layer widths must be >= 1")
-        self.build_graph()  # validates size/connectivity eagerly
-        self._check_algorithms()
-
-    def build_graph(self) -> GraphSchedule:
-        if self.graph_kind == "line":
-            return GraphSchedule.line(self.n_agents)
-        if self.graph_kind == "ring":
-            return GraphSchedule.ring(self.n_agents)
-        if self.graph_kind == "star":
-            return GraphSchedule.star(self.n_agents)
-        if self.graph_kind == "complete":
-            return GraphSchedule.complete(self.n_agents)
-        return GraphSchedule.static(self.n_agents,
-                                    [tuple(e) for e in self.graph_edges])
-
-    def _check_algorithms(self) -> None:
-        g = self.build_graph()
+        g = self.build_graph()  # the graph constructor checks the edges
         info = classify(g)
         if self.protocol == "acyclic" and not info.acyclic_undirected:
             raise ConfigurationError(
@@ -163,63 +176,72 @@ class ExperimentConfig:
                     raise ConfigurationError(
                         f"khop_sac k={alg.k} exceeds graph diameter {diameter}")
 
+    def build_graph(self) -> GraphSchedule:
+        edges = (self.graph_edges,) if self.graph_kind == "custom" else ()
+        return GRAPH_KINDS[self.graph_kind](self.n_agents, *edges)
+
     def expand_runs(self) -> list[tuple[AlgorithmChoice, int]]:
         return [(alg, seed) for alg in self.algorithms for seed in self.seeds]
 
     def resolved(self) -> dict:
-        """Plain-dict view for --dry-run output and provenance records."""
-        return {
-            "name": self.name,
-            "env": {"kind": "coupled", "n_agents": self.n_agents,
-                    "gamma": self.gamma},
-            "graph": {"kind": self.graph_kind,
-                      "edges": [list(e) for e in self.graph_edges]},
-            "channel": {"t1": self.channel.t1, "t2": self.channel.t2,
-                        "drop_prob": self.channel.drop_prob,
-                        "delay_law": self.channel.delay_law},
-            "protocol": self.protocol,
-            "algorithms": [{"kind": a.kind, "k": a.k} for a in self.algorithms],
-            "actor": {"step": self.actor_step,
-                      "hidden": list(self.actor_hidden)},
-            "critic": {"step": self.critic_step,
-                       "hidden": list(self.critic_hidden),
-                       "epochs": self.critic_epochs,
-                       "target_refresh": self.target_refresh},
-            "leaky_slope": self.leaky_slope,
-            "episodes": self.episodes,
-            "steps": self.steps,
-            "theta_box": self.theta_box,
-            "seeds": list(self.seeds),
-            "out_dir": self.out_dir,
-        }
+        """The config file for --dry-run; it loads back to an equal config."""
+        return _dump(self, _LAYOUT)
 
 
-def _require_mapping(node, where: str) -> dict:
-    if node is None:
-        return {}
+def _dump(cfg: ExperimentConfig, layout: dict) -> dict:
+    return {key: _dump(cfg, target) if isinstance(target, dict)
+            else _ENV_KIND if target is None else _plain(getattr(cfg, target))
+            for key, target in layout.items()}
+
+
+def _plain(value):
+    """Tuples as lists; a channel or an algorithm as its file fields."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, (ChannelModel, AlgorithmChoice)):
+        return {name: getattr(value, name) for name in _file_fields(value)}
+    return value
+
+
+def _file_fields(obj) -> list[str]:
+    # Each run spawns the channel seed from its own seed; no file sets it.
+    return [f.name for f in fields(obj) if f.name != "seed"]
+
+
+def _mapping(node, keys, where: str) -> dict:
+    """A mapping of a config file, whose keys must all be in keys."""
+    node = {} if node is None else node
     if not isinstance(node, dict):
         raise ConfigurationError(f"{where} must be a mapping")
+    if extra := set(node) - set(keys):
+        raise ConfigurationError(f"unknown keys in {where}: {sorted(extra)}")
     return node
 
 
-def _known_keys(node: dict, allowed: set[str], where: str) -> None:
-    extra = set(node) - allowed
-    if extra:
-        raise ConfigurationError(f"unknown keys in {where}: {sorted(extra)}")
+def _read(node, layout: dict, where: str, values: dict) -> dict:
+    """Collect into values the fields that a config file (section) sets."""
+    for key, value in _mapping(node, layout, where).items():
+        target = layout[key]
+        if isinstance(target, dict):
+            _read(value, target, key, values)
+        elif target is not None:
+            values[target] = value
+        elif value != _ENV_KIND:
+            raise ConfigurationError(f"unknown {where} kind {value!r}")
+    return values
 
 
-def _parse_algorithm(node) -> AlgorithmChoice:
-    if isinstance(node, str):
-        return AlgorithmChoice(node)
-    node = _require_mapping(node, "algorithms entry")
-    _known_keys(node, {"kind", "k"}, "algorithms entry")
-    if "kind" not in node:
-        raise ConfigurationError("algorithms entry needs a 'kind'")
-    return AlgorithmChoice(str(node["kind"]), node.get("k", 0))
+def _build(cls, node, where: str):
+    node = _mapping(node, _file_fields(cls), where)
+    try:
+        return cls(**node)
+    except TypeError as exc:  # a field without a default is missing
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a YAML experiment config."""
+    """Parse and validate a YAML experiment config; absent keys keep their
+    dataclass defaults."""
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
@@ -227,67 +249,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigurationError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config is not valid YAML: {exc}")
-    raw = _require_mapping(raw, "config")
-    _known_keys(raw, {"name", "env", "graph", "channel", "protocol",
-                      "algorithms", "actor", "critic", "leaky_slope",
-                      "episodes", "steps", "theta_box", "seeds", "out_dir"},
-                "config")
-
-    env = _require_mapping(raw.get("env"), "env")
-    _known_keys(env, {"kind", "n_agents", "gamma"}, "env")
-    if env.get("kind", "coupled") != "coupled":
-        raise ConfigurationError(f"unknown env kind {env.get('kind')!r}")
-
-    graph = _require_mapping(raw.get("graph"), "graph")
-    _known_keys(graph, {"kind", "edges"}, "graph")
-    graph_kind = str(graph.get("kind", "line"))
-
-    chan = _require_mapping(raw.get("channel"), "channel")
-    _known_keys(chan, {"t1", "t2", "drop_prob", "delay_law"}, "channel")
-
-    protocol_raw = str(raw.get("protocol", "general"))
-    if protocol_raw not in PROTOCOL_ALIASES:
-        raise ConfigurationError(f"unknown protocol {protocol_raw!r}")
-
-    algs = raw.get("algorithms", ["dac_td"])
-    if not isinstance(algs, list):
-        raise ConfigurationError("algorithms must be a list")
-
-    actor = _require_mapping(raw.get("actor"), "actor")
-    _known_keys(actor, {"step", "hidden"}, "actor")
-    critic = _require_mapping(raw.get("critic"), "critic")
-    _known_keys(critic, {"step", "hidden", "epochs", "target_refresh"}, "critic")
-
-    seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list):
-        raise ConfigurationError("seeds must be a list")
-
-    try:
-        edges = tuple((_as_int(a, "graph edge"), _as_int(b, "graph edge"))
-                      for a, b in graph.get("edges", []))
-        channel = ChannelModel(
-            t1=_as_int(chan.get("t1", 0), "t1"),
-            t2=_as_int(chan.get("t2", 1), "t2"),
-            drop_prob=float(chan.get("drop_prob", 0.0)),
-            delay_law=str(chan.get("delay_law", "uniform")))
-        return ExperimentConfig(
-            name=str(raw.get("name", path.stem)),
-            n_agents=env.get("n_agents", 5),
-            gamma=float(env.get("gamma", 0.9)),
-            graph_kind=graph_kind, graph_edges=edges, channel=channel,
-            protocol=PROTOCOL_ALIASES[protocol_raw],
-            algorithms=tuple(_parse_algorithm(a) for a in algs),
-            actor_step=float(actor.get("step", 0.01)),
-            critic_step=float(critic.get("step", 0.1)),
-            actor_hidden=tuple(actor.get("hidden", [10, 10])),
-            critic_hidden=tuple(critic.get("hidden", [5, 5])),
-            leaky_slope=float(raw.get("leaky_slope", 0.3)),
-            critic_epochs=critic.get("epochs", 25),
-            target_refresh=critic.get("target_refresh", 5),
-            episodes=raw.get("episodes", 1000),
-            steps=raw.get("steps", 100),
-            theta_box=float(raw.get("theta_box", 10.0)),
-            seeds=tuple(seeds),
-            out_dir=str(raw.get("out_dir", "results")))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed config value: {exc}")
+    values = _read(raw, _LAYOUT, "config", {})
+    protocol = values.get("protocol")
+    if isinstance(protocol, str):
+        values["protocol"] = PROTOCOL_ALIASES.get(protocol, protocol)
+    if "channel" in values:
+        values["channel"] = _build(ChannelModel, values["channel"], "channel")
+    if isinstance(values.get("algorithms"), list):
+        values["algorithms"] = [
+            AlgorithmChoice(a) if isinstance(a, str)
+            else _build(AlgorithmChoice, a, "algorithms entry")
+            for a in values["algorithms"]]
+    return ExperimentConfig(**values)

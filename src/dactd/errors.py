@@ -1,9 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types and the setting type checks shared across the package.
 
 Argument-level misuse (bad agent id, malformed state, empty input) raises
 plain ValueError at the offending call site; the classes below mark domain
 failures that callers may want to catch and map to exit codes.
 """
+from numbers import Integral, Real
 
 
 class DactdError(Exception):
@@ -53,3 +54,19 @@ class CapacityError(DactdError):
 
 class NumericError(DactdError):
     """A non-finite value appeared where the algorithm requires finite reals."""
+
+
+def _as_int(value, where: str) -> int:
+    """An integer setting; a bool, a string or a fraction is rejected rather
+    than converted or truncated."""
+    if not isinstance(value, bool) and (isinstance(value, Integral) or (
+            isinstance(value, Real) and float(value).is_integer())):
+        return int(value)
+    raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+
+
+def _as_real(value, where: str) -> float:
+    """A real setting; a bool or a string is rejected rather than converted."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigurationError(f"{where} must be a real number, got {value!r}")

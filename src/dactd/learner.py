@@ -213,8 +213,7 @@ def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
                critic_schedule: StepSchedule, n_steps: int, seed: int,
                protocol: str | None = "general",
                channel_model: ChannelModel | None = None,
-               theta_box: float = 10.0,
-               enforce_two_timescale: bool = False) -> TheoryRunResult:
+               theta_box: float = 10.0) -> TheoryRunResult:
     """Run the online decentralized actor-critic loop for n_steps.
 
     Each step: act, observe the private reward, compute the local TD error,
@@ -229,10 +228,6 @@ def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
         raise ValueError("agent count mismatch between env, graph and learners")
     _check_online_inputs(policies, critics, actor_schedule, n_steps, protocol,
                          theta_box)
-    if enforce_two_timescale:
-        if actor_schedule is None:
-            raise ConfigurationError("two-timescale check needs an actor schedule")
-        validate_two_timescale(actor_schedule, critic_schedule)
 
     _, env_ss, policy_ss, channel_ss = np.random.SeedSequence(seed).spawn(4)
     rng_env = np.random.default_rng(env_ss)

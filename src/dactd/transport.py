@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigurationError, TransportError
+from .errors import ConfigurationError, TransportError, _as_int, _as_real
 from .topology import GraphSchedule
 
 DELAY_LAWS = ("uniform", "fixed")
@@ -42,6 +42,9 @@ class ChannelModel:
     seed: int = 0
 
     def __post_init__(self):
+        for name, check in (("t1", _as_int), ("t2", _as_int),
+                            ("drop_prob", _as_real)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if self.t1 < 0:
             raise ConfigurationError(f"t1 must be non-negative, got {self.t1}")
         if self.t2 < 1:

@@ -3,11 +3,17 @@ import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dactd import cli
-from dactd.config import AlgorithmChoice, load_config
+from dactd.config import AlgorithmChoice, ExperimentConfig, load_config
 from dactd.errors import ConfigurationError, ProtocolCorruptionError
+from dactd.transport import ChannelModel
 from dactd.verify import SuiteReport
+
+LINE5 = Path(__file__).resolve().parents[1] / "configs" / "line5.yaml"
 
 SMOKE = """\
 name: smoke
@@ -117,6 +123,162 @@ def test_missing_and_malformed_files(tmp_path):
 def test_custom_graph_needs_edges(tmp_path):
     with pytest.raises(ConfigurationError):
         load_config(_write(tmp_path, "graph: {kind: custom}\n"))
+
+
+# What `run --dry-run` prints for configs/line5.yaml and for SMOKE.
+LINE5_RESOLVED = """\
+name: line5
+env:
+  kind: coupled
+  n_agents: 5
+  gamma: 0.9
+graph:
+  kind: line
+  edges: []
+channel:
+  t1: 0
+  t2: 1
+  drop_prob: 0.0
+  delay_law: fixed
+protocol: general
+algorithms:
+- kind: dac_td
+  k: 0
+- kind: khop_sac
+  k: 4
+- kind: khop_sac
+  k: 1
+- kind: independent_ac
+  k: 0
+actor:
+  step: 0.01
+  hidden:
+  - 10
+  - 10
+critic:
+  step: 0.1
+  hidden:
+  - 5
+  - 5
+  epochs: 25
+  target_refresh: 5
+leaky_slope: 0.3
+episodes: 1000
+steps: 100
+theta_box: 10.0
+seeds:
+- 0
+- 1
+- 2
+- 3
+- 4
+out_dir: results/line5
+"""
+SMOKE_RESOLVED = """\
+name: smoke
+env:
+  kind: coupled
+  n_agents: 2
+  gamma: 0.9
+graph:
+  kind: line
+  edges: []
+channel:
+  t1: 0
+  t2: 1
+  drop_prob: 0.0
+  delay_law: uniform
+protocol: general
+algorithms:
+- kind: dac_td
+  k: 0
+- kind: independent_ac
+  k: 0
+actor:
+  step: 0.01
+  hidden:
+  - 4
+critic:
+  step: 0.1
+  hidden:
+  - 3
+  epochs: 5
+  target_refresh: 2
+leaky_slope: 0.3
+episodes: 6
+steps: 10
+theta_box: 10.0
+seeds:
+- 0
+out_dir: OUTDIR
+"""
+
+
+def test_dry_run_output_is_pinned(tmp_path, capsys):
+    smoke = _write(tmp_path, SMOKE)
+    for path, expected in ((LINE5, LINE5_RESOLVED), (smoke, SMOKE_RESOLVED)):
+        assert cli.main(["run", "--config", str(path), "--dry-run"]) == 0
+        assert capsys.readouterr().out == expected
+
+
+_NAMES = st.text(alphabet="abz019 -_./:#'\"", max_size=8)
+
+
+@st.composite
+def _configs(draw):
+    """Valid configs over every graph kind, protocol and channel setting."""
+    n = draw(st.integers(2, 5))
+    protocol = draw(st.sampled_from(["general", "acyclic", "centralized"]))
+    if protocol == "acyclic":    # a tree and a lossless unit-delay channel
+        kind = draw(st.sampled_from(["line", "star"]))
+        channel = ChannelModel(t1=draw(st.integers(0, 3)), t2=1,
+                               delay_law=draw(st.sampled_from(["uniform",
+                                                               "fixed"])))
+    else:
+        kind = draw(st.sampled_from(["line", "ring", "star", "complete",
+                                     "custom"]))
+        channel = ChannelModel(
+            t1=draw(st.integers(0, 3)), t2=draw(st.integers(1, 3)),
+            drop_prob=draw(st.floats(0.0, 0.99)),
+            delay_law=draw(st.sampled_from(["uniform", "fixed"])))
+    edges = ()
+    if kind == "custom":         # a directed ring and some chords
+        chords = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                               .filter(lambda e: e[0] != e[1]), max_size=4))
+        edges = tuple((i, i % n + 1) for i in range(1, n + 1)) + tuple(chords)
+    algorithms = draw(st.lists(st.sampled_from([
+        AlgorithmChoice("dac_td"), AlgorithmChoice("independent_ac"),
+        AlgorithmChoice("khop_sac", 0), AlgorithmChoice("khop_sac", 1)]),
+        min_size=1, max_size=4))
+    widths = st.lists(st.integers(1, 20), min_size=1, max_size=3)
+    return ExperimentConfig(
+        name=draw(_NAMES), n_agents=n, gamma=draw(st.floats(0.01, 0.99)),
+        graph_kind=kind, graph_edges=edges, channel=channel, protocol=protocol,
+        algorithms=tuple(algorithms),
+        actor_step=draw(st.floats(1e-6, 10.0)),
+        critic_step=draw(st.floats(1e-6, 10.0)),
+        actor_hidden=tuple(draw(widths)), critic_hidden=tuple(draw(widths)),
+        leaky_slope=draw(st.floats(-1.0, 1.0)),
+        critic_epochs=draw(st.integers(1, 50)),
+        target_refresh=draw(st.integers(1, 10)),
+        episodes=draw(st.integers(1, 5000)), steps=draw(st.integers(1, 500)),
+        theta_box=draw(st.floats(1e-3, 100.0)),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**63), min_size=1,
+                                  max_size=4, unique=True))),
+        out_dir=draw(_NAMES))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_configs(), alias=st.booleans())
+def test_dry_run_output_loads_back_to_the_same_config(tmp_path, cfg, alias):
+    data = cfg.resolved()
+    if alias:
+        data["protocol"] = {"general": "alg1", "acyclic": "alg2"}.get(
+            data["protocol"], data["protocol"])
+    path = tmp_path / "resolved.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    assert load_config(path) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +396,17 @@ def test_validation_failures_exit_1(config_file, tmp_path, capsys):
                               "critic: {hidden: [5.5]}\n",
                               "channel: {t2: 1.5}\n",
                               "channel: {drop_prob: null}\n",
-                              "graph: {kind: custom, edges: [1]}\n"]):
+                              "graph: {kind: custom, edges: [1]}\n",
+                              # Bools and strings are not numbers, and null
+                              # is not a name or a path.
+                              "actor: {step: true}\n", "theta_box: yes\n",
+                              "leaky_slope: true\n",
+                              "env: {gamma: '0.5'}\n", "episodes: '7'\n",
+                              "actor: {hidden: '55'}\n",
+                              "env: {n_agents: 2}\n"
+                              "graph: {kind: custom, edges: ['12', '21']}\n",
+                              "out_dir: null\n", "out_dir:\n",
+                              "name: null\n"]):
         path = _write(tmp_path, text, name=f"bad{i}.yaml")
         assert cli.main(["run", "--config", str(path), "--dry-run"]) == 1, text
         assert "invalid configuration" in capsys.readouterr().err

@@ -401,22 +401,6 @@ def test_agent_count_mismatch_is_rejected():
                    StepSchedule.constant(0.05), 5, seed=0)
 
 
-def test_two_timescale_enforcement_in_the_loop():
-    env = CoupledEnv(2, 0.9)
-    graph = GraphSchedule.line(2)
-    policies, critics = _fresh_learners(2)
-    with pytest.raises(ConfigurationError):
-        run_theory(env, graph, policies, critics, StepSchedule.constant(0.01),
-                   StepSchedule.constant(0.05), 5, seed=0,
-                   enforce_two_timescale=True)
-    policies, critics = _fresh_learners(2)
-    res = run_theory(env, graph, policies, critics,
-                     StepSchedule.polynomial(0.01, 0.9),
-                     StepSchedule.polynomial(0.1, 0.6), 10, seed=0,
-                     enforce_two_timescale=True)
-    assert res.K == 1
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_exploding_critic_raises():
     env = CoupledEnv(2, 0.9)
@@ -518,7 +502,12 @@ def test_spec_validation():
                 dict(critic_hidden=(2.5,)), dict(critic_epochs=True),
                 dict(episodes=2.5), dict(seeds=(1.5,)), dict(n_agents=3.5),
                 dict(steps=True), dict(actor_hidden=(True,)),
-                dict(critic_epochs=np.True_), dict(episodes=np.float32(2.5))):
+                dict(critic_epochs=np.True_), dict(episodes=np.float32(2.5)),
+                # Bools and strings are not reals; names and paths are strings.
+                dict(actor_step=True), dict(gamma="0.5"), dict(out_dir=None),
+                dict(name=None), dict(episodes="7"),
+                dict(graph_kind="custom",
+                     graph_edges=(("1", "2"), ("2", "1"), ("2", "3"), ("3", "2")))):
         with pytest.raises(ConfigurationError):
             replace(BASE, **bad)
     for k in (1.5, True):

@@ -27,6 +27,11 @@ def test_bad_delay_parameters_rejected():
         ChannelModel(t1=-1)
     with pytest.raises(ConfigurationError):
         ChannelModel(t2=0)
+    # Counts that would fail mid-run, or run as 1, are rejected up front.
+    for bad in (dict(t2=1.5), dict(t1=0.5, drop_prob=0.2), dict(t1=True),
+                dict(t2="2"), dict(drop_prob="0.1"), dict(drop_prob=False)):
+        with pytest.raises(ConfigurationError):
+            ChannelModel(**bad)
 
 
 def test_unknown_delay_law_rejected():
