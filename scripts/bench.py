@@ -14,7 +14,8 @@ output JSON holds, per checkout, the median and the per-seed values of
 every end-to-end metric, the output checks attempted and failed, the
 Tier-1 wall time, pass count and slowest tests, the line5 run's wall time,
 exit code and sha256 of its ``summary.csv`` (equal digests mean the two
-checkouts learned the same thing), and the provenance: nproc, machine,
+checkouts learned the same thing), the ``src/`` line count (the total that
+``wc -l src/dactd/*.py`` prints), and the provenance: nproc, machine,
 Python and numpy versions, and git revision.
 """
 from __future__ import annotations
@@ -54,6 +55,12 @@ def git_revision(path: Path) -> str:
                               check=True).stdout.strip()
     rev = git("rev-parse", "HEAD")
     return rev + ("+dirty" if git("status", "--porcelain") else "")
+
+
+def src_lines(path: Path) -> int:
+    """Newlines in the package sources, as ``wc -l src/dactd/*.py`` totals."""
+    return sum(f.read_bytes().count(b"\n")
+               for f in (path / "src" / "dactd").glob("*.py"))
 
 
 def bench_run(path: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -138,7 +145,8 @@ def main(argv=None) -> int:
         "checkouts": {},
     }
     for label, path in checkouts.items():
-        entry = {"git_revision": git_revision(path), "workloads": {}}
+        entry = {"git_revision": git_revision(path),
+                 "src_lines": src_lines(path), "workloads": {}}
         for workload, results in runs[label].items():
             values = {m: [r["metrics"][m]["value"] for r in results]
                       for m in metrics}

@@ -159,7 +159,10 @@ class ExperimentConfig:
             raise ConfigurationError("leaky_slope must be finite")
         if min(self.actor_hidden + self.critic_hidden, default=1) < 1:
             raise ConfigurationError("hidden layer widths must be >= 1")
-        g = self.build_graph()  # the graph constructor checks the edges
+        try:
+            g = self.build_graph()  # the graph constructor checks the edges
+        except ValueError as exc:
+            raise ConfigurationError(f"graph: {exc}") from exc
         info = classify(g)
         if self.protocol == "acyclic" and not info.acyclic_undirected:
             raise ConfigurationError(

@@ -2,8 +2,9 @@
 
 Two families behind one small interface:
 
-* linear-in-features critics (the convergence-theory setting) built on a
-  :class:`FeatureMap`, where the parameter gradient is the feature vector;
+* linear-in-features critics (the convergence-theory setting) over a
+  (local states, dim) feature table, where the parameter gradient is the
+  state's feature row;
 * small feed-forward networks (the experiment setting) with leaky-rectifier
   hidden layers (slope 0.3), hand-rolled forward/backward in numpy.
 
@@ -21,7 +22,6 @@ biases start at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,44 +43,32 @@ def leaky_grad(x: np.ndarray, slope: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Linear critics over feature maps
+# Linear critics over feature tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """Bounded feature vector over a finite local state space."""
-
-    dim: int
-    eval: Callable[[int], np.ndarray]
-    bound: float = 1.0
-
-    def __call__(self, s_local: int) -> np.ndarray:
-        phi = np.asarray(self.eval(s_local), dtype=np.float64)
-        if phi.shape != (self.dim,):
-            raise ValueError(f"feature map returned shape {phi.shape}, "
-                             f"expected ({self.dim},)")
-        return phi
-
-
-def tabular_features(n_states: int) -> FeatureMap:
-    """One-hot features; the induced feature matrix is the identity."""
-    return FeatureMap(dim=n_states, eval=lambda s: one_hot(int(s), n_states))
+def tabular_features(n_states: int) -> np.ndarray:
+    """One-hot features as a (local states, dim) table: row s is phi(s)."""
+    return np.eye(n_states)
 
 
 class LinearCritic:
-    """V(s) = v . phi(s); the parameter gradient is exactly phi(s)."""
+    """V(s) = v . phi(s) over a (local states, dim) feature table; the
+    parameter gradient is exactly phi(s)."""
 
-    def __init__(self, features: FeatureMap, v: np.ndarray | None = None):
-        self.features = features
-        self.v = np.zeros(features.dim) if v is None else np.asarray(v, float)
-        if self.v.shape != (features.dim,):
+    def __init__(self, features: np.ndarray, v: np.ndarray | None = None):
+        self.features = np.asarray(features, dtype=np.float64)
+        if self.features.ndim != 2:
+            raise ValueError("feature table must be (local states, dim)")
+        dim = self.features.shape[1]
+        self.v = np.zeros(dim) if v is None else np.asarray(v, float)
+        if self.v.shape != (dim,):
             raise ValueError("weight vector length must match feature dim")
 
     def value(self, s_local) -> float:
-        return float(self.v @ self.features(s_local))
+        return float(self.v @ self.features[s_local])
 
     def grad(self, s_local) -> np.ndarray:
-        return self.features(s_local)
+        return self.features[s_local].copy()
 
     def get_flat(self) -> np.ndarray:
         return self.v.copy()
@@ -226,10 +214,6 @@ class TabularSoftmaxPolicy:
                        else np.asarray(logits, dtype=np.float64).copy())
         if self.logits.shape != (n_states, n_actions):
             raise ValueError("logit table shape mismatch")
-
-    @property
-    def n_params(self) -> int:
-        return self.n_states * self.n_actions
 
     def probs(self, s_local: int) -> np.ndarray:
         return softmax(self.logits[int(s_local)])

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .envs import CoupledEnv
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, _as_int, _as_real
 from .funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
                          softmax)
 from .protocol import (AcyclicProtocolDriver, GeneralProtocolDriver,
@@ -70,6 +70,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "polynomial"):
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
+        for name in ("base", "exponent"):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
         if not (self.base > 0.0 and np.isfinite(self.base)):
             raise ConfigurationError("schedule base must be positive and finite")
         if self.kind == "polynomial" and not (0.0 < self.exponent <= 1.0):
@@ -187,25 +189,25 @@ class TheoryRunResult:
 
 
 def _check_online_inputs(policies, critics, actor_schedule, n_steps,
-                         protocol, theta_box) -> None:
-    """Reject up front what the table loop cannot run."""
+                         protocol, theta_box) -> tuple[int, float]:
+    """Reject what the table loop cannot run; return n_steps and theta_box."""
     if not all(isinstance(p, TabularSoftmaxPolicy) and p.logits.shape == (2, 2)
                for p in policies):
         raise ConfigurationError("policies must be 2x2 TabularSoftmaxPolicy")
-    if not all(isinstance(c, LinearCritic) and c.features.dim == 2
-               and np.array_equal([c.features(0), c.features(1)], ONE_HOT)
-               for c in critics):
+    if not all(isinstance(c, LinearCritic)
+               and np.array_equal(c.features, ONE_HOT) for c in critics):
         raise ConfigurationError("critics must be LinearCritics with one-hot "
                                  "features on the two local states")
-    if (isinstance(n_steps, bool)
-            or not isinstance(n_steps, (int, np.integer)) or n_steps < 0):
-        raise ConfigurationError(f"n_steps must be an integer >= 0, "
-                                 f"got {n_steps!r}")
+    n_steps = _as_int(n_steps, "n_steps")
+    if n_steps < 0:
+        raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
+    theta_box = _as_real(theta_box, "theta_box")
     if not (theta_box > 0.0 and np.isfinite(theta_box)):
         raise ConfigurationError(f"theta_box must be positive and finite, "
                                  f"got {theta_box!r}")
     if protocol is None and actor_schedule is not None:
         raise ConfigurationError("protocol=None needs actor_schedule=None")
+    return n_steps, theta_box
 
 
 def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
@@ -226,8 +228,8 @@ def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
     n = env.n_agents
     if graph.n_agents != n or len(policies) != n or len(critics) != n:
         raise ValueError("agent count mismatch between env, graph and learners")
-    _check_online_inputs(policies, critics, actor_schedule, n_steps, protocol,
-                         theta_box)
+    n_steps, theta_box = _check_online_inputs(
+        policies, critics, actor_schedule, n_steps, protocol, theta_box)
 
     _, env_ss, policy_ss, channel_ss = np.random.SeedSequence(seed).spawn(4)
     rng_env = np.random.default_rng(env_ss)

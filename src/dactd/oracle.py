@@ -19,7 +19,6 @@ import numpy as np
 
 from .envs import EnumeratedModel, JommdpSpec
 from .errors import ModelError, RankError
-from .funcapprox import FeatureMap
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -91,13 +90,15 @@ def solve_model(model: EnumeratedModel) -> ExactSolution:
 
 
 def feature_matrix(spec: JommdpSpec, agent: int,
-                   fmap: FeatureMap) -> np.ndarray:
-    """Features of every global state: row s is phi(s^agent), the local map
-    applied to the agent's own coordinate of s."""
+                   local: np.ndarray) -> np.ndarray:
+    """Features of every global state: row s is phi(s^agent), the row of the
+    (local states, dim) table ``local`` at the agent's own coordinate of s."""
     if not (1 <= agent <= spec.n_agents):
         raise ValueError(f"agent id {agent} outside 1..{spec.n_agents}")
-    local = np.array([fmap(x)
-                      for x in range(spec.local_state_sizes[agent - 1])])
+    local = np.asarray(local, dtype=np.float64)
+    if local.ndim != 2 or len(local) != spec.local_state_sizes[agent - 1]:
+        raise ValueError(f"feature table of shape {local.shape} needs one row "
+                         f"per local state of agent {agent}")
     return local[np.indices(spec.local_state_sizes)[agent - 1].ravel()]
 
 
@@ -151,9 +152,12 @@ def advantage_table(model: EnumeratedModel, value_table: np.ndarray) -> np.ndarr
 def _direction_from_table(model: EnumeratedModel, d_pi: np.ndarray,
                           table_sa: np.ndarray, policies) -> list[np.ndarray]:
     """Per-agent exhaustive expectation of table(s,a) * score_i(s^i, a^i)
-    under d_pi and the model's joint policy.  Agent i's local weights are the
-    (s, a) weights summed over every axis of the (S_1, ..., S_N, A_1, ...,
-    A_N) reshape except its own state and action axes."""
+    under d_pi and the model's joint policy, for tabular softmax scorers.
+
+    Agent i's local weights w_i are the (s, a) weights summed over every axis
+    of the (S_1, ..., S_N, A_1, ..., A_N) reshape except its own state and
+    action axes.  The score of log pi_i(a|s) in logit row s is onehot(a) -
+    pi_i(.|s), so the expectation is w_i - w_i.sum(axis=1) * pi_i, flat."""
     spec = model.spec
     n = spec.n_agents
     w = (d_pi[:, None] * model.policy_probs * table_sa).reshape(
@@ -162,12 +166,9 @@ def _direction_from_table(model: EnumeratedModel, d_pi: np.ndarray,
     for i, pol in enumerate(policies):
         w_local = w.sum(axis=tuple(ax for ax in range(2 * n)
                                    if ax not in (i, n + i)))
-        g = np.zeros(pol.n_params)
-        for sl in range(spec.local_state_sizes[i]):
-            for al in range(spec.local_action_sizes[i]):
-                if w_local[sl, al] != 0.0:
-                    g += w_local[sl, al] * pol.score(sl, al)
-        out.append(g)
+        pi = np.array([pol.probs(s) for s in range(len(w_local))])
+        g = w_local - w_local.sum(axis=1, keepdims=True) * pi
+        out.append(g.ravel())
     return out
 
 

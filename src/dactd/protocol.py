@@ -58,6 +58,26 @@ def centralized_team_td(all_deltas: np.ndarray) -> Any:
     return ascending_mean(arr)
 
 
+def _begin_tick(driver, t: int, deltas: np.ndarray) -> np.ndarray:
+    """Check a tick before it changes any of the driver's state: t must be
+    the driver's next tick and the TD errors finite, of the driver's shape.
+    Then advance the driver's tick and return the errors as float64."""
+    if t != driver.newest_tick + 1:
+        raise ValueError(f"ticks must advance by 1, got "
+                         f"{driver.newest_tick} -> {t}")
+    n = driver.n_agents
+    arr = np.asarray(deltas, dtype=np.float64)
+    if arr.shape != (n, *driver.value_shape):
+        raise ValueError(f"expected shape {(n, *driver.value_shape)}, "
+                         f"got {arr.shape}")
+    bad = ~np.isfinite(arr.reshape(n, -1)).all(axis=1)
+    if bad.any():
+        raise NumericError(f"tick {t}: non-finite TD error from agents "
+                           f"{(np.flatnonzero(bad) + 1).tolist()}")
+    driver.newest_tick = t
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # General protocol: windowed fill-in of per-origin TD vectors
 # ---------------------------------------------------------------------------
@@ -288,6 +308,7 @@ class GeneralProtocolDriver:
         self.K = K
         self.n_agents = graph.n_agents
         self.value_shape = tuple(value_shape)
+        self.newest_tick = -1
         self.aggs = {i: TeamTDAggregator(i, graph.n_agents, K, value_shape)
                      for i in range(1, graph.n_agents + 1)}
 
@@ -296,15 +317,8 @@ class GeneralProtocolDriver:
         return self.K * self.n_agents
 
     def tick(self, t: int, deltas: np.ndarray) -> np.ndarray:
+        deltas = _begin_tick(self, t, deltas)
         n = self.n_agents
-        deltas = np.asarray(deltas, dtype=np.float64)
-        if deltas.shape != (n, *self.value_shape):
-            raise ValueError(f"expected shape {(n, *self.value_shape)}, "
-                             f"got {deltas.shape}")
-        bad = ~np.isfinite(deltas.reshape(n, -1)).all(axis=1)
-        if bad.any():
-            raise NumericError(f"tick {t}: non-finite TD error from agents "
-                               f"{(np.flatnonzero(bad) + 1).tolist()}")
         pre = {i: self.channel.drain(i, t) for i in range(1, n + 1)}
         for i in range(1, n + 1):
             self.aggs[i].begin_tick(t, deltas[i - 1])
@@ -392,12 +406,7 @@ class AcyclicProtocolDriver:
         return self.K
 
     def tick(self, t: int, deltas: np.ndarray) -> np.ndarray:
-        if t != self.newest_tick + 1:
-            raise ValueError(f"ticks must advance by 1, got {self.newest_tick} -> {t}")
-        delta = np.asarray(deltas, dtype=np.float64)
-        if delta.shape != (self.n_agents, *self.value_shape):
-            raise ValueError(f"expected shape {(self.n_agents, *self.value_shape)}, "
-                             f"got {delta.shape}")
+        delta = _begin_tick(self, t, deltas)
         x, y, z2 = self.x, self.y, self.z2
         rcv, snd = self._receiver, self._sender
         fused = y[snd]
@@ -420,7 +429,6 @@ class AcyclicProtocolDriver:
         new_z[:, 1:] += new_y[rcv, 1:]
         new_z[:, 1:] -= y[snd, :-1]
         self.x, self.y, self.z2, self.z = new_x, new_y, self.z, new_z
-        self.newest_tick = t
         return new_x[:, -1] / self.n_agents
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
@@ -457,13 +465,7 @@ class NeighborhoodDriver:
         self._per_tick: dict[int, np.ndarray] = {}
 
     def tick(self, t: int, deltas: np.ndarray) -> np.ndarray:
-        if t != self.newest_tick + 1:
-            raise ValueError(f"ticks must advance by 1, got {self.newest_tick} -> {t}")
-        arr = np.asarray(deltas, dtype=np.float64)
-        if arr.shape != (self.n_agents, *self.value_shape):
-            raise ValueError(f"expected shape {(self.n_agents, *self.value_shape)}, "
-                             f"got {arr.shape}")
-        self.newest_tick = t
+        arr = _begin_tick(self, t, deltas)
         self._per_tick[t] = arr.copy()
         self._per_tick.pop(t - self.K - 1, None)
         out = np.zeros_like(arr)
@@ -500,13 +502,10 @@ def _drive(driver, deltas: np.ndarray,
            collect_snapshots: bool = False) -> ExchangeResult:
     """Tick a driver once per row of deltas (ticks, n_agents, *value_shape)
     and record each tick's read-outs beside the centralized mean."""
-    ticks, n = deltas.shape[0], deltas.shape[1]
-    if n != driver.n_agents:
-        raise ValueError("delta stream width != n_agents")
     readouts = np.zeros_like(deltas)
-    reference = np.zeros((ticks, *deltas.shape[2:]))
+    reference = np.zeros((len(deltas), *deltas.shape[2:]))
     snaps = [] if collect_snapshots else None
-    for t in range(ticks):
+    for t in range(len(deltas)):
         readouts[t] = driver.tick(t, deltas[t])
         if snaps is not None:
             snaps.append(driver.snapshot())

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dactd.funcapprox import (FeatureMap, LinearCritic, MlpStack,
-                              TabularSoftmaxPolicy, finite_difference, leaky,
-                              leaky_grad, max_relative_error, one_hot, softmax,
+from dactd.funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
+                              finite_difference, leaky, leaky_grad,
+                              max_relative_error, one_hot, softmax,
                               tabular_features)
 from dactd.learner import _score_table
 
@@ -39,16 +39,16 @@ def test_leaky_rectifier_and_its_slope():
 
 
 def test_tabular_features_are_one_hot_and_bounded():
-    fmap = tabular_features(4)
-    mat = np.array([fmap(s) for s in range(4)])
-    assert np.array_equal(mat, np.eye(4))
-    assert np.abs(mat).max() <= fmap.bound
+    table = tabular_features(4)
+    assert np.array_equal(table, np.eye(4))
+    assert np.abs(table).max() <= 1.0
 
 
 def test_feature_map_shape_is_enforced():
-    bad = FeatureMap(dim=2, eval=lambda s: np.zeros(3))
     with pytest.raises(ValueError):
-        bad(0)
+        LinearCritic(np.zeros(3))                   # not a (states, dim) table
+    with pytest.raises(ValueError):
+        LinearCritic(np.eye(2), v=np.zeros(3))      # v longer than dim
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +56,13 @@ def test_feature_map_shape_is_enforced():
 # ---------------------------------------------------------------------------
 
 def test_linear_critic_is_a_dot_product():
-    half = FeatureMap(dim=2, eval=lambda s: np.array([0.5, 0.5]))
+    half = np.full((2, 2), 0.5)
     c = LinearCritic(half, v=np.array([1.0, 2.0]))
     assert c.value(0) == 1.5
-    assert np.array_equal(c.grad(0), [0.5, 0.5])
+    grad = c.grad(0)
+    assert np.array_equal(grad, [0.5, 0.5])
+    grad[0] = 9.0                                   # a copy, not a view
+    assert np.array_equal(c.features, half)
 
 
 def test_zero_weights_value_everything_at_zero():

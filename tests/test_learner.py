@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from dactd.config import AlgorithmChoice, ExperimentConfig
 from dactd.envs import CoupledEnv, micro_env
 from dactd.errors import ConfigurationError, NumericError
-from dactd.funcapprox import (FeatureMap, LinearCritic, MlpStack,
-                              TabularSoftmaxPolicy, max_relative_error,
-                              softmax, tabular_features)
+from dactd.funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
+                              max_relative_error, softmax, tabular_features)
 from dactd.learner import (StepSchedule, TheoryRunResult, _fit_gradient,
                            _make_driver, _score_table, actor_step, critic_step,
                            resolve_latency_window, run_experiment, run_theory,
@@ -44,6 +43,10 @@ def test_schedule_values():
     dict(kind="constant", base=float("inf")),
     dict(kind="polynomial", base=1.0, exponent=0.0),
     dict(kind="polynomial", base=1.0, exponent=1.5),
+    # Bools and strings are not reals, as in the configs.
+    dict(kind="constant", base="0.5"),
+    dict(kind="constant", base=True),
+    dict(kind="polynomial", base=0.5, exponent=True),
 ])
 def test_bad_schedules_are_rejected(kwargs):
     with pytest.raises(ConfigurationError):
@@ -270,7 +273,7 @@ def test_table_loop_is_bitwise_the_per_agent_reference(n, protocol, schedules,
 
 def _bad_online_inputs():
     rng = np.random.default_rng(0)
-    not_one_hot = FeatureMap(dim=2, eval=lambda s: np.array([1.0, float(s)]))
+    not_one_hot = np.array([[1.0, 0.0], [1.0, 1.0]])
     policies, critics = _fresh_learners(2)
     cases = {
         "mlp policy": dict(policies=[MlpStack((2, 3, 2), 1, rng)] * 2),
@@ -286,6 +289,8 @@ def _bad_online_inputs():
         "negative box": dict(theta_box=-1.0),
         "infinite box": dict(theta_box=float("inf")),
         "nan box": dict(theta_box=float("nan")),
+        "bool box": dict(theta_box=True),           # not a box of 1.0
+        "string box": dict(theta_box="2"),
         "no driver with an actor": dict(protocol=None),
     }
     base = dict(policies=policies, critics=critics, n_steps=5, theta_box=1.0,
@@ -329,13 +334,14 @@ def test_online_run_is_deterministic():
     env = CoupledEnv(3, 0.9)
     graph = GraphSchedule.line(3)
 
-    def go():
+    def go(n_steps):
         policies, critics = _fresh_learners(3)
         return run_theory(env, graph, policies, critics,
                           StepSchedule.constant(0.01),
-                          StepSchedule.constant(0.05), 80, seed=3)
+                          StepSchedule.constant(0.05), n_steps, seed=3)
 
-    a, b = go(), go()
+    # A whole float is a step count, as in a config.
+    a, b = go(80), go(80.0)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.team_estimates, b.team_estimates)
     for x, y in zip(a.actor_params, b.actor_params):
@@ -483,7 +489,7 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError):
         replace(BASE, algorithms=(AlgorithmChoice("khop_sac", 9),))
     # The graph is built from n_agents; edges naming a fourth agent fail.
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="outside 1..3"):
         replace(BASE, graph_kind="custom", graph_edges=((3, 4), (4, 3)))
     # Edges on a named graph kind would be ignored.
     with pytest.raises(ConfigurationError, match="only a custom graph"):
@@ -585,6 +591,35 @@ def test_episode_uniform_blocks_equal_per_step_draws():
             scalars = np.array([[scalar_rng.random() for _ in range(n)]
                                 for _ in range(T)])
             assert block.tobytes() == steps.tobytes() == scalars.tobytes()
+
+
+def test_episodic_rollout_is_the_coupled_env_law():
+    # run_experiment writes the environment's law inline, as (base + s @
+    # gain) / 2N.  Rebuild the seed's actor and generators and step
+    # CoupledEnv on the same per-step uniforms: episodes 0..K run before the
+    # first actor update, so their returns must match bit for bit.
+    seed, n, T = 0, BASE.n_agents, BASE.steps
+    res = run_experiment(BASE, DAC, seed)
+    init_ss, env_ss, policy_ss, _ = np.random.SeedSequence(seed).spawn(4)
+    actor = MlpStack((2, *BASE.actor_hidden, 2), n,
+                     np.random.default_rng(init_ss), BASE.leaky_slope)
+    probs = softmax(actor.forward(np.broadcast_to(np.eye(2), (n, 2, 2))))
+    rng_env = np.random.default_rng(env_ss)
+    rng_policy = np.random.default_rng(policy_ss)
+    env = CoupledEnv(n, BASE.gamma)
+    agents = np.arange(n)
+    for e in range(res.K + 1):
+        u_policy = rng_policy.random((T, n))
+        s = env.initial_state()
+        rewards = []
+        for t in range(T):
+            a = (probs[agents, s, 0] <= u_policy[t]).astype(np.int64)
+            s, r = env.step(s, a, rng_env)
+            rewards.append(r)
+        per_agent = np.array(rewards).T.copy()            # (n, T)
+        returns = np.array([np.sum(row) for row in per_agent])
+        assert res.agent_returns[e].tobytes() == returns.tobytes()
+        assert res.team_returns[e] == np.sum(returns) / n
 
 
 def test_episodic_run_shapes_and_reward_structure():

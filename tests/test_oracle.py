@@ -227,9 +227,9 @@ def test_full_state_fixed_point_is_the_true_value_function():
 def test_local_feature_fixed_points():
     model = _uniform_model()
     d = stationary_distribution(model.transition_pi)
-    fmap = tabular_features(2)
-    v1 = critic_fixed_point(model, d, 1, feature_matrix(model.spec, 1, fmap))
-    v2 = critic_fixed_point(model, d, 2, feature_matrix(model.spec, 2, fmap))
+    phi = tabular_features(2)
+    v1 = critic_fixed_point(model, d, 1, feature_matrix(model.spec, 1, phi))
+    v2 = critic_fixed_point(model, d, 2, feature_matrix(model.spec, 2, phi))
     assert v1 == pytest.approx([4.77386935, 5.22613065], abs=1e-6)
     assert np.abs(v2).max() <= 1e-12
 
@@ -256,6 +256,10 @@ def test_feature_matrix_validates_the_agent_id():
     model = _uniform_model()
     with pytest.raises(ValueError):
         feature_matrix(model.spec, 0, tabular_features(2))
+    with pytest.raises(ValueError):       # three rows for two local states
+        feature_matrix(model.spec, 1, tabular_features(3))
+    with pytest.raises(ValueError):       # one feature vector, not a table
+        feature_matrix(model.spec, 1, np.ones(2))
 
 
 def test_drift_matrix_is_strictly_stable():
@@ -308,10 +312,10 @@ def test_update_direction_decomposes_into_gradient_plus_corrections():
     policies = _random_policies(3)
     model = enumerate_model(micro_env(), policies)
     sol = solve_model(model)
-    fmap = tabular_features(2)
+    phi = tabular_features(2)
     tables = np.stack([
-        feature_matrix(model.spec, i, fmap)
-        @ critic_fixed_point(model, sol.d_pi, i, feature_matrix(model.spec, i, fmap))
+        feature_matrix(model.spec, i, phi)
+        @ critic_fixed_point(model, sol.d_pi, i, feature_matrix(model.spec, i, phi))
         for i in (1, 2)])
     direction = update_direction(model, sol.d_pi, tables, policies)
     grads = exact_policy_gradient(sol, policies)
@@ -406,7 +410,7 @@ def _ref_direction_from_table(spec, policy_probs, d_pi, table_sa, policies):
         for si, s in enumerate(states):
             for ai, a in enumerate(actions):
                 w_local[s[i], a[i]] += w_sa[si, ai]
-        g = np.zeros(pol.n_params)
+        g = np.zeros(pol.get_flat().size)
         for sl in range(spec.local_state_sizes[i]):
             for al in range(spec.local_action_sizes[i]):
                 if w_local[sl, al] != 0.0:
@@ -415,11 +419,11 @@ def _ref_direction_from_table(spec, policy_probs, d_pi, table_sa, policies):
     return out
 
 
-def _ref_feature_matrix(spec, agent, fmap):
+def _ref_feature_matrix(spec, agent, local):
     rows = []
     for si in range(spec.n_states):
         s = spec.index_state(si)
-        rows.append(fmap(int(s[agent - 1])))
+        rows.append(local[int(s[agent - 1])])
     return np.array(rows)
 
 
@@ -459,10 +463,10 @@ def test_count_model_matches_the_dense_reference(n, draw):
     assert max_relative_error(model.rewards_pi, np.einsum(
         "sa,nsa->ns", policy, rewards_sa)) <= PARITY_TOL
 
-    fmap = tabular_features(2)
+    phi = tabular_features(2)
     for i in range(1, n + 1):
-        assert np.array_equal(feature_matrix(spec, i, fmap),
-                              _ref_feature_matrix(spec, i, fmap))
+        assert np.array_equal(feature_matrix(spec, i, phi),
+                              _ref_feature_matrix(spec, i, phi))
 
     sol = solve_model(model)
     critics = rng.normal(size=(n, spec.n_states))

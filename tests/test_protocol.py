@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from dactd.errors import (IncompleteAggregationError, NumericError,
                           ProtocolCorruptionError)
-from dactd.protocol import (GeneralProtocolDriver, NeighborhoodDriver,
-                            TDHistory, WindowPayload, ascending_mean,
-                            centralized_team_td, run_general_exchange)
+from dactd.protocol import (AcyclicProtocolDriver, GeneralProtocolDriver,
+                            NeighborhoodDriver, TDHistory, WindowPayload,
+                            _drive, ascending_mean, centralized_team_td,
+                            run_general_exchange)
 from dactd.topology import GraphSchedule, latency_bound
 from dactd.transport import Channel, ChannelModel
 
@@ -399,23 +400,48 @@ def test_forged_signed_zero_over_a_known_zero_is_detected():
         h.merge_payload(_one_row(0, [-0.0, 0.0], [True, False]))
 
 
-def test_non_finite_td_error_is_rejected_before_the_tick_changes_state():
+TICK_DRIVERS = {
+    "general": lambda g, K: GeneralProtocolDriver(g, Channel(ChannelModel(), g), K),
+    "acyclic": lambda g, K: AcyclicProtocolDriver(g, K),
+    "neighborhood": lambda g, K: NeighborhoodDriver(
+        [list(range(1, g.n_agents + 1))] * g.n_agents, K),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TICK_DRIVERS))
+def test_non_finite_td_error_is_rejected_before_the_tick_changes_state(kind):
     g = GraphSchedule.line(3)
     K = latency_bound(g, 0, 1)
-    driver = GeneralProtocolDriver(g, Channel(ChannelModel(), g), K)
+    make = TICK_DRIVERS[kind]
+    driver = make(g, K)
     deltas = _random_stream(np.random.default_rng(8), K + 4, 3)
     poisoned = deltas[1].copy()
     poisoned[1] = np.nan
     driver.tick(0, deltas[0])
     with pytest.raises(NumericError, match=r"tick 1: .* agents \[2\]"):
         driver.tick(1, poisoned)
-    # Nothing was drained, advanced or sent: the run resumes unchanged.
+    # Nothing was drained, advanced or sent: the run resumes unchanged, bit
+    # for bit the run of a driver that never saw the poisoned tick.
     readouts = [driver.tick(t, deltas[t]) for t in range(1, len(deltas))]
-    for t, got in enumerate(readouts[K - 1:], start=K):
-        assert (got == centralized_team_td(deltas[t - K])).all()
+    clean = make(g, K)
+    clean.tick(0, deltas[0])
+    for t, got in enumerate(readouts, start=1):
+        assert got.tobytes() == clean.tick(t, deltas[t]).tobytes()
     with pytest.raises(NumericError):
-        run_general_exchange(g, Channel(ChannelModel(), g),
-                             np.where(np.arange(3) == 2, np.inf, deltas), K)
+        _drive(make(g, K), np.where(np.arange(3) == 2, np.inf, deltas))
+
+
+def test_skipped_tick_is_rejected_before_the_channel_is_drained():
+    g = GraphSchedule.line(3)
+    model = ChannelModel(t2=2, delay_law="fixed")
+    K = latency_bound(g, model.t1, model.t2)
+    driver = GeneralProtocolDriver(g, Channel(model, g), K)
+    driver.tick(0, np.ones(3))
+    in_flight = driver.channel.pending_count()
+    assert in_flight == 4                   # one per directed edge, due at 2
+    with pytest.raises(ValueError, match="ticks must advance by 1"):
+        driver.tick(2, np.ones(3))
+    assert driver.channel.pending_count() == in_flight
 
 
 # ---------------------------------------------------------------------------
