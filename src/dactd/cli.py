@@ -63,6 +63,18 @@ def _write_run_csv(path: Path, result: RunResult) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _make_out_dir(path) -> Path:
+    """Create the output directory; a path that cannot be one is a
+    configuration error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"output directory {str(out)!r} cannot be "
+                                 f"created: {exc.strerror or exc}") from exc
+    return out
+
+
 def _final_mean(result: RunResult, window: int = 100) -> float:
     w = min(window, result.team_returns.shape[0])
     return float(result.team_returns[-w:].mean())
@@ -80,8 +92,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
         print(yaml.safe_dump(cfg.resolved(), sort_keys=False).rstrip())
         return EXIT_OK
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(cfg.out_dir)
     grid = cfg.expand_runs()
     if ns.jobs == 1:
         results = [run_experiment(cfg, alg, seed) for alg, seed in grid]
@@ -123,11 +134,16 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_oracle(ns: argparse.Namespace) -> int:
     if ns.config is not None:
+        if ns.agents is not None or ns.gamma is not None:
+            raise ConfigurationError("--agents and --gamma cannot be combined "
+                                     "with --config, which sets both")
         cfg = load_config(ns.config)
         n_agents, gamma = cfg.n_agents, cfg.gamma
     else:
-        n_agents, gamma = ns.agents, ns.gamma
+        n_agents = 2 if ns.agents is None else ns.agents
+        gamma = 0.9 if ns.gamma is None else ns.gamma
     env = CoupledEnv(n_agents=n_agents, gamma=gamma)
+    out = None if ns.out is None else _make_out_dir(ns.out)
     if ns.policy_seed is None:
         policies = [TabularSoftmaxPolicy(2, 2) for _ in range(n_agents)]
     else:
@@ -152,9 +168,7 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     print("\n".join(rows))
     for i, g in enumerate(grads, start=1):
         print(f"grad agent {i}: " + " ".join(_fmt(v) for v in g))
-    if ns.out is not None:
-        out = Path(ns.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "oracle.csv").write_text("\n".join(rows) + "\n")
         print(f"oracle table -> {out / 'oracle.csv'}")
     return EXIT_OK
@@ -186,8 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_or = sub.add_parser("oracle", help="dump exact model quantities")
     p_or.add_argument("--config", default=None)
-    p_or.add_argument("--agents", type=int, default=2)
-    p_or.add_argument("--gamma", type=float, default=0.9)
+    p_or.add_argument("--agents", type=int, default=None,
+                      help="number of agents (default 2; not with --config)")
+    p_or.add_argument("--gamma", type=float, default=None,
+                      help="discount (default 0.9; not with --config)")
     p_or.add_argument("--policy-seed", type=int, default=None,
                       help="random policy logits (default: uniform policies)")
     p_or.add_argument("--out", default=None)

@@ -16,7 +16,7 @@ start from the all-zeros state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from functools import cached_property
 
 import numpy as np
 
@@ -29,45 +29,43 @@ STATE_CAP = 4096
 
 @dataclass(frozen=True)
 class JommdpSpec:
-    """Sizes and discount of a finite jointly observable multi-agent MDP."""
+    """Size and discount of a team of N binary agents: S = A = 2^N."""
 
     n_agents: int
-    local_state_sizes: tuple[int, ...]
-    local_action_sizes: tuple[int, ...]
     gamma: float
 
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
-        if len(self.local_state_sizes) != self.n_agents:
-            raise ValueError("one local state size per agent required")
-        if len(self.local_action_sizes) != self.n_agents:
-            raise ValueError("one local action size per agent required")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
 
     @property
     def n_states(self) -> int:
-        return prod(self.local_state_sizes)
+        return 2 ** self.n_agents
 
     @property
     def n_actions(self) -> int:
-        return prod(self.local_action_sizes)
+        return 2 ** self.n_agents
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """(N, 2^N) read-only table: row i is agent i+1's local state in each
+        global-state index, and its local action in each joint-action index."""
+        bits = np.indices((2,) * self.n_agents, dtype=np.int64).reshape(
+            self.n_agents, -1)
+        bits.setflags(write=False)
+        return bits
 
     def index_state(self, idx: int) -> np.ndarray:
-        return np.array(np.unravel_index(idx, self.local_state_sizes), dtype=np.int64)
+        return self.bits[:, idx]
 
 
 class CoupledEnv:
     """The coupled binary environment for any number of agents."""
 
     def __init__(self, n_agents: int, gamma: float = 0.9):
-        self.spec = JommdpSpec(
-            n_agents=n_agents,
-            local_state_sizes=(2,) * n_agents,
-            local_action_sizes=(2,) * n_agents,
-            gamma=gamma,
-        )
+        self.spec = JommdpSpec(n_agents=n_agents, gamma=gamma)
 
     @property
     def n_agents(self) -> int:
@@ -133,6 +131,7 @@ class EnumeratedModel:
     count_transition[count_index[s, a]], with no (S, A, S) kernel formed."""
 
     spec: JommdpSpec
+    local_policy: np.ndarray      # (N, 2, 2) pi_i(a_i | s_i) per agent
     policy_probs: np.ndarray      # (S, A) joint policy
     count_index: np.ndarray       # (S, A) coupling count |s| + |a|
     count_transition: np.ndarray  # (2N+1, S) next-state law per count
@@ -150,48 +149,48 @@ class EnumeratedModel:
         self.rewards_pi = self.count_rewards @ mass.T
 
 
-def joint_policy_probs(spec: JommdpSpec, local_policies) -> np.ndarray:
-    """(S, A) joint policy: product over agents of pi_i(a_i | s_i), each
-    agent's table broadcast over the (S_1..S_N, A_1..A_N) axes in turn."""
-    if len(local_policies) != spec.n_agents:
-        raise ValueError("one local policy per agent required")
-    n = spec.n_agents
-    joint = np.ones((1,) * (2 * n))
-    for i, pol in enumerate(local_policies):
-        table = np.array([pol.probs(s)
-                          for s in range(spec.local_state_sizes[i])],
-                         dtype=np.float64)
-        shape = [1] * (2 * n)
-        shape[i], shape[n + i] = table.shape
-        joint = joint * table.reshape(shape)
-    return joint.reshape(spec.n_states, spec.n_actions)
+def _local_policy_table(n_agents: int, local_policies) -> np.ndarray:
+    """(N, 2, 2) table of pi_i(a_i | s_i), each policy's probs(0) and
+    probs(1) read once."""
+    rows = [np.asarray(pol.probs(s), dtype=np.float64)
+            for pol in local_policies for s in (0, 1)]
+    if len(rows) != 2 * n_agents or any(row.shape != (2,) for row in rows):
+        raise ValueError(f"one two-action local policy per agent required: "
+                         f"got {len(local_policies)} for {n_agents} agents")
+    return np.array(rows).reshape(n_agents, 2, 2)
 
 
-def enumerate_model(env: CoupledEnv, local_policies,
-                    cap: int = STATE_CAP) -> EnumeratedModel:
+def enumerate_model(env: CoupledEnv, local_policies) -> EnumeratedModel:
     """Exact count-factorised model of env under per-agent local policies.
 
-    local_policies is one object per agent exposing probs(s_local) -> array
-    over that agent's actions.  Allocates the (S, A) joint policy and count
-    index, the (2N+1, S) count rows and the (S, S) kernel under the policy.
-    Raises CapacityError when the global state or action space exceeds cap.
+    local_policies is one object per agent exposing probs(s_local) -> its
+    two action probabilities, read once into model.local_policy.  Allocates
+    the (S, A) joint policy and count index, the (2N+1, S) count rows and
+    the (S, S) kernel.  Raises CapacityError when S = A = 2^N > STATE_CAP.
     """
     spec = env.spec
-    S, A = spec.n_states, spec.n_actions
-    if S > cap or A > cap:
+    n, S = spec.n_agents, spec.n_states
+    if S > STATE_CAP:
         raise CapacityError(
-            f"global spaces ({S} states, {A} actions) exceed cap {cap}: the "
-            f"oracle allocates (S, A) policy tables and solves (S, S) systems")
-    policy = joint_policy_probs(spec, local_policies)
-    state_counts = np.indices(spec.local_state_sizes).sum(axis=0).reshape(S, 1)
-    action_counts = np.indices(spec.local_action_sizes).sum(axis=0).reshape(A)
+            f"global spaces ({S} states, {S} actions) exceed cap {STATE_CAP}:"
+            f" the oracle allocates (S, A) policy tables and solves (S, S) systems")
+    local = _local_policy_table(n, local_policies)
+    # Product over agents of pi_i(a_i | s_i), each agent's table broadcast
+    # over the (s_1..s_N, a_1..a_N) bit axes in turn.
+    joint = np.ones((1,) * (2 * n))
+    for i in range(n):
+        shape = [1] * (2 * n)
+        shape[i] = shape[n + i] = 2
+        joint = joint * local[i].reshape(shape)
+    policy = joint.reshape(S, S)
+    counts = spec.bits.sum(axis=0)
     count_transition, count_rewards = env.count_model()
 
     if not np.allclose(count_transition.sum(axis=1), 1.0, atol=1e-12):
         raise ValueError("transition kernel rows must sum to 1")
     if not np.allclose(policy.sum(axis=1), 1.0, atol=1e-10):
         raise ValueError("joint policy rows must sum to 1")
-    return EnumeratedModel(spec=spec, policy_probs=policy,
-                           count_index=state_counts + action_counts,
+    return EnumeratedModel(spec=spec, local_policy=local, policy_probs=policy,
+                           count_index=counts[:, None] + counts,
                            count_transition=count_transition,
                            count_rewards=count_rewards)

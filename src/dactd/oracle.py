@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import EnumeratedModel, JommdpSpec
+from .envs import EnumeratedModel, JommdpSpec, _local_policy_table
 from .errors import ModelError, RankError
 
 
@@ -89,17 +89,21 @@ def solve_model(model: EnumeratedModel) -> ExactSolution:
                          v_team=v_agents.mean(axis=0))
 
 
+def _check_agent(spec: JommdpSpec, agent: int) -> None:
+    if not (1 <= agent <= spec.n_agents):
+        raise ValueError(f"agent id {agent} outside 1..{spec.n_agents}")
+
+
 def feature_matrix(spec: JommdpSpec, agent: int,
                    local: np.ndarray) -> np.ndarray:
     """Features of every global state: row s is phi(s^agent), the row of the
-    (local states, dim) table ``local`` at the agent's own coordinate of s."""
-    if not (1 <= agent <= spec.n_agents):
-        raise ValueError(f"agent id {agent} outside 1..{spec.n_agents}")
+    (2, dim) table ``local`` at the agent's own bit of s."""
+    _check_agent(spec, agent)
     local = np.asarray(local, dtype=np.float64)
-    if local.ndim != 2 or len(local) != spec.local_state_sizes[agent - 1]:
+    if local.ndim != 2 or len(local) != 2:
         raise ValueError(f"feature table of shape {local.shape} needs one row "
                          f"per local state of agent {agent}")
-    return local[np.indices(spec.local_state_sizes)[agent - 1].ravel()]
+    return local[spec.bits[agent - 1]]
 
 
 def ode_matrix(P_pi: np.ndarray, d_pi: np.ndarray, gamma: float) -> np.ndarray:
@@ -115,9 +119,10 @@ def critic_fixed_point(model: EnumeratedModel, d_pi: np.ndarray, agent: int,
 
     Solves  Phi^T D (gamma P - I) Phi v = -Phi^T D r_hat  densely, where
     r_hat is the agent's expected private reward per state.  Raises
-    RankError when Phi is column-rank deficient or the system is singular
-    beyond tolerance.
+    ValueError for an agent id outside 1..N, and RankError when Phi is
+    column-rank deficient or the system is singular beyond tolerance.
     """
+    _check_agent(model.spec, agent)
     S = model.transition_pi.shape[0]
     if Phi.shape[0] != S:
         raise ValueError("feature matrix must have one row per global state")
@@ -149,57 +154,62 @@ def advantage_table(model: EnumeratedModel, value_table: np.ndarray) -> np.ndarr
     return per_count[model.count_index] - meanV[:, None]
 
 
-def _direction_from_table(model: EnumeratedModel, d_pi: np.ndarray,
-                          table_sa: np.ndarray, policies) -> list[np.ndarray]:
+def _direction_from_table(solution: ExactSolution,
+                          table_sa: np.ndarray) -> list[np.ndarray]:
     """Per-agent exhaustive expectation of table(s,a) * score_i(s^i, a^i)
-    under d_pi and the model's joint policy, for tabular softmax scorers.
+    under d_pi and the joint policy, for tabular softmax scorers.
 
-    Agent i's local weights w_i are the (s, a) weights summed over every axis
-    of the (S_1, ..., S_N, A_1, ..., A_N) reshape except its own state and
-    action axes.  The score of log pi_i(a|s) in logit row s is onehot(a) -
-    pi_i(.|s), so the expectation is w_i - w_i.sum(axis=1) * pi_i, flat."""
-    spec = model.spec
-    n = spec.n_agents
-    w = (d_pi[:, None] * model.policy_probs * table_sa).reshape(
-        spec.local_state_sizes + spec.local_action_sizes)
-    out = []
-    for i, pol in enumerate(policies):
-        w_local = w.sum(axis=tuple(ax for ax in range(2 * n)
-                                   if ax not in (i, n + i)))
-        pi = np.array([pol.probs(s) for s in range(len(w_local))])
-        g = w_local - w_local.sum(axis=1, keepdims=True) * pi
-        out.append(g.ravel())
-    return out
+    Agent i's local weights w_i[s_i, a_i], the (s, a) weights summed over
+    its bits, are the (2, 2) diagonal blocks of E w E^T for E the (2N, S)
+    one-hot of spec.bits.  The score of log pi_i(a|s) in logit row s is
+    onehot(a) - pi_i(.|s): the expectation is w_i - w_i.sum(1) * pi_i."""
+    model = solution.model
+    n, bits = model.spec.n_agents, model.spec.bits
+    w = solution.d_pi[:, None] * model.policy_probs * table_sa
+    E = np.stack([1 - bits, bits], axis=1).reshape(2 * n, -1).astype(np.float64)
+    w_local = np.einsum("iaib->iab", (E @ w @ E.T).reshape(n, 2, n, 2))
+    g = w_local - w_local.sum(axis=2, keepdims=True) * model.local_policy
+    return list(g.reshape(n, 4))
 
 
-def update_direction(model: EnumeratedModel, d_pi: np.ndarray,
-                     critic_tables: np.ndarray, policies) -> list[np.ndarray]:
+def _team_critic(solution: ExactSolution, critic_tables) -> np.ndarray:
+    tables = np.asarray(critic_tables, dtype=np.float64)
+    if tables.shape != solution.v_agents.shape:
+        raise ValueError(f"critic tables of shape {tables.shape}, not one row "
+                         f"of S values per agent {solution.v_agents.shape}")
+    return tables.mean(axis=0)
+
+
+def update_direction(solution: ExactSolution,
+                     critic_tables: np.ndarray) -> list[np.ndarray]:
     """Exhaustive expected actor-update direction per agent when TD errors
     are computed from critic_tables ((N, S) values per agent, already
     broadcast to global states)."""
-    table = advantage_table(model, np.asarray(critic_tables).mean(axis=0))
-    return _direction_from_table(model, d_pi, table, policies)
+    return _direction_from_table(solution, advantage_table(
+        solution.model, _team_critic(solution, critic_tables)))
 
 
 def exact_policy_gradient(solution: ExactSolution, policies) -> list[np.ndarray]:
     """The exact gradient direction: update_direction evaluated with the
-    true per-agent value functions."""
-    return update_direction(solution.model, solution.d_pi,
-                            solution.v_agents, policies)
+    true per-agent values.  Raises ValueError unless policies read back bit
+    for bit as model.local_policy, the ones the model was enumerated under."""
+    local = _local_policy_table(solution.model.spec.n_agents, policies)
+    if not np.array_equal(local, solution.model.local_policy):
+        raise ValueError("policies differ from the ones the model was "
+                         "enumerated under")
+    return update_direction(solution, solution.v_agents)
 
 
-def correction_terms(model: EnumeratedModel, d_pi: np.ndarray,
-                     critic_tables: np.ndarray, true_values: np.ndarray,
-                     policies) -> list[np.ndarray]:
+def correction_terms(solution: ExactSolution,
+                     critic_tables: np.ndarray) -> list[np.ndarray]:
     """Per-agent bias of the update direction caused by critic mismatch.
 
-    With dV = mean_j(critic_j - true_value_j) as a global-state table, the
-    bias weight per (s, a) is gamma E[dV(s')|s,a] - dV(s); by linearity
+    With dV = mean_j(critic_j) - v_team as a global-state table, the bias
+    weight per (s, a) is gamma E[dV(s')|s,a] - dV(s); by linearity
     update_direction(critics) = exact gradient + these terms.
     """
-    dV = (np.asarray(critic_tables, dtype=np.float64)
-          - np.asarray(true_values, dtype=np.float64)).mean(axis=0)
+    model = solution.model
+    dV = _team_critic(solution, critic_tables) - solution.v_team
     corr_c = model.spec.gamma * model.count_transition @ dV
     corr_sa = corr_c[model.count_index] - dV[:, None]
-    return _direction_from_table(model, d_pi, corr_sa, policies)
-
+    return _direction_from_table(solution, corr_sa)

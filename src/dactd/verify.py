@@ -304,17 +304,13 @@ def _bias_setting(policies, mc_seed: int, samples: int) -> dict:
     S, A, N = spec.n_states, spec.n_actions, spec.n_agents
 
     local_tabs = np.array([
-        feature_matrix(spec, i, tabular_features(2)) @
-        critic_fixed_point(model, sol.d_pi, i,
-                           feature_matrix(spec, i, tabular_features(2)))
+        critic_fixed_point(model, sol.d_pi, i, feature_matrix(
+            spec, i, tabular_features(2)))[spec.bits[i - 1]]
         for i in range(1, N + 1)])
-    true_tabs = sol.v_agents
 
     ex_grad = np.concatenate(exact_policy_gradient(sol, policies))
-    ex_dir = np.concatenate(update_direction(model, sol.d_pi, local_tabs,
-                                             policies))
-    ex_corr = np.concatenate(correction_terms(model, sol.d_pi, local_tabs,
-                                              true_tabs, policies))
+    ex_dir = np.concatenate(update_direction(sol, local_tabs))
+    ex_corr = np.concatenate(correction_terms(sol, local_tabs))
 
     rng = np.random.default_rng(mc_seed)
     cum_d = np.cumsum(sol.d_pi)
@@ -322,7 +318,7 @@ def _bias_setting(policies, mc_seed: int, samples: int) -> dict:
     cum_P = np.cumsum(model.count_transition, axis=1)
     r_team = model.count_rewards.mean(axis=0)[model.count_index]
     v_hat = local_tabs.mean(axis=0)
-    v_true = true_tabs.mean(axis=0)
+    v_true = sol.v_team
 
     s = np.searchsorted(cum_d, rng.random(samples), side="right").clip(0, S - 1)
     a = (cum_pi[s] <= rng.random(samples)[:, None]).sum(axis=1).clip(0, A - 1)
@@ -336,9 +332,7 @@ def _bias_setting(policies, mc_seed: int, samples: int) -> dict:
     for i in range(N):
         table = np.array([[policies[i].score(sl, al)
                            for al in range(2)] for sl in range(2)])
-        s_i = np.indices(spec.local_state_sizes)[i].ravel()[s]
-        a_i = np.indices(spec.local_action_sizes)[i].ravel()[a]
-        scores = table[s_i, a_i]
+        scores = table[spec.bits[i][s], spec.bits[i][a]]
         mc_dir.append((d_hat[:, None] * scores).mean(axis=0))
         mc_exact.append((d_true[:, None] * scores).mean(axis=0))
         mc_bias.append(((d_hat - d_true)[:, None] * scores).mean(axis=0))

@@ -492,11 +492,30 @@ def test_oracle_dump(tmp_path, capsys):
     assert printed[start:start + len(table)] == table
 
 
-def test_oracle_sizes_outside_the_model_exit_1(capsys):
-    # No agents, and 2^13 states, above the enumeration cap.
-    for agents in ("0", "13"):
-        assert cli.main(["oracle", "--agents", agents]) == 1
-        assert "invalid configuration" in capsys.readouterr().err
+def test_oracle_sizes_outside_the_model_exit_1(config_file, capsys):
+    # No agents, 2^13 states (above the enumeration cap), and sizes given
+    # both by a config and by flags.
+    for args in (["--agents", "0"], ["--agents", "13"],
+                 ["--config", str(config_file), "--agents", "3"],
+                 ["--config", str(config_file), "--gamma", "0.5"]):
+        assert cli.main(["oracle", *args]) == 1
+        captured = capsys.readouterr()
+        assert "invalid configuration" in captured.err
+        assert captured.out == ""
+
+
+def test_out_path_that_is_a_file_exits_1(config_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for cmd in (["run", "--config", str(config_file)],
+                ["oracle", "--agents", "2"]):
+        assert cli.main([*cmd, "--out", str(taken)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid configuration: output "
+                                       f"directory {str(taken)!r}")
+        assert len(captured.err.splitlines()) == 1
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_oracle_reads_the_config_for_sizes(config_file, capsys):

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dactd.envs import (CoupledEnv, enumerate_model, joint_policy_probs,
-                        micro_env)
+from dactd.envs import CoupledEnv, enumerate_model, micro_env
 from dactd.errors import CapacityError
 from dactd.funcapprox import TabularSoftmaxPolicy
 
@@ -116,11 +115,16 @@ def test_initial_state_is_all_zeros():
 # ---------------------------------------------------------------------------
 
 def test_spec_indexing_round_trips():
-    spec = CoupledEnv(3).spec
-    for i in range(spec.n_states):
-        s = spec.index_state(i)
-        assert s.dtype == np.int64 and ((s == 0) | (s == 1)).all()
-        assert np.ravel_multi_index(tuple(s), spec.local_state_sizes) == i
+    for n in range(1, 8):
+        spec = CoupledEnv(n).spec
+        assert spec.n_states == spec.n_actions == 2 ** n
+        assert np.array_equal(spec.bits, np.unravel_index(np.arange(2 ** n),
+                                                          (2,) * n))
+        assert spec.bits.dtype == np.int64 and not spec.bits.flags.writeable
+        for i in range(spec.n_states):
+            s = spec.index_state(i)
+            assert s.dtype == np.int64 and ((s == 0) | (s == 1)).all()
+            assert np.ravel_multi_index(tuple(s), (2,) * n) == i
 
 
 def test_transition_rows_are_stochastic():
@@ -133,8 +137,7 @@ def test_transition_rows_are_stochastic():
 def test_forced_policy_saturates_the_all_ones_state():
     force_one = FixedTablePolicy(np.array([[0.0, 1.0], [0.0, 1.0]]))
     model = enumerate_model(micro_env(), [force_one, force_one])
-    spec = model.spec
-    s_all1 = np.ravel_multi_index((1, 1), spec.local_state_sizes)
+    s_all1 = np.ravel_multi_index((1, 1), (2, 2))
     row = model.transition_pi[s_all1]
     assert row[s_all1] == pytest.approx(1.0, abs=1e-12)
 
@@ -154,12 +157,11 @@ def test_expected_private_reward_under_uniform_policy():
 def test_joint_policy_is_the_product_of_locals():
     pols = [TabularSoftmaxPolicy(2, 2, logits=np.array([[1.0, 0.0], [0.0, 0.0]])),
             TabularSoftmaxPolicy(2, 2)]
-    spec = micro_env().spec
-    probs = joint_policy_probs(spec, pols)
+    probs = enumerate_model(micro_env(), pols).policy_probs
     assert probs.shape == (4, 4)
     assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
-    s = np.ravel_multi_index((0, 0), spec.local_state_sizes)
-    a = np.ravel_multi_index((0, 1), spec.local_action_sizes)
+    s = np.ravel_multi_index((0, 0), (2, 2))
+    a = np.ravel_multi_index((0, 1), (2, 2))
     expected = pols[0].probs(0)[0] * pols[1].probs(0)[1]
     assert probs[s, a] == pytest.approx(expected, abs=1e-15)
 

@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from dactd.envs import (CoupledEnv, enumerate_model, joint_policy_probs,
-                        micro_env)
+from dactd.envs import CoupledEnv, enumerate_model, micro_env
 from dactd.errors import ModelError, RankError
 from dactd.funcapprox import (TabularSoftmaxPolicy, max_relative_error,
                               tabular_features)
@@ -27,15 +26,22 @@ def surrogate_objective(model, d_frozen, critic_tables, local_policies):
 
         J'(theta) = sum_s d(s) sum_a pi_theta(a|s) * delta_hat(s, a)
     """
-    policy = joint_policy_probs(model.spec, local_policies)
+    spec = model.spec
+    policy = enumerate_model(CoupledEnv(spec.n_agents, spec.gamma),
+                             local_policies).policy_probs
     table = advantage_table(model, np.asarray(critic_tables).mean(axis=0))
     return float(d_frozen @ (policy * table).sum(axis=1))
 
 
-def _random_policies(seed=42):
+def _random_policies(seed=42, n=2):
     rng = np.random.default_rng(seed)
     return [TabularSoftmaxPolicy(2, 2, logits=rng.normal(size=(2, 2)))
-            for _ in range(2)]
+            for _ in range(n)]
+
+
+def _three_agent_solution():
+    policies = _random_policies(13, n=3)
+    return solve_model(enumerate_model(CoupledEnv(3), policies)), policies
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +250,14 @@ def test_fixed_point_satisfies_projected_orthogonality():
     assert np.abs(Phi.T @ (d * resid)).max() <= 1e-12
 
 
+def test_critic_fixed_point_validates_the_agent_id():
+    sol, _ = _three_agent_solution()
+    Phi = feature_matrix(sol.model.spec, 1, tabular_features(2))
+    for agent in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"agent id {agent} outside 1..3"):
+            critic_fixed_point(sol.model, sol.d_pi, agent, Phi)
+
+
 def test_duplicated_feature_column_is_rejected():
     model = _uniform_model()
     d = stationary_distribution(model.transition_pi)
@@ -317,9 +331,9 @@ def test_update_direction_decomposes_into_gradient_plus_corrections():
         feature_matrix(model.spec, i, phi)
         @ critic_fixed_point(model, sol.d_pi, i, feature_matrix(model.spec, i, phi))
         for i in (1, 2)])
-    direction = update_direction(model, sol.d_pi, tables, policies)
+    direction = update_direction(sol, tables)
     grads = exact_policy_gradient(sol, policies)
-    corr = correction_terms(model, sol.d_pi, tables, sol.v_agents, policies)
+    corr = correction_terms(sol, tables)
     for i in range(2):
         assert np.abs(direction[i] - (grads[i] + corr[i])).max() <= 1e-12
 
@@ -328,8 +342,7 @@ def test_perfect_critics_leave_no_bias():
     policies = _random_policies(5)
     model = enumerate_model(micro_env(), policies)
     sol = solve_model(model)
-    corr = correction_terms(model, sol.d_pi, sol.v_agents, sol.v_agents,
-                            policies)
+    corr = correction_terms(sol, sol.v_agents)
     for c in corr:
         assert np.abs(c).max() <= 1e-10
 
@@ -341,6 +354,42 @@ def test_saturated_policy_has_vanishing_gradient_coordinates():
     sol = solve_model(model)
     grads = exact_policy_gradient(sol, policies)
     assert np.abs(grads[0]).max() <= 1e-8
+
+
+# Each case is (call on a 3-agent solution and its policies, message).
+POLICY_MISMATCHES = {
+    "gradient-two-policies": (
+        lambda sol, pols: exact_policy_gradient(sol, pols[:2]),
+        "one two-action local policy per agent required: got 2 for 3 agents"),
+    "gradient-other-policies": (
+        lambda sol, pols: exact_policy_gradient(
+            sol, [TabularSoftmaxPolicy(2, 2) for _ in pols]),
+        "policies differ from the ones the model was enumerated under"),
+    "enumerate-two-policies": (
+        lambda sol, pols: enumerate_model(CoupledEnv(3), pols[:2]),
+        "one two-action local policy per agent required: got 2 for 3 agents"),
+    "enumerate-three-actions": (
+        lambda sol, pols: enumerate_model(
+            CoupledEnv(3), pols[:2] + [TabularSoftmaxPolicy(2, 3)]),
+        "one two-action local policy per agent required: got 3 for 3 agents"),
+}
+
+
+@pytest.mark.parametrize("case", POLICY_MISMATCHES)
+def test_policies_other_than_the_model_s_are_rejected(case):
+    call, message = POLICY_MISMATCHES[case]
+    sol, policies = _three_agent_solution()
+    with pytest.raises(ValueError, match=message):
+        call(sol, policies)
+
+
+@pytest.mark.parametrize("direction", [update_direction, correction_terms])
+def test_critic_tables_need_one_row_per_agent(direction):
+    sol, _ = _three_agent_solution()
+    with pytest.raises(ValueError, match=r"critic tables of shape \(2, 8\), "
+                                         r"not one row of S values per agent "
+                                         r"\(3, 8\)"):
+        direction(sol, sol.v_agents[:2])
 
 
 def test_ode_matrix_scales_rows_like_the_diagonal_product():
@@ -357,7 +406,7 @@ def test_ode_matrix_scales_rows_like_the_diagonal_product():
 # ---------------------------------------------------------------------------
 
 def _index_action(spec, ai):
-    return np.array(np.unravel_index(ai, spec.local_action_sizes))
+    return np.array(np.unravel_index(ai, (2,) * spec.n_agents))
 
 
 def _ref_next_state_probs(env, s, a):
@@ -405,14 +454,13 @@ def _ref_direction_from_table(spec, policy_probs, d_pi, table_sa, policies):
     actions = [_index_action(spec, ai) for ai in range(spec.n_actions)]
     out = []
     for i, pol in enumerate(policies):
-        w_local = np.zeros((spec.local_state_sizes[i],
-                            spec.local_action_sizes[i]))
+        w_local = np.zeros((2, 2))
         for si, s in enumerate(states):
             for ai, a in enumerate(actions):
                 w_local[s[i], a[i]] += w_sa[si, ai]
         g = np.zeros(pol.get_flat().size)
-        for sl in range(spec.local_state_sizes[i]):
-            for al in range(spec.local_action_sizes[i]):
+        for sl in range(2):
+            for al in range(2):
                 if w_local[sl, al] != 0.0:
                     g += w_local[sl, al] * pol.score(sl, al)
         out.append(g)
@@ -428,16 +476,17 @@ def _ref_feature_matrix(spec, agent, local):
 
 
 def _parity_policies(n, draw, rng):
-    """Softmax policies (which also supply the scores) and the policies the
-    model is enumerated under: the same ones, or fixed tables that always
-    act 1 in local state 0, which put zeros in the joint policy and keep the
-    chain irreducible."""
-    scorers = [TabularSoftmaxPolicy(2, 2, logits=rng.normal(size=(2, 2)))
-               for _ in range(n)]
+    """Softmax policies that the model is enumerated under and that supply
+    the scores: random logits, or (draw "fixed") the logarithms of tables
+    that always act 1 in local state 0, which put exact zeros in the joint
+    policy and keep the chain irreducible."""
     if draw != "fixed":
-        return scorers, scorers
-    return scorers, [FixedTablePolicy(np.array([[0.0, 1.0], [p, 1.0 - p]]))
-                     for p in rng.uniform(0.2, 0.8, size=n)]
+        return [TabularSoftmaxPolicy(2, 2, logits=rng.normal(size=(2, 2)))
+                for _ in range(n)]
+    with np.errstate(divide="ignore"):
+        return [TabularSoftmaxPolicy(2, 2, logits=np.log([[0.0, 1.0],
+                                                          [p, 1.0 - p]]))
+                for p in rng.uniform(0.2, 0.8, size=n)]
 
 
 PARITY_TOL = 1e-12
@@ -447,13 +496,15 @@ PARITY_TOL = 1e-12
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
 def test_count_model_matches_the_dense_reference(n, draw):
     rng = np.random.default_rng(100 * n + (9 if draw == "fixed" else draw))
-    scorers, policies = _parity_policies(n, draw, rng)
+    policies = _parity_policies(n, draw, rng)
     env = CoupledEnv(n)
     model = enumerate_model(env, policies)
     spec = model.spec
     policy, transition_sa, rewards_sa = _ref_enumerate(env, policies)
 
     assert np.array_equal(model.policy_probs, policy)
+    if draw == "fixed":
+        assert (model.local_policy[:, 0, 0] == 0.0).all()
     assert np.array_equal(model.count_transition[model.count_index],
                           transition_sa)
     assert np.array_equal(model.count_rewards[:, model.count_index],
@@ -473,7 +524,7 @@ def test_count_model_matches_the_dense_reference(n, draw):
 
     def ref_direction(table_sa):
         return _ref_direction_from_table(spec, policy, sol.d_pi, table_sa,
-                                         scorers)
+                                         policies)
 
     def ref_advantage(values):
         meanV = values.mean(axis=0)
@@ -482,11 +533,11 @@ def test_count_model_matches_the_dense_reference(n, draw):
 
     dV = (critics - sol.v_agents).mean(axis=0)
     pairs = [
-        (exact_policy_gradient(sol, scorers),
+        (exact_policy_gradient(sol, policies),
          ref_direction(ref_advantage(sol.v_agents))),
-        (update_direction(model, sol.d_pi, critics, scorers),
+        (update_direction(sol, critics),
          ref_direction(ref_advantage(critics))),
-        (correction_terms(model, sol.d_pi, critics, sol.v_agents, scorers),
+        (correction_terms(sol, critics),
          ref_direction(spec.gamma * transition_sa @ dV - dV[:, None])),
     ]
     for got, want in pairs:
