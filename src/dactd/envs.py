@@ -79,13 +79,18 @@ class CoupledEnv:
         return np.zeros(self.n_agents, dtype=np.int64)
 
     def _validate(self, arr, name: str) -> np.ndarray:
+        """arr as an (N,) int64 array of binary entries, copied only when
+        it is not one already."""
         out = np.asarray(arr)
         if out.shape != (self.n_agents,):
             raise ValueError(f"{name} must have shape ({self.n_agents},), "
                              f"got {out.shape}")
-        if not ((out == 0) | (out == 1)).all():
-            raise ValueError(f"{name} entries must be binary, got {out!r}")
-        return out.astype(np.int64)
+        # An int64 entry is binary when no bit but the lowest is set.
+        if out.dtype != np.int64 or np.count_nonzero(out & -2):
+            if not ((out == 0) | (out == 1)).all():
+                raise ValueError(f"{name} entries must be binary, got {out!r}")
+            out = out.astype(np.int64)
+        return out
 
     def coupling(self, s, a) -> float:
         """Shared Bernoulli parameter (1/2N) * sum_j (s_j + a_j)."""
@@ -99,10 +104,13 @@ class CoupledEnv:
 
     def step(self, s, a, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Sample the next state and return (s', rewards)."""
-        s = self._validate(s, "state")
-        a = self._validate(a, "action")
-        rewards = self.rewards(s, a)         # agent 1 earns the coupling
-        s_next = (rng.random(self.n_agents) < rewards[0]).astype(np.int64)
+        n = self.n_agents
+        # Binary entries: the coupling count is the number of ones.
+        count = (np.count_nonzero(self._validate(s, "state"))
+                 + np.count_nonzero(self._validate(a, "action")))
+        rewards = np.zeros(n)
+        rewards[0] = q = count / (2 * n)     # agent 1 earns the coupling
+        s_next = (rng.random(n) < q).astype(np.int64)
         return s_next, rewards
 
     def count_model(self) -> tuple[np.ndarray, np.ndarray]:

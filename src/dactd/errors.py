@@ -24,7 +24,7 @@ class TransportError(DactdError):
 
 
 class ProtocolCorruptionError(DactdError):
-    """Two received values for the same slot disagree; state is corrupt."""
+    """Protocol traffic or state is corrupt (a payload of the wrong size)."""
 
 
 class IncompleteAggregationError(DactdError):

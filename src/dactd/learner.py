@@ -91,19 +91,6 @@ class StepSchedule:
         return cls("polynomial", base, exponent)
 
 
-def validate_two_timescale(actor: StepSchedule, critic: StepSchedule) -> None:
-    """Check the separation needed for the convergence guarantee.
-
-    The critic must decay polynomially with exponent in (1/2, 1] and the
-    actor strictly faster; anything else is rejected up front."""
-    if critic.kind != "polynomial" or not (0.5 < critic.exponent <= 1.0):
-        raise ConfigurationError(
-            "critic schedule must be polynomial with exponent in (1/2, 1]")
-    if actor.kind != "polynomial" or actor.exponent <= critic.exponent:
-        raise ConfigurationError(
-            "actor schedule must decay strictly faster than the critic")
-
-
 # ---------------------------------------------------------------------------
 # Whole-team steps of the online loop
 # ---------------------------------------------------------------------------

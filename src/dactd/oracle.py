@@ -118,9 +118,11 @@ def critic_fixed_point(model: EnumeratedModel, d_pi: np.ndarray, agent: int,
     """Weights the linear critic of one agent converges to.
 
     Solves  Phi^T D (gamma P - I) Phi v = -Phi^T D r_hat  densely, where
-    r_hat is the agent's expected private reward per state.  Raises
-    ValueError for an agent id outside 1..N, and RankError when Phi is
-    column-rank deficient or the system is singular beyond tolerance.
+    r_hat is the agent's expected private reward per state, as
+    gamma (D Phi)^T (P Phi) - (D Phi)^T Phi: no (S, S) matrix is formed
+    beyond P itself.  Raises ValueError for an agent id outside 1..N, and
+    RankError when Phi is column-rank deficient or the system is singular
+    beyond tolerance.
     """
     _check_agent(model.spec, agent)
     S = model.transition_pi.shape[0]
@@ -130,8 +132,9 @@ def critic_fixed_point(model: EnumeratedModel, d_pi: np.ndarray, agent: int,
     if np.linalg.matrix_rank(Phi) < L:
         raise RankError("feature matrix has linearly dependent columns")
     r_hat = model.rewards_pi[agent - 1]
-    A = Phi.T @ ode_matrix(model.transition_pi, d_pi, model.spec.gamma) @ Phi
-    b = -Phi.T @ (d_pi * r_hat)
+    dPhi = d_pi[:, None] * Phi
+    A = model.spec.gamma * (dPhi.T @ (model.transition_pi @ Phi)) - dPhi.T @ Phi
+    b = -(dPhi.T @ r_hat)
     try:
         v = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:

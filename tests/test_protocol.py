@@ -1,4 +1,6 @@
 """Windowed fill-in protocol: write-once merges, exact delayed read-out."""
+from typing import Any, Iterable
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 from dactd.errors import (IncompleteAggregationError, NumericError,
                           ProtocolCorruptionError)
 from dactd.protocol import (AcyclicProtocolDriver, GeneralProtocolDriver,
-                            NeighborhoodDriver, TDHistory, WindowPayload,
-                            _drive, ascending_mean, centralized_team_td,
+                            NeighborhoodDriver, TDHistory, TDVector,
+                            TeamTDAggregator, WindowPayload, _drive,
+                            ascending_mean, centralized_team_td,
                             run_general_exchange)
 from dactd.topology import GraphSchedule, latency_bound
-from dactd.transport import Channel, ChannelModel
+from dactd.transport import Channel, ChannelModel, Message
+from dactd.verify import random_strong_digraph
 
 
 # ---------------------------------------------------------------------------
@@ -42,54 +46,255 @@ def test_ascending_mean_fixes_the_summation_order():
 
 
 # ---------------------------------------------------------------------------
-# Per-origin vectors
+# Slow reference: the per-agent loop the team state replaced
 # ---------------------------------------------------------------------------
 
+class PerAgentHistory:
+    """One agent's ring buffer of K+1 TD vectors, with its own copy of every
+    value it knows, indexed by age tau = newest - origin.
+
+    Ring layout: the row of age tau is ``(_base + tau) % (K + 1)``, and
+    advance() steps ``_base`` back by one, so ages 0..K run forward through
+    the ring from ``_base`` and wrap at most once.  Payload origins are
+    contiguous and newest first, so the payload rows that fall inside the
+    window have consecutive ages and map to at most two ring slices; merges
+    and snapshots work on those slices as views.
+
+    Rows for cohorts before tick 0 start out all-known zero, matching the
+    protocols' zero initialization.
+    """
+
+    def __init__(self, owner: int, n_agents: int, K: int,
+                 value_shape: tuple[int, ...] = ()):
+        if K < 1:
+            raise ValueError(f"window bound K must be >= 1, got {K}")
+        if not (1 <= owner <= n_agents):
+            raise ValueError(f"agent id {owner} outside 1..{n_agents}")
+        self.owner = owner
+        self.n_agents = n_agents
+        self.K = K
+        self.value_shape = tuple(value_shape)
+        self.newest_tick = -1
+        self._base = 0
+        self._values = np.zeros((K + 1, n_agents, *self.value_shape))
+        self._known = np.ones((K + 1, n_agents), dtype=bool)
+
+    def _row(self, origin_tick: int) -> int:
+        tau = self.newest_tick - origin_tick
+        if not (0 <= tau <= self.K):
+            raise ValueError(
+                f"origin {origin_tick} outside window "
+                f"[{self.newest_tick - self.K}, {self.newest_tick}]")
+        return (self._base + tau) % (self.K + 1)
+
+    def advance(self, t: int) -> None:
+        """Slide the window to newest tick t (lockstep: t = previous + 1).
+        The oldest cohort is evicted; the new row starts all-unknown."""
+        if t != self.newest_tick + 1:
+            raise ValueError(f"ticks must advance by 1, got {self.newest_tick} -> {t}")
+        self.newest_tick = t
+        self._base = (self._base - 1) % (self.K + 1)
+        self._values[self._base] = 0.0
+        self._known[self._base] = False
+
+    def set_own(self, t: int, value: Any) -> None:
+        if t != self.newest_tick:
+            raise ValueError("own TD error must be recorded at the current tick")
+        r = self._row(t)
+        if self._known[r, self.owner - 1]:
+            raise ProtocolCorruptionError(
+                f"agent {self.owner}: own slot for tick {t} already written")
+        self._values[r, self.owner - 1] = value
+        self._known[r, self.owner - 1] = True
+
+    def _ring_slices(self, tau: int, count: int) -> list[tuple[int, int]]:
+        """Ring slices [start, stop) holding ages tau..tau+count-1, oldest
+        age last; at most two, since the ages wrap the ring at most once."""
+        start = (self._base + tau) % (self.K + 1)
+        stop = start + count
+        if stop <= self.K + 1:
+            return [(start, stop)]
+        return [(start, self.K + 1), (0, stop - (self.K + 1))]
+
+    def merge_payload(self, payload: WindowPayload) -> "PerAgentHistory":
+        """Vectorized merge of a whole window payload.
+
+        Fill-in rule: received known values are copied into unknown slots.
+        Write-once: known slots are never touched, and a value whose bit
+        pattern differs from an already-known slot's (-0.0 against +0.0
+        included) raises ProtocolCorruptionError, so merges are idempotent
+        and order-independent.  Done in place on ring slices.  Rows older
+        than the local window are silently dropped (their cohort was
+        already read out and can no longer change), as are rows newer
+        than it.
+        """
+        if not payload.origins:
+            return self
+        lag = self.newest_tick - payload.origins[0]   # age of payload row 0
+        first = max(0, -lag)
+        stop = min(len(payload.origins), self.K + 1 - lag)
+        if first >= stop:
+            return self
+        segments = []
+        r = first
+        for a, b in self._ring_slices(lag + first, stop - first):
+            segments.append((r, self._values[a:b], self._known[a:b],
+                             payload.values[r:r + b - a],
+                             payload.known[r:r + b - a]))
+            r += b - a
+        slot_axes = tuple(range(2, 2 + len(self.value_shape)))
+        for r, loc_vals, loc_known, inc_vals, inc_known in segments:
+            both = loc_known & inc_known
+            if both.any():
+                differ = (loc_vals.view(np.uint64) != inc_vals.view(np.uint64)
+                          ).any(axis=slot_axes)
+                if (both & differ).any():
+                    bad = np.argwhere(both & differ)[0]
+                    raise ProtocolCorruptionError(
+                        f"agent {self.owner}: conflicting values for origin "
+                        f"{payload.origins[r + int(bad[0])]}")
+        for _, loc_vals, loc_known, inc_vals, inc_known in segments:
+            new = inc_known & ~loc_known
+            if new.any():
+                loc_vals[new] = inc_vals[new]
+                loc_known |= new
+        return self
+
+    def vector_at(self, origin_tick: int) -> TDVector:
+        r = self._row(origin_tick)
+        return TDVector(origin_tick, self._values[r].copy(), self._known[r].copy())
+
+    def team_td(self, t_minus_K: int) -> Any:
+        """Team-average TD error of the requested origin tick, summed in
+        ascending agent-id order.  Raises IncompleteAggregationError naming
+        the missing agents if any slot is still unknown."""
+        r = self._row(t_minus_K)
+        if not self._known[r].all():
+            missing = [j + 1 for j in range(self.n_agents) if not self._known[r, j]]
+            raise IncompleteAggregationError(t_minus_K, self.owner, missing)
+        return ascending_mean(self._values[r])
+
+    def window_payload(self) -> WindowPayload:
+        """Copy of the K freshest rows (ages 0..K-1), newest first."""
+        origins = tuple(range(self.newest_tick, self.newest_tick - self.K, -1))
+        slices = self._ring_slices(0, self.K)
+        values = np.concatenate([self._values[a:b] for a, b in slices])
+        known = np.concatenate([self._known[a:b] for a, b in slices])
+        values.setflags(write=False)
+        known.setflags(write=False)
+        return WindowPayload(origins=origins, values=values, known=known)
+
+
+class PerAgentAggregator:
+    """One agent of the general protocol over a real channel.
+
+    Per tick: begin_tick (slide window, record own TD error), absorb any
+    delivered payloads (stale origins are ignored — the delivery guarantee
+    makes them redundant), emit window_payload for every out-edge, absorb
+    same-tick deliveries, then read the team TD error of tick t - K.
+    """
+
+    def __init__(self, agent: int, n_agents: int, K: int,
+                 value_shape: tuple[int, ...] = ()):
+        self.history = PerAgentHistory(agent, n_agents, K, value_shape)
+
+    @property
+    def agent(self) -> int:
+        return self.history.owner
+
+    def begin_tick(self, t: int, own_delta: Any) -> None:
+        self.history.advance(t)
+        self.history.set_own(t, own_delta)
+
+    def absorb(self, messages: Iterable[Message]) -> None:
+        for msg in messages:
+            self.history.merge_payload(msg.payload)
+
+    def payload(self) -> WindowPayload:
+        return self.history.window_payload()
+
+    def read_team(self, t_minus_K: int) -> Any:
+        return self.history.team_td(t_minus_K)
+
+
+class PerAgentDriver:
+    """The general protocol's lockstep round over N per-agent aggregators,
+    each holding its own copy of every value it knows; ``tick`` sends in the
+    same order as GeneralProtocolDriver, so two channels built from one
+    ChannelModel draw the same drops and delays."""
+
+    def __init__(self, graph: GraphSchedule, channel: Channel, K: int,
+                 value_shape: tuple[int, ...] = ()):
+        self.graph = graph
+        self.channel = channel
+        self.K = K
+        self.aggs = {i: PerAgentAggregator(i, graph.n_agents, K, value_shape)
+                     for i in range(1, graph.n_agents + 1)}
+
+    def tick(self, t: int, deltas: np.ndarray) -> np.ndarray:
+        agents = range(1, self.graph.n_agents + 1)
+        pre = {i: self.channel.drain(i, t) for i in agents}
+        for i in agents:
+            self.aggs[i].begin_tick(t, deltas[i - 1])
+            self.aggs[i].absorb(pre[i])
+        payloads = {i: self.aggs[i].payload() for i in agents}
+        for (src, dst) in sorted(self.graph.edges_at(t)):
+            self.channel.attempt_send((src, dst), payloads[src], t)
+        for i in agents:
+            self.aggs[i].absorb(self.channel.drain(i, t))
+        return np.stack([self.aggs[i].read_team(t - self.K) for i in agents])
+
+
+# ---------------------------------------------------------------------------
+# Team state: per-origin vectors
+# ---------------------------------------------------------------------------
+
+def _team(n=3, K=2, ticks=1):
+    """A team state advanced through ticks 0..ticks-1, every agent's TD error
+    at tick t being 10 t + its id."""
+    team = TeamTDAggregator(n, K)
+    for t in range(ticks):
+        team.begin_tick(t, 10.0 * t + np.arange(1, n + 1))
+    return team
+
+
 def test_fresh_vector_knows_only_its_own_slot():
-    h = TDHistory(2, 3, K=1)
-    for t in range(10):
-        h.advance(t)
-    h.set_own(9, 0.5)
-    vec = h.vector_at(9)
+    team = _team(n=3, K=1, ticks=10)
+    vec = team.histories[1].vector_at(9)
     assert vec.origin_tick == 9
     assert list(vec.known) == [False, True, False]
-    assert vec.values[1] == 0.5
+    assert list(vec.values) == [0.0, 92.0, 0.0]
 
 
 def test_zero_value_is_still_known():
-    h = TDHistory(1, 2, K=1)
-    h.advance(0)
-    h.set_own(0, 0.0)
-    vec = h.vector_at(0)
+    team = TeamTDAggregator(2, K=1)
+    team.begin_tick(0, np.array([0.0, 5.0]))
+    vec = team.histories[0].vector_at(0)
     assert vec.known[0] and not vec.known[1]
     assert vec.values[0] == 0.0
 
 
 def test_single_agent_vector_is_complete_immediately():
-    h = TDHistory(1, 1, K=1)
+    team = TeamTDAggregator(1, K=1)
     for t in range(5):
-        h.advance(t)
-    h.set_own(4, -1.5)
-    assert h.vector_at(4).known.all()
-    assert h.team_td(4) == -1.5
+        team.begin_tick(t, np.array([-1.5]))
+    assert team.histories[0].vector_at(4).known.all()
+    assert team.read_team(4).tolist() == [-1.5]
 
 
 def test_invalid_origin_agent_rejected():
+    team = TeamTDAggregator(3, K=1)
     with pytest.raises(ValueError):
-        TDHistory(0, 3, K=1)
+        TDHistory(team, 0)
     with pytest.raises(ValueError):
-        TDHistory(4, 3, K=1)
+        TDHistory(team, 4)
+    with pytest.raises(ValueError):
+        TeamTDAggregator(3, K=0)
 
 
 # ---------------------------------------------------------------------------
-# History windows: fill-in, write-once, read-out
+# Team state: fill-in, write-once, read-out
 # ---------------------------------------------------------------------------
-
-def _history(owner=1, n=3, K=2):
-    h = TDHistory(owner, n, K)
-    h.advance(0)
-    return h
-
 
 def _one_row(origin, values, known):
     return WindowPayload(origins=(origin,), values=np.array([values]),
@@ -97,16 +302,18 @@ def _one_row(origin, values, known):
 
 
 def test_disjoint_fill_in_completes_a_row():
-    h = _history()
-    h.set_own(0, 1.0)
-    h.merge_payload(_one_row(0, [0.0, 2.0, 0.0], [False, True, False]))
-    h.merge_payload(_one_row(0, [0.0, 0.0, 3.0], [False, False, True]))
-    assert h.team_td(0) == 2.0
+    team = _team()
+    h = team.histories[0]
+    h.merge_payload(_one_row(0, [0.0, 0.0, 0.0], [False, True, False]))
+    h.merge_payload(_one_row(0, [0.0, 0.0, 0.0], [False, False, True]))
+    vec = h.vector_at(0)
+    assert vec.known.all()
+    assert ascending_mean(vec.values) == 2.0
 
 
 def test_merge_is_idempotent():
-    h = _history()
-    h.set_own(0, 1.0)
+    team = _team()
+    h = team.histories[0]
     payload = _one_row(0, [0.0, 2.0, 0.0], [False, True, False])
     h.merge_payload(payload)
     before = h.vector_at(0)
@@ -114,6 +321,85 @@ def test_merge_is_idempotent():
     after = h.vector_at(0)
     assert np.array_equal(before.values, after.values)
     assert np.array_equal(before.known, after.known)
+    assert list(after.known) == [True, True, False]
+
+
+def test_incomplete_read_out_names_the_missing_agents():
+    team = _team()
+    team.histories[0].merge_payload(_one_row(0, [0.0] * 3, [True] * 3))
+    with pytest.raises(IncompleteAggregationError) as err:
+        team.read_team(0)
+    assert (err.value.tick, err.value.agent) == (0, 2)
+    assert err.value.missing == [1, 3]
+
+
+def test_window_slides_and_evicts_the_oldest_cohort():
+    team = _team(n=2, K=2, ticks=4)     # cohort 0 has left the window
+    with pytest.raises(ValueError):
+        team.read_team(0)
+    with pytest.raises(ValueError):
+        team.histories[0].vector_at(0)
+
+
+def test_ticks_must_advance_by_one():
+    team = _team()
+    with pytest.raises(ValueError):
+        team.begin_tick(2, np.zeros(3))
+
+
+def test_precohort_rows_read_as_zero():
+    team = _team(n=4, K=3)
+    assert team.read_team(-1).tolist() == [0.0] * 4
+    assert team.read_team(-3).tolist() == [0.0] * 4
+
+
+def test_payload_carries_k_times_n_slots_newest_first():
+    team = _team(n=3, K=2, ticks=2)
+    p = team.histories[0].window_payload()
+    assert p.slot_count == 2 * 3
+    assert p.origins == (1, 0)
+    assert not p.values.flags.writeable and not p.known.flags.writeable
+    assert p.known.tolist() == [[True, False, False], [True, False, False]]
+    # Every payload of a tick shares one copy of the values, which the
+    # next tick's ring writes do not reach.
+    assert p.values is team.histories[2].window_payload().values
+    team.begin_tick(2, np.zeros(3))
+    team.begin_tick(3, np.zeros(3))
+    assert p.values.tolist() == [[11.0, 12.0, 13.0],
+                              [1.0, 2.0, 3.0]]
+
+
+def test_merge_accepts_whole_payloads():
+    team = _team(n=2, K=2, ticks=2)
+    first, second = team.histories
+    second.merge_payload(first.window_payload())
+    first.merge_payload(second.window_payload())
+    assert team.read_team(0).tolist() == [(1.0 + 2.0) / 2] * 2
+    assert team.read_team(1).tolist() == [(11.0 + 12.0) / 2] * 2
+
+
+def test_stale_payload_rows_are_ignored():
+    team = _team(n=2, K=1)
+    stale = team.histories[0].window_payload()       # origin 0
+    team.begin_tick(1, np.ones(2))
+    team.begin_tick(2, np.ones(2))   # window is now [1, 2]; origin 0 is stale
+    team.histories[1].merge_payload(stale)
+    assert not team.histories[1].vector_at(1).known[0]
+    # A payload from ahead of the window is dropped the same way.
+    ahead = WindowPayload(origins=(4,), values=np.zeros((1, 2)),
+                          known=np.ones((1, 2), dtype=bool))
+    team.histories[1].merge_payload(ahead)
+    assert list(team.histories[1].vector_at(2).known) == [False, True]
+
+
+# ---------------------------------------------------------------------------
+# Slow reference: write-once and the value conflict check
+# ---------------------------------------------------------------------------
+
+def _history(owner=1, n=3, K=2):
+    h = PerAgentHistory(owner, n, K)
+    h.advance(0)
+    return h
 
 
 def test_conflicting_known_values_raise():
@@ -132,81 +418,9 @@ def test_own_slot_is_write_once():
         h.set_own(0, 1.0)
 
 
-def test_incomplete_read_out_names_the_missing_agents():
-    h = _history(owner=2)
-    h.set_own(0, 4.0)
-    with pytest.raises(IncompleteAggregationError) as err:
-        h.team_td(0)
-    assert err.value.missing == [1, 3]
-
-
-def test_window_slides_and_evicts_the_oldest_cohort():
-    h = _history(n=2, K=2)
-    h.set_own(0, 1.0)
-    h.advance(1)
-    h.set_own(1, 2.0)
-    h.advance(2)
-    h.set_own(2, 3.0)
-    h.advance(3)  # cohort 0 leaves the window
-    with pytest.raises(ValueError):
-        h.team_td(0)
-
-
-def test_ticks_must_advance_by_one():
-    h = _history()
-    with pytest.raises(ValueError):
-        h.advance(2)
-
-
-def test_precohort_rows_read_as_zero():
-    h = TDHistory(1, 4, K=3)
-    h.advance(0)
-    h.set_own(0, 7.0)
-    assert h.team_td(-1) == 0.0
-    assert h.team_td(-3) == 0.0
-
-
-def test_payload_carries_k_times_n_slots_newest_first():
-    h = _history(n=3, K=2)
-    h.set_own(0, 1.0)
-    h.advance(1)
-    h.set_own(1, 2.0)
-    p = h.window_payload()
-    assert p.slot_count == 2 * 3
-    assert p.origins == (1, 0)
-    assert not p.values.flags.writeable
-
-
-def test_merge_accepts_whole_payloads():
-    sender = TDHistory(1, 2, K=2)
-    receiver = TDHistory(2, 2, K=2)
-    for t, val in enumerate((0.5, -1.0)):
-        sender.advance(t)
-        sender.set_own(t, val)
-        receiver.advance(t)
-        receiver.set_own(t, 10.0 * val)
-    receiver.merge_payload(sender.window_payload())
-    assert receiver.team_td(0) == (0.5 + 5.0) / 2
-    assert receiver.team_td(1) == (-1.0 + -10.0) / 2
-
-
-def test_stale_payload_rows_are_ignored():
-    sender = TDHistory(1, 2, K=1)
-    sender.advance(0)
-    sender.set_own(0, 3.0)
-    receiver = TDHistory(2, 2, K=1)
-    receiver.advance(0)
-    receiver.set_own(0, 1.0)
-    receiver.advance(1)
-    receiver.set_own(1, 1.0)
-    receiver.advance(2)  # window is now [1, 2]; origin 0 is stale
-    receiver.set_own(2, 1.0)
-    receiver.merge_payload(sender.window_payload())
-    assert not receiver.vector_at(1).known[0]
-
-
 def _window(hist):
-    """Origin -> copy of the history's vector, for every origin in its window."""
+    """Origin -> copy of the history's vector, for every origin in its window
+    (of a PerAgentHistory or of a TDHistory view of the team state)."""
     return {o: hist.vector_at(o)
             for o in range(hist.newest_tick - hist.K, hist.newest_tick + 1)}
 
@@ -233,8 +447,9 @@ def reference_merge(window, payload):
 
 @st.composite
 def history_and_payloads(draw):
-    """A receiver history plus 1-3 same-shape payloads with consecutive
-    origins, merged in turn.
+    """A receiver's per-agent history, plus 1-3 same-shape payloads with
+    consecutive origins, merged in turn, and the receiver's view of a team
+    state when no payload is forged (None otherwise).
 
     Slots are scalar or 3-vectors, each payload's newest origin ranges from
     older than the receiver's window to ahead of its newest tick, and a
@@ -250,11 +465,14 @@ def history_and_payloads(draw):
     if value_shape:
         base = base[..., None] + np.arange(3) / 4
 
-    hist = TDHistory(owner, n, K, value_shape)
+    hist = PerAgentHistory(owner, n, K, value_shape)
+    team = TeamTDAggregator(n, K, value_shape)
     for t in range(ticks + 1):
         hist.advance(t)
         hist.set_own(t, base[t, owner - 1])
+        team.begin_tick(t, base[t])
 
+    forge = draw(st.booleans())
     payloads = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         sender_newest = draw(st.integers(min_value=max(0, ticks - K),
@@ -268,18 +486,22 @@ def history_and_payloads(draw):
                 if m and o >= 0:
                     known[r, j] = True
                     values[r, j] = base[o, j]
-        if known.any() and draw(st.booleans()):
+        if forge and known.any() and draw(st.booleans()):
             r, j = np.argwhere(known)[draw(st.integers(0, int(known.sum()) - 1))]
             values[r, j] += 0.5
         payloads.append(WindowPayload(origins=origins, values=values,
                                       known=known))
-    return hist, payloads
+    return hist, None if forge else team.histories[owner - 1], payloads
 
 
 @settings(max_examples=150, deadline=None)
 @given(history_and_payloads())
 def test_vectorized_merge_equals_row_by_row_merge(case):
-    hist, payloads = case
+    # The team state reads no payload values, so only honest payloads are
+    # merged into it; the reference must also catch every forged value that
+    # conflicts with one it knows.
+    hist, view, payloads = case
+    histories = [hist] if view is None else [hist, view]
     expected = _window(hist)
     for payload in payloads:
         try:
@@ -291,11 +513,12 @@ def test_vectorized_merge_equals_row_by_row_merge(case):
             with pytest.raises(ProtocolCorruptionError):
                 hist.merge_payload(payload)
         else:
-            hist.merge_payload(payload)
-        got = _window(hist)
-        for o, vec in expected.items():
-            assert got[o].values.tobytes() == vec.values.tobytes()
-            assert (got[o].known == vec.known).all()
+            for h in histories:
+                h.merge_payload(payload)
+        for got in map(_window, histories):
+            for o, vec in expected.items():
+                assert got[o].values.tobytes() == vec.values.tobytes()
+                assert (got[o].known == vec.known).all()
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +572,55 @@ def test_time_varying_schedule_with_persistent_backbone():
     assert (res.readouts[K:] == res.reference[K:, None]).all()
 
 
+@st.composite
+def lossy_exchanges(draw):
+    """A random strongly connected digraph schedule (static or time-varying)
+    over a lossy, delayed channel, a TD stream with scalar or 3-value slots,
+    and K at the latency bound or one below it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(min_value=2, max_value=6))
+    g = random_strong_digraph(n, rng, time_varying=draw(st.booleans()))
+    model = ChannelModel(t1=draw(st.integers(0, 3)), t2=draw(st.integers(1, 3)),
+                         drop_prob=draw(st.sampled_from([0.0, 0.3, 0.6])),
+                         delay_law=draw(st.sampled_from(["uniform", "fixed"])),
+                         seed=draw(st.integers(0, 2 ** 31 - 1)))
+    K = latency_bound(g, model.t1, model.t2)
+    if draw(st.booleans()):
+        K = max(1, K - 1)
+    shape = draw(st.sampled_from([(), (3,)]))
+    deltas = _random_stream(rng, K + draw(st.integers(2, 6)), n, shape)
+    return g, model, K, deltas
+
+
+@settings(max_examples=60, deadline=None)
+@given(lossy_exchanges())
+def test_team_state_matches_the_per_agent_reference(case):
+    # Both drivers run over channels built from one ChannelModel, so they
+    # see the same drops and delays; the rings share one layout, so every
+    # agent's known rows and values compare row for row.
+    g, model, K, deltas = case
+    shape = deltas.shape[2:]
+    team = GeneralProtocolDriver(g, Channel(model, g), K, shape)
+    ref = PerAgentDriver(g, Channel(model, g), K, shape)
+    mask = (slice(None), slice(None)) + (None,) * len(shape)
+    for t in range(len(deltas)):
+        outcomes = []
+        for driver in (team, ref):
+            try:
+                outcomes.append(driver.tick(t, deltas[t]).tobytes())
+            except IncompleteAggregationError as err:
+                outcomes.append((err.tick, err.agent, err.missing))
+        for i in range(1, g.n_agents + 1):
+            known = team.team._known[i - 1]
+            hist = ref.aggs[i].history
+            assert (known == hist._known).all()
+            values = np.where(known[mask], team.team._values, 0.0)
+            assert values.tobytes() == hist._values.tobytes()
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[1], tuple):
+            break
+
+
 def test_exchange_rejects_mismatched_stream_width():
     g = GraphSchedule.line(3)
     ch = Channel(ChannelModel(), g)
@@ -379,7 +651,7 @@ def test_malformed_payloads_are_rejected():
 
 
 def test_forged_conflicting_payload_is_detected():
-    h = TDHistory(1, 2, K=1)
+    h = PerAgentHistory(1, 2, K=1)
     h.advance(0)
     h.set_own(0, 1.0)
     forged = WindowPayload(origins=(0,),
@@ -392,7 +664,7 @@ def test_forged_conflicting_payload_is_detected():
 def test_forged_signed_zero_over_a_known_zero_is_detected():
     # The conflict check compares bits: -0.0 == +0.0, but it is not the
     # value the origin sent.
-    h = TDHistory(1, 2, K=1)
+    h = PerAgentHistory(1, 2, K=1)
     h.advance(0)
     h.set_own(0, 0.0)
     h.merge_payload(_one_row(0, [0.0, 0.0], [True, False]))
