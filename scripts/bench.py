@@ -5,18 +5,19 @@
 
 Each positional argument is ``label=path`` to a checkout holding
 ``perfbench/run.py`` and ``BENCHMARK.json``.  For every workload the first
-checkout's ``BENCHMARK.json`` lists and every seed 1-5, the script runs
+checkout's ``BENCHMARK.json`` lists and every seed 1-10, the script runs
 ``perfbench/run.py --trace 0`` in each checkout in turn, alternating which
 checkout goes first so that machine drift falls on both sides.  It then
-times, once per checkout, the Tier-1 suite and one full
-``dactd run --config configs/line5.yaml`` into a temporary directory.  The
-output JSON holds, per checkout, the median and the per-seed values of
-every end-to-end metric, the output checks attempted and failed, the
-Tier-1 wall time, pass count and slowest tests, the line5 run's wall time,
-exit code and sha256 of its ``summary.csv`` (equal digests mean the two
-checkouts learned the same thing), the ``src/`` line count (the total that
-``wc -l src/dactd/*.py`` prints), and the provenance: nproc, machine,
-Python and numpy versions, and git revision.
+times the Tier-1 suite once per checkout, and three full
+``dactd run --config configs/line5.yaml`` runs per checkout, alternating
+the same way, each into a temporary directory.  The output JSON holds, per
+checkout, the median, quartiles and per-seed values of every end-to-end
+metric, every set-up probe behind ``setup_s``, the output checks attempted
+and failed, the Tier-1 wall time, pass count and slowest tests, every line5
+run's wall time, exit code and sha256 of its ``summary.csv`` (equal digests
+mean the checkouts learned the same thing), the ``src/`` line count (the
+total that ``wc -l src/dactd/*.py`` prints), and the provenance: nproc,
+machine, Python and numpy versions, and git revision.
 """
 from __future__ import annotations
 
@@ -35,7 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-SEEDS = (1, 2, 3, 4, 5)
+SEEDS = tuple(range(1, 11))
+LINE5_RUNS = 3
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "--durations=5"]
 LINE5_RUN = ["run", "--config", "configs/line5.yaml"]
@@ -69,7 +71,18 @@ def bench_run(path: Path, workload: str, seed: int, seconds: float) -> dict:
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=path, capture_output=True, text=True, timeout=3 * seconds + 600,
         check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["setup_probes_s"] = json.loads(lines[-2])["details"]["setup_probes_s"]
+    return result
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """[first, third] quartile (both the value itself for one value)."""
+    if len(values) < 2:
+        return list(values) * 2
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
 
 
 def src_env() -> dict:
@@ -146,13 +159,16 @@ def main(argv=None) -> int:
     }
     for label, path in checkouts.items():
         entry = {"git_revision": git_revision(path),
-                 "src_lines": src_lines(path), "workloads": {}}
+                 "src_lines": src_lines(path), "workloads": {},
+                 "line5_runs": []}
         for workload, results in runs[label].items():
             values = {m: [r["metrics"][m]["value"] for r in results]
                       for m in metrics}
             entry["workloads"][workload] = {
                 "median": {m: statistics.median(v) for m, v in values.items()},
+                "quartiles": {m: quartiles(v) for m, v in values.items()},
                 "per_seed": values,
+                "setup_probes_s": [r["setup_probes_s"] for r in results],
                 "attempted": sum(r["attempted"] for r in results),
                 "failed": sum(r["failed"] for r in results),
                 "correct": all(r["correct"] for r in results),
@@ -160,9 +176,13 @@ def main(argv=None) -> int:
         print(f"{label}: Tier-1 ...", flush=True)
         entry["tier1"] = tier1(path)
         print(f"{label}: Tier-1 {entry['tier1']}", flush=True)
-        entry["line5_run"] = line5_run(path)
-        print(f"{label}: line5 run {entry['line5_run']}", flush=True)
         report["checkouts"][label] = entry
+    for _ in range(LINE5_RUNS):
+        for label in order:
+            result = line5_run(checkouts[label])
+            report["checkouts"][label]["line5_runs"].append(result)
+            print(f"{label}: line5 run {result}", flush=True)
+        order.reverse()
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     print(f"-> {args.out}")
     return 0

@@ -93,25 +93,28 @@ class CoupledEnv:
         return out
 
     def coupling(self, s, a) -> float:
-        """Shared Bernoulli parameter (1/2N) * sum_j (s_j + a_j)."""
-        return float((np.sum(s) + np.sum(a)) / (2 * self.n_agents))
-
-    def rewards(self, s, a) -> np.ndarray:
-        """Private rewards: agent 1 earns the coupling value, others zero."""
-        r = np.zeros(self.n_agents)
-        r[0] = self.coupling(s, a)
-        return r
-
-    def step(self, s, a, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Sample the next state and return (s', rewards)."""
-        n = self.n_agents
+        """Shared Bernoulli parameter (1/2N) * sum_j (s_j + a_j) of a binary
+        state and action."""
         # Binary entries: the coupling count is the number of ones.
         count = (np.count_nonzero(self._validate(s, "state"))
                  + np.count_nonzero(self._validate(a, "action")))
-        rewards = np.zeros(n)
-        rewards[0] = q = count / (2 * n)     # agent 1 earns the coupling
-        s_next = (rng.random(n) < q).astype(np.int64)
-        return s_next, rewards
+        return count / (2 * self.n_agents)
+
+    def _rewards(self, q) -> np.ndarray:
+        """Private rewards of coupling value(s) q, (N, *q.shape): agent 1
+        earns the coupling value, the others zero."""
+        r = np.zeros((self.n_agents, *np.shape(q)))
+        r[0] = q
+        return r
+
+    def rewards(self, s, a) -> np.ndarray:
+        return self._rewards(self.coupling(s, a))
+
+    def step(self, s, a, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Sample the next state and return (s', rewards)."""
+        q = self.coupling(s, a)
+        s_next = (rng.random(self.n_agents) < q).astype(np.int64)
+        return s_next, self._rewards(q)
 
     def count_model(self) -> tuple[np.ndarray, np.ndarray]:
         """Next-state law and private rewards of every coupling count
@@ -122,9 +125,7 @@ class CoupledEnv:
         rows = np.ones((2 * n + 1, 1))
         for _ in range(n):
             rows = (rows[:, :, None] * per_agent).reshape(2 * n + 1, -1)
-        rewards = np.zeros((n, 2 * n + 1))
-        rewards[0] = q
-        return rows, rewards
+        return rows, self._rewards(q)
 
 
 def micro_env(gamma: float = 0.9) -> CoupledEnv:

@@ -61,13 +61,14 @@ def centralized_team_td(all_deltas: np.ndarray) -> Any:
     return ascending_mean(arr)
 
 
-def _begin_tick(driver, t: int, deltas: np.ndarray) -> np.ndarray:
-    """Check a tick before it changes any of the driver's state: t must be
-    the driver's next tick and the TD errors finite, of the driver's shape.
-    Then advance the driver's tick and return the errors as float64."""
-    if t != driver.newest_tick + 1:
-        raise ValueError(f"ticks must advance by 1, got "
-                         f"{driver.newest_tick} -> {t}")
+def _check_next_tick(newest_tick: int, t: int) -> None:
+    if t != newest_tick + 1:
+        raise ValueError(f"ticks must advance by 1, got {newest_tick} -> {t}")
+
+
+def _checked_deltas(driver, t: int, deltas: np.ndarray) -> np.ndarray:
+    """The tick's TD errors as float64, checked finite and of the driver's
+    shape."""
     n = driver.n_agents
     arr = np.asarray(deltas, dtype=np.float64)
     if arr.shape != (n, *driver.value_shape):
@@ -77,6 +78,15 @@ def _begin_tick(driver, t: int, deltas: np.ndarray) -> np.ndarray:
     if bad.any():
         raise NumericError(f"tick {t}: non-finite TD error from agents "
                            f"{(np.flatnonzero(bad) + 1).tolist()}")
+    return arr
+
+
+def _begin_tick(driver, t: int, deltas: np.ndarray) -> np.ndarray:
+    """Check a tick before it changes any of the driver's state: t must be
+    the driver's next tick and the TD errors finite, of the driver's shape.
+    Then advance the driver's tick and return the errors as float64."""
+    _check_next_tick(driver.newest_tick, t)
+    arr = _checked_deltas(driver, t, deltas)
     driver.newest_tick = t
     return arr
 
@@ -165,10 +175,10 @@ class TeamTDAggregator:
     def begin_tick(self, t: int, deltas: np.ndarray) -> None:
         """Slide every window to newest tick t (lockstep: t = previous + 1).
         The oldest cohort is evicted; the new row holds the tick's TD
-        errors, each known only to its own agent."""
-        if t != self.newest_tick + 1:
-            raise ValueError(f"ticks must advance by 1, got "
-                             f"{self.newest_tick} -> {t}")
+        errors, each known only to its own agent.  A repeated or skipped
+        tick is refused before anything changes, so no own slot is written
+        twice."""
+        _check_next_tick(self.newest_tick, t)
         self.newest_tick = t
         self._base = (self._base - 1) % (self.K + 1)
         self._rows = (self._base + np.arange(self.K + 1)) % (self.K + 1)
@@ -225,6 +235,9 @@ class TDHistory:
         Rows older than the window (their cohort was already read out and
         can no longer change) or newer than it are dropped.  The values are
         not read: a known slot anywhere holds its origin's own TD error."""
+        if payload.known.shape[1] != self.team.n_agents:
+            raise ValueError(f"payload of {payload.known.shape[1]} agents "
+                             f"sent to a team of {self.team.n_agents}")
         if not payload.origins:
             return self
         lag = self.team.newest_tick - payload.origins[0]  # age of payload row 0
@@ -272,18 +285,21 @@ class GeneralProtocolDriver:
         self.K = K
         self.n_agents = graph.n_agents
         self.value_shape = tuple(value_shape)
-        self.newest_tick = -1
         self.team = TeamTDAggregator(graph.n_agents, K, value_shape)
+
+    @property
+    def newest_tick(self) -> int:
+        return self.team.newest_tick
 
     @property
     def payload_slots(self) -> int:
         return self.K * self.n_agents
 
     def tick(self, t: int, deltas: np.ndarray) -> np.ndarray:
-        deltas = _begin_tick(self, t, deltas)
+        # Both checks run before the tick changes the team or the channel.
+        self.team.begin_tick(t, _checked_deltas(self, t, deltas))
         views = self.team.histories
         pre = [self.channel.drain(i, t) for i in range(1, self.n_agents + 1)]
-        self.team.begin_tick(t, deltas)
         for view, msgs in zip(views, pre):
             for msg in msgs:
                 view.merge_payload(msg.payload)

@@ -54,6 +54,10 @@ def test_only_the_first_agent_is_paid():
         r = env.rewards(s, a)
         assert (r[1:] == 0.0).all()
         assert r[0] == env.coupling(s, a)
+        # step and the count model pay by the same law, bit for bit.
+        assert env.step(s, a, rng)[1].tobytes() == r.tobytes()
+        count_rewards = env.count_model()[1][:, s.sum() + a.sum()]
+        assert count_rewards.tobytes() == r.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -76,6 +80,8 @@ def test_malformed_inputs_rejected():
         env.step(np.array([0, 2]), np.array([0, 1]), rng)
     with pytest.raises(ValueError):
         env.step(np.array([0.5, 0.0]), np.array([0, 1]), rng)
+    with pytest.raises(ValueError):
+        env.rewards(np.array([0, 1]), np.array([0, 3]))
 
 
 def test_next_state_law_is_an_independent_product():

@@ -345,6 +345,9 @@ def test_ticks_must_advance_by_one():
     team = _team()
     with pytest.raises(ValueError):
         team.begin_tick(2, np.zeros(3))
+    with pytest.raises(ValueError):     # a repeated tick
+        team.begin_tick(0, np.zeros(3))
+    assert team.newest_tick == 0
 
 
 def test_precohort_rows_read_as_zero():
@@ -376,6 +379,23 @@ def test_merge_accepts_whole_payloads():
     first.merge_payload(second.window_payload())
     assert team.read_team(0).tolist() == [(1.0 + 2.0) / 2] * 2
     assert team.read_team(1).tolist() == [(11.0 + 12.0) / 2] * 2
+
+
+def test_own_slot_is_write_once():
+    # Each agent's own slot of a tick is written once, by begin_tick: a
+    # repeated tick is refused, and a payload that claims the owner's slot
+    # with another value leaves it at the owner's own TD error.
+    team = _team()                      # tick 0 holds 1.0, 2.0, 3.0
+    with pytest.raises(ValueError):
+        team.begin_tick(0, np.full(3, 7.0))
+    forged = _one_row(0, [9.0, 9.0, 9.0], [True] * 3)
+    for h in team.histories:
+        h.merge_payload(forged)
+        vec = h.vector_at(0)
+        assert vec.known.all()
+        assert vec.values[h.owner - 1] == float(h.owner)
+        assert vec.values.tolist() == [1.0, 2.0, 3.0]
+    assert team.read_team(0).tolist() == [2.0] * 3
 
 
 def test_stale_payload_rows_are_ignored():
@@ -411,7 +431,7 @@ def test_conflicting_known_values_raise():
         h.merge_payload(clash)
 
 
-def test_own_slot_is_write_once():
+def test_reference_own_slot_is_write_once():
     h = _history()
     h.set_own(0, 1.0)
     with pytest.raises(ProtocolCorruptionError):
@@ -648,6 +668,16 @@ def test_malformed_payloads_are_rejected():
     with pytest.raises(ValueError):       # integer values
         WindowPayload(origins=(2, 1), values=np.zeros((2, 2), dtype=int),
                       known=np.zeros((2, 2), dtype=bool))
+    # A payload one agent wide would otherwise broadcast its known slot
+    # over every agent of the team's rows.
+    team = _team(n=3, K=2)
+    narrow = WindowPayload(origins=(0,), values=np.zeros((1, 1)),
+                           known=np.ones((1, 1), dtype=bool))
+    for h in team.histories:
+        with pytest.raises(ValueError, match="payload of 1 agents"):
+            h.merge_payload(narrow)
+    with pytest.raises(IncompleteAggregationError):
+        team.read_team(0)
 
 
 def test_forged_conflicting_payload_is_detected():
