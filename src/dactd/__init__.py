@@ -15,7 +15,7 @@ from .errors import (CapacityError, ConfigurationError, DactdError,
                      ProtocolCorruptionError, RankError, TopologyError,
                      TransportError)
 from .learner import RunResult, StepSchedule, run_experiment, run_theory
-from .topology import GraphSchedule, classify, latency_bound
+from .topology import GraphSchedule, latency_bound
 from .transport import Channel, ChannelModel, Message
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "GraphSchedule", "IncompleteAggregationError",
     "JommdpSpec", "Message", "ModelError", "NumericError",
     "ProtocolCorruptionError", "RankError", "RunResult", "StepSchedule",
-    "TopologyError", "TransportError", "classify", "latency_bound",
+    "TopologyError", "TransportError", "latency_bound",
     "load_config", "micro_env",
     "run_experiment", "run_theory",
     "__version__",

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigurationError, _as_int, _as_real
-from .learner import ALGORITHMS, PROTOCOLS, resolve_latency_window
-from .topology import GraphSchedule, classify
+from .errors import ConfigurationError, _as_int, _as_positive, _as_real
+from .learner import ALGORITHMS, make_driver
+from .topology import GraphSchedule
 from .transport import ChannelModel
 
 # Config files may use these historical aliases for the protocol names.
@@ -58,11 +58,9 @@ def _int_tuple(value, where: str) -> tuple[int, ...]:
     return tuple(_as_int(v, where) for v in _as_tuple(value, where))
 
 
-def _edges(value, where: str) -> tuple[tuple[int, int], ...]:
-    edges = tuple(_int_tuple(e, "graph edge") for e in _as_tuple(value, where))
-    if any(len(e) != 2 for e in edges):
-        raise ConfigurationError(f"graph edges must be pairs, got {value!r}")
-    return edges
+def _edges(value, where: str) -> tuple[tuple[int, ...], ...]:
+    # The graph constructor checks that each edge is a pair.
+    return tuple(_int_tuple(e, "graph edge") for e in _as_tuple(value, where))
 
 
 @dataclass(frozen=True)
@@ -91,9 +89,10 @@ class AlgorithmChoice:
 class ExperimentConfig:
     """One comparison study, and the only description of an experiment:
     `learner.run_experiment(cfg, algorithm, seed)` runs one cell of its
-    (algorithm, seed) grid.  Every setting is checked here, when the config
-    is built.  Each run replaces the channel's seed field with a stream
-    spawned from the run seed."""
+    (algorithm, seed) grid.  Every setting is checked when the config is
+    built; it is valid when `learner.make_driver` can build the dac_td driver
+    of its protocol and every grid cell's driver.  Each run replaces the
+    channel's seed field with a stream spawned from the run seed."""
 
     name: str = "experiment"
     n_agents: int = 5
@@ -121,14 +120,12 @@ class ExperimentConfig:
                 (("name", "graph_kind", "protocol", "out_dir"), _as_str),
                 (("n_agents", "critic_epochs", "target_refresh", "episodes",
                   "steps"), _as_int),
-                (("gamma", "actor_step", "critic_step", "leaky_slope",
-                  "theta_box"), _as_real),
+                (("gamma", "leaky_slope"), _as_real),
+                (("actor_step", "critic_step", "theta_box"), _as_positive),
                 (("actor_hidden", "critic_hidden", "seeds"), _int_tuple),
                 (("graph_edges",), _edges), (("algorithms",), _as_tuple)):
             for name in names:
                 object.__setattr__(self, name, check(getattr(self, name), name))
-        if self.protocol not in PROTOCOLS:
-            raise ConfigurationError(f"unknown protocol {self.protocol!r}")
         if self.graph_kind not in GRAPH_KINDS:
             raise ConfigurationError(f"unknown graph kind {self.graph_kind!r}")
         if self.graph_kind == "custom" and not self.graph_edges:
@@ -151,10 +148,6 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be >= 1")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigurationError("gamma must lie in (0, 1)")
-        for name in ("actor_step", "critic_step", "theta_box"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ConfigurationError(f"{name} must be positive and finite")
         if not math.isfinite(self.leaky_slope):
             raise ConfigurationError("leaky_slope must be finite")
         if min(self.actor_hidden + self.critic_hidden, default=1) < 1:
@@ -163,21 +156,9 @@ class ExperimentConfig:
             g = self.build_graph()  # the graph constructor checks the edges
         except ValueError as exc:
             raise ConfigurationError(f"graph: {exc}") from exc
-        info = classify(g)
-        if self.protocol == "acyclic" and not info.acyclic_undirected:
-            raise ConfigurationError(
-                "the acyclic protocol requires an undirected acyclic graph")
-        if any(alg.kind == "dac_td" for alg in self.algorithms):
-            resolve_latency_window(self.protocol, g, self.channel)
-        diameter = info.diameter
-        for alg in self.algorithms:
-            if alg.kind == "khop_sac":
-                if diameter is None:
-                    raise ConfigurationError(
-                        "khop_sac requires a strongly connected graph")
-                if alg.k > diameter:
-                    raise ConfigurationError(
-                        f"khop_sac k={alg.k} exceeds graph diameter {diameter}")
+        # Protocol first, then the grid in order; a seed changes no verdict.
+        for alg in dict.fromkeys((AlgorithmChoice("dac_td"), *self.algorithms)):
+            make_driver(alg.kind, self.protocol, g, self.channel, alg.k, (), 0)
 
     def build_graph(self) -> GraphSchedule:
         edges = (self.graph_edges,) if self.graph_kind == "custom" else ()

@@ -4,6 +4,7 @@ Argument-level misuse (bad agent id, malformed state, empty input) raises
 plain ValueError at the offending call site; the classes below mark domain
 failures that callers may want to catch and map to exit codes.
 """
+import math
 from numbers import Integral, Real
 
 
@@ -70,3 +71,12 @@ def _as_real(value, where: str) -> float:
     if isinstance(value, Real) and not isinstance(value, bool):
         return float(value)
     raise ConfigurationError(f"{where} must be a real number, got {value!r}")
+
+
+def _as_positive(value, where: str) -> float:
+    """A positive, finite real setting."""
+    value = _as_real(value, where)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ConfigurationError(
+            f"{where} must be positive and finite, got {value!r}")
+    return value

@@ -39,18 +39,19 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .envs import CoupledEnv
-from .errors import ConfigurationError, NumericError, _as_int, _as_real
+from .errors import (ConfigurationError, NumericError, _as_int,
+                     _as_positive, _as_real)
 from .funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
                          softmax)
 from .protocol import (AcyclicProtocolDriver, GeneralProtocolDriver,
                        NeighborhoodDriver)
-from .topology import GraphSchedule, cumulative_neighborhoods, latency_bound
+from .topology import (GraphSchedule, cumulative_neighborhoods,
+                       hop_distances, latency_bound)
 from .transport import Channel, ChannelModel
 
 if TYPE_CHECKING:
     from .config import AlgorithmChoice, ExperimentConfig
 
-PROTOCOLS = ("general", "acyclic", "centralized")
 ALGORITHMS = ("dac_td", "independent_ac", "khop_sac")
 ONE_HOT = np.eye(2)
 
@@ -70,10 +71,10 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "polynomial"):
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
-        for name in ("base", "exponent"):
-            object.__setattr__(self, name, _as_real(getattr(self, name), name))
-        if not (self.base > 0.0 and np.isfinite(self.base)):
-            raise ConfigurationError("schedule base must be positive and finite")
+        for name, check in (("base", _as_positive), ("exponent", _as_real)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
+        if self.kind == "constant" and self.exponent != 0.0:
+            raise ConfigurationError("a constant schedule takes no exponent")
         if self.kind == "polynomial" and not (0.0 < self.exponent <= 1.0):
             raise ConfigurationError("polynomial exponent must lie in (0, 1]")
 
@@ -123,41 +124,41 @@ def actor_step(theta: np.ndarray, delta_team: np.ndarray, eta: np.ndarray,
     return out
 
 
-def _make_driver(algorithm: str, protocol: str, graph: GraphSchedule,
-                 channel_model: ChannelModel | None, khop: int,
-                 value_shape: tuple[int, ...], channel_seed):
-    """The aggregation driver of one run, with its lag K resolved.  ``khop``
-    is an `AlgorithmChoice`'s k, which is 0 for every kind but khop_sac."""
+def make_driver(algorithm: str, protocol: str, graph: GraphSchedule,
+                channel_model: ChannelModel | None, khop: int,
+                value_shape: tuple[int, ...], channel_seed):
+    """The aggregation driver of one run, and the one place that decides
+    which runs can aggregate, and with what lag K.  ``khop`` is an
+    `AlgorithmChoice`'s k (0 for every kind but khop_sac) and may not exceed
+    the graph's diameter.  The acyclic protocol moves increments over a
+    lossless unit-delay mailbox, so a channel that can drop or delay a send
+    is refused rather than ignored; its driver checks that the graph is a
+    tree.  Raises ConfigurationError, or TopologyError where the graph's
+    always-present edges do not connect it."""
     n = graph.n_agents
     if algorithm != "dac_td":
+        diameter = int(hop_distances(n, graph.always_present_edges()).max())
+        if khop > diameter:
+            raise ConfigurationError(
+                f"khop_sac k={khop} exceeds graph diameter {diameter}")
         return NeighborhoodDriver(cumulative_neighborhoods(graph, khop),
                                   khop, value_shape)
-    K = resolve_latency_window(protocol, graph, channel_model)
-    if protocol == "general":
-        model = replace(channel_model or ChannelModel(), seed=channel_seed)
-        return GeneralProtocolDriver(graph, Channel(model, graph), K, value_shape)
-    if protocol == "acyclic":
-        return AcyclicProtocolDriver(graph, K, value_shape)
-    if protocol == "centralized":
-        return NeighborhoodDriver([list(range(1, n + 1))] * n, K, value_shape)
-    raise ConfigurationError(f"unknown protocol {protocol!r}")
-
-
-def resolve_latency_window(protocol: str, graph: GraphSchedule,
-                           channel_model: ChannelModel | None) -> int:
-    """Number of ticks after which every cohort is guaranteed complete.
-
-    The acyclic protocol exchanges increments over a lossless unit-delay
-    mailbox, so a channel that can drop a send or delay one past a tick is
-    rejected rather than silently ignored."""
     model = channel_model if channel_model is not None else ChannelModel()
     if protocol == "acyclic":
         if (model.t1 > 0 and model.drop_prob > 0) or model.t2 > 1:
             raise ConfigurationError(
                 "the acyclic protocol needs a lossless unit-delay channel, got "
                 f"t1={model.t1}, t2={model.t2}, drop_prob={model.drop_prob}")
-        return latency_bound(graph, 0, 1)
-    return latency_bound(graph, model.t1, model.t2)
+        return AcyclicProtocolDriver(graph, latency_bound(graph, 0, 1),
+                                     value_shape)
+    if protocol not in ("general", "centralized"):
+        raise ConfigurationError(f"unknown protocol {protocol!r}")
+    K = latency_bound(graph, model.t1, model.t2)
+    if protocol == "general":
+        return GeneralProtocolDriver(
+            graph, Channel(replace(model, seed=channel_seed), graph), K,
+            value_shape)
+    return NeighborhoodDriver([list(range(1, n + 1))] * n, K, value_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +189,7 @@ def _check_online_inputs(policies, critics, actor_schedule, n_steps,
     n_steps = _as_int(n_steps, "n_steps")
     if n_steps < 0:
         raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
-    theta_box = _as_real(theta_box, "theta_box")
-    if not (theta_box > 0.0 and np.isfinite(theta_box)):
-        raise ConfigurationError(f"theta_box must be positive and finite, "
-                                 f"got {theta_box!r}")
+    theta_box = _as_positive(theta_box, "theta_box")
     if protocol is None and actor_schedule is not None:
         raise ConfigurationError("protocol=None needs actor_schedule=None")
     return n_steps, theta_box
@@ -221,7 +219,7 @@ def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
     _, env_ss, policy_ss, channel_ss = np.random.SeedSequence(seed).spawn(4)
     rng_env = np.random.default_rng(env_ss)
     rng_policy = np.random.default_rng(policy_ss)
-    driver = None if protocol is None else _make_driver(
+    driver = None if protocol is None else make_driver(
         "dac_td", protocol, graph, channel_model, 0, (),
         channel_ss.generate_state(1)[0])
     K = 0 if driver is None else driver.K
@@ -344,9 +342,9 @@ def run_experiment(cfg: ExperimentConfig, algorithm: AlgorithmChoice,
     actor = MlpStack((2, *cfg.actor_hidden, 2), n, rng_init, cfg.leaky_slope)
     critic = MlpStack((2, *cfg.critic_hidden, 1), n, rng_init, cfg.leaky_slope)
 
-    driver = _make_driver(algorithm.kind, cfg.protocol, cfg.build_graph(),
-                          cfg.channel, algorithm.k, (T,),
-                          channel_ss.generate_state(1)[0])
+    driver = make_driver(algorithm.kind, cfg.protocol, cfg.build_graph(),
+                         cfg.channel, algorithm.k, (T,),
+                         channel_ss.generate_state(1)[0])
     K = driver.K
 
     basis = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, IncompleteAggregationError,
                      NumericError, ProtocolCorruptionError)
-from .topology import GraphSchedule, classify, hop_distances, latency_bound
+from .topology import GraphSchedule, hop_distances, latency_bound
 from .transport import Channel
 
 
@@ -347,21 +347,23 @@ class AcyclicProtocolDriver:
 
     def __init__(self, graph: GraphSchedule, K: int,
                  value_shape: tuple[int, ...] = ()):
-        cls = classify(graph)  # raises ConfigurationError on time-varying schedules
-        edges = graph.edges_at(0)
+        n, edges = graph.n_agents, graph.edges_at(0)
+        if not graph.static_flag:
+            raise ConfigurationError("acyclic protocol requires a static graph")
         if any((dst, src) not in edges for (src, dst) in edges):
             raise ConfigurationError(
                 "acyclic protocol requires symmetric (undirected) edges")
-        if not cls.acyclic_undirected:
-            raise ConfigurationError("acyclic protocol requires an acyclic graph")
-        if graph.n_agents > 1 and not cls.strongly_connected:
+        if (hop_distances(n, edges) < 0).any():
             raise ConfigurationError("acyclic protocol requires a connected graph")
+        # A connected graph is a tree iff it has N - 1 undirected edges.
+        if len(edges) != 2 * (n - 1):
+            raise ConfigurationError("acyclic protocol requires an acyclic graph")
         bound = latency_bound(graph, 0, 1)
         if K < bound:
             raise ConfigurationError(
                 f"acyclic protocol needs K >= {bound}, the tree's unit-delay "
                 f"latency bound, got K={K}")
-        n, vs = graph.n_agents, tuple(value_shape)
+        vs = tuple(value_shape)
         self.graph = graph
         self.K = K
         self.n_agents = n

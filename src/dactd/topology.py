@@ -4,9 +4,9 @@ A :class:`GraphSchedule` assigns a set of directed edges ``(src, dst)`` over
 agents ``{1..n_agents}`` to every tick.  Time-varying schedules repeat a
 finite sequence of edge sets.  The module answers the structural queries the
 aggregation protocols need, all from one hop-distance table
-(:func:`hop_distances`): k-hop neighborhoods, the worst-case
-propagation bound of the delivery guarantee, and the static-graph
-classification that gates the acyclic protocol.
+(:func:`hop_distances`): k-hop neighborhoods and the worst-case
+propagation bound of the delivery guarantee.  Which graphs a protocol can
+run on is decided by the protocol's own driver.
 
 All objects are read-only after construction and safe to share across
 concurrently running simulation replicas.
@@ -15,11 +15,11 @@ concurrently running simulation replicas.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, TopologyError
+from .errors import TopologyError
 
 Edge = tuple[int, int]
 
@@ -36,6 +36,11 @@ class GraphSchedule:
         for edges in period_edges:
             checked = set()
             for e in edges:
+                if not (isinstance(e, (tuple, list)) and len(e) == 2 and all(
+                        isinstance(v, Integral) and not isinstance(v, bool)
+                        for v in e)):
+                    raise ValueError(f"edge {e!r} is not a pair of integer "
+                                     "agent ids")
                 src, dst = int(e[0]), int(e[1])
                 if not (1 <= src <= n_agents and 1 <= dst <= n_agents):
                     raise ValueError(f"edge {e} has endpoint outside 1..{n_agents}")
@@ -165,34 +170,3 @@ def latency_bound(g: GraphSchedule, t1: int, t2: int) -> int:
             "graph schedule is not connected through always-present edges; "
             "the delivery guarantee cannot bound staleness")
     return max(1, int(dist.max()) * (t1 + t2))
-
-
-@dataclass(frozen=True)
-class GraphClass:
-    acyclic_undirected: bool
-    strongly_connected: bool
-    diameter: int | None
-
-
-def classify(g: GraphSchedule) -> GraphClass:
-    """Classify a static graph: forest check (undirected closure), strong
-    connectivity and directed diameter.
-
-    Raises ConfigurationError on time-varying schedules — the acyclic
-    protocol this gate serves requires a time-invariant graph.
-    """
-    if not g.static_flag:
-        raise ConfigurationError("classification requires a static graph schedule")
-    n, edges = g.n_agents, g.edges_at(0)
-    dist = hop_distances(n, edges)
-    connected = bool(dist.min() >= 0)
-    components = 1  # a strongly connected graph is one undirected component
-    if not connected:
-        linked = hop_distances(n, edges, undirected=True) >= 0
-        # An agent leads its component when no lower-numbered agent reaches it.
-        components = np.count_nonzero(linked.argmax(axis=0) == np.arange(n))
-    # A graph is a forest iff it has N - components undirected edges.
-    return GraphClass(
-        acyclic_undirected=len({frozenset(e) for e in edges}) == n - components,
-        strongly_connected=connected,
-        diameter=int(dist.max()) if connected else None)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from dactd import cli
 from dactd.config import AlgorithmChoice, ExperimentConfig, load_config
-from dactd.errors import ConfigurationError, ProtocolCorruptionError
+from dactd.errors import (ConfigurationError, ProtocolCorruptionError,
+                          TopologyError)
 from dactd.transport import ChannelModel
 from dactd.verify import SuiteReport
 
@@ -447,6 +448,38 @@ def test_tree_protocol_on_a_lossy_channel_exits_1(tmp_path, capsys):
         assert cli.main(["run", "--config", str(path)]) == 1
         assert "lossless unit-delay channel" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
+
+
+# A config is valid when its protocol's driver and every grid cell's driver
+# can be built, whichever algorithms the grid lists.
+FOREST = "graph: {kind: custom, edges: [[1, 2], [2, 1], [3, 4], [4, 3]]}"
+UNBUILDABLE = {
+    "acyclic on a ring": "graph: {kind: ring}\nprotocol: acyclic\n"
+                         "algorithms: [independent_ac]",
+    "acyclic on a lossy channel": "channel: {t1: 2, t2: 3, drop_prob: 0.4}\n"
+                                  "protocol: acyclic\n"
+                                  "algorithms: [independent_ac]",
+    "disconnected custom graph": f"{FOREST}\nalgorithms: [independent_ac]",
+    "acyclic on a disconnected forest": f"{FOREST}\nprotocol: acyclic\n"
+                                        "algorithms: [independent_ac]",
+    "acyclic on a disconnected forest, dac_td": f"{FOREST}\nprotocol: acyclic\n"
+                                                "algorithms: [dac_td]",
+    "acyclic on a one-way path": "graph: {kind: custom, edges: [[1, 2], "
+                                 "[2, 3], [3, 4]]}\nprotocol: acyclic\n"
+                                 "algorithms: [dac_td]",
+    "khop on a disconnected graph": f"{FOREST}\n"
+                                    "algorithms: [{kind: khop_sac, k: 1}]",
+    "unknown protocol": "protocol: gossip",
+}
+
+
+@pytest.mark.parametrize("name", UNBUILDABLE)
+def test_configs_whose_drivers_cannot_be_built_exit_1(name, tmp_path, capsys):
+    path = _write(tmp_path, f"env: {{n_agents: 4}}\n{UNBUILDABLE[name]}\n")
+    with pytest.raises((ConfigurationError, TopologyError)):
+        load_config(path)
+    assert cli.main(["run", "--config", str(path), "--dry-run"]) == 1
+    assert "invalid configuration" in capsys.readouterr().err
 
 
 def test_protocol_violations_exit_2(config_file, monkeypatch, capsys):

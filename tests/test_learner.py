@@ -12,9 +12,8 @@ from dactd.errors import ConfigurationError, NumericError
 from dactd.funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
                               max_relative_error, softmax, tabular_features)
 from dactd.learner import (StepSchedule, TheoryRunResult, _fit_gradient,
-                           _make_driver, _score_table, actor_step, critic_step,
-                           resolve_latency_window, run_experiment, run_theory,
-                           td_errors)
+                           _score_table, actor_step, critic_step, make_driver,
+                           run_experiment, run_theory, td_errors)
 from dactd.protocol import ascending_mean
 from dactd.topology import GraphSchedule
 from dactd.transport import ChannelModel
@@ -47,6 +46,8 @@ def test_schedule_values():
     dict(kind="constant", base="0.5"),
     dict(kind="constant", base=True),
     dict(kind="polynomial", base=0.5, exponent=True),
+    # A constant schedule would ignore its exponent.
+    dict(kind="constant", base=0.1, exponent=0.5),
 ])
 def test_bad_schedules_are_rejected(kwargs):
     with pytest.raises(ConfigurationError):
@@ -176,7 +177,7 @@ def reference_run(env, graph, policies, critics, actor_schedule,
     _, env_ss, policy_ss, channel_ss = np.random.SeedSequence(seed).spawn(4)
     rng_env = np.random.default_rng(env_ss)
     rng_policy = np.random.default_rng(policy_ss)
-    driver = None if protocol is None else _make_driver(
+    driver = None if protocol is None else make_driver(
         "dac_td", protocol, graph, channel_model, 0, (),
         channel_ss.generate_state(1)[0])
     K = 0 if driver is None else driver.K
@@ -460,17 +461,19 @@ def test_policy_evaluation_approaches_the_projected_fixed_point():
 
 def test_latency_window_resolution():
     line5 = GraphSchedule.line(5)
-    assert resolve_latency_window("general", line5, None) == 4
-    assert resolve_latency_window("general", line5,
-                                  ChannelModel(t1=1, t2=1)) == 8
-    assert resolve_latency_window("acyclic", line5,
-                                  ChannelModel(t1=3, t2=1)) == 4
+
+    def lag(protocol, channel_model):
+        return make_driver("dac_td", protocol, line5, channel_model, 0, (),
+                           0).K
+
+    assert lag("general", None) == 4
+    assert lag("general", ChannelModel(t1=1, t2=1)) == 8
+    assert lag("acyclic", ChannelModel(t1=3, t2=1)) == 4
     with pytest.raises(ConfigurationError):
-        resolve_latency_window("acyclic", line5, ChannelModel(t1=3, t2=7))
+        lag("acyclic", ChannelModel(t1=3, t2=7))
     with pytest.raises(ConfigurationError):
-        resolve_latency_window("acyclic", line5,
-                               ChannelModel(t1=1, drop_prob=0.2))
-    assert resolve_latency_window("centralized", line5, None) == 4
+        lag("acyclic", ChannelModel(t1=1, drop_prob=0.2))
+    assert lag("centralized", None) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dactd.errors import ConfigurationError, TopologyError
-from dactd.topology import (GraphSchedule, classify, cumulative_neighborhoods,
+from dactd.errors import TopologyError
+from dactd.topology import (GraphSchedule, cumulative_neighborhoods,
                             hop_distances, latency_bound)
 
 
@@ -31,6 +31,10 @@ def test_rejects_endpoint_outside_range():
         GraphSchedule.static(3, {(1, 4)})
     with pytest.raises(ValueError):
         GraphSchedule.static(3, {(0, 1)})
+    # An endpoint is not truncated to an agent id, nor a triple to a pair.
+    for edge in ((1.5, 2), (1, 2, 3), (True, 2), ("1", "2"), 12):
+        with pytest.raises(ValueError):
+            GraphSchedule.static(3, {edge})
 
 
 def test_rejects_self_loop():
@@ -85,24 +89,6 @@ def reference_table(n: int, edges, undirected: bool) -> np.ndarray:
     return table
 
 
-def union_find_is_forest(n: int, edges) -> bool:
-    """Reference: no undirected edge joins two agents already connected."""
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in {frozenset(e) for e in edges}:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
-
-
 @st.composite
 def digraphs(draw):
     """Any simple digraph on 1-10 agents: one-way edges, disconnected parts
@@ -120,11 +106,6 @@ def test_hop_table_matches_per_source_bfs(g):
     for undirected in (False, True):
         assert np.array_equal(hop_distances(n, edges, undirected),
                               reference_table(n, edges, undirected))
-    directed = reference_table(n, edges, False)
-    info = classify(g)
-    assert info.acyclic_undirected == union_find_is_forest(n, edges)
-    assert info.strongly_connected == (directed >= 0).all()
-    assert info.diameter == (directed.max() if info.strongly_connected else None)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +198,8 @@ def test_star_of_six_with_slack():
 def test_unit_delay_bound_equals_diameter():
     for g in (GraphSchedule.line(7), GraphSchedule.ring(6),
               GraphSchedule.star(5), GraphSchedule.complete(4)):
-        assert latency_bound(g, 0, 1) == classify(g).diameter
+        dist = hop_distances(g.n_agents, g.always_present_edges())
+        assert latency_bound(g, 0, 1) == dist.max()
 
 
 def test_bound_is_at_least_one():
@@ -261,38 +243,3 @@ def test_bound_formula_on_lines(n, t1, t2):
     g = GraphSchedule.line(n)
     assert latency_bound(g, t1, t2) == max(1, (n - 1) * (t1 + t2))
 
-
-# ---------------------------------------------------------------------------
-# Static-graph classification
-# ---------------------------------------------------------------------------
-
-def test_classify_line_of_five():
-    info = classify(GraphSchedule.line(5))
-    assert info.acyclic_undirected
-    assert info.strongly_connected
-    assert info.diameter == 4
-
-
-def test_triangle_is_cyclic():
-    g = GraphSchedule.static(3, {(1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)})
-    assert not classify(g).acyclic_undirected
-
-
-def test_connected_forest_has_n_minus_one_undirected_edges():
-    for g in (GraphSchedule.line(6), GraphSchedule.star(6)):
-        info = classify(g)
-        assert info.acyclic_undirected
-        undirected = {frozenset(e) for e in g.edges_at(0)}
-        assert len(undirected) == g.n_agents - 1
-
-
-def test_classify_rejects_time_varying_schedules():
-    g = GraphSchedule(2, [{(1, 2), (2, 1)}, set()])
-    with pytest.raises(ConfigurationError):
-        classify(g)
-
-
-def test_classify_reports_disconnection():
-    info = classify(GraphSchedule.static(3, {(1, 2), (2, 1)}))
-    assert not info.strongly_connected
-    assert info.diameter is None
