@@ -12,8 +12,7 @@ from .config import AlgorithmChoice, ExperimentConfig, load_config
 from .envs import CoupledEnv, JommdpSpec, micro_env
 from .errors import (CapacityError, ConfigurationError, DactdError,
                      IncompleteAggregationError, ModelError, NumericError,
-                     ProtocolCorruptionError, RankError, TopologyError,
-                     TransportError)
+                     ProtocolCorruptionError, RankError, TransportError)
 from .learner import RunResult, StepSchedule, run_experiment, run_theory
 from .topology import GraphSchedule, latency_bound
 from .transport import Channel, ChannelModel, Message
@@ -24,7 +23,7 @@ __all__ = [
     "GraphSchedule", "IncompleteAggregationError",
     "JommdpSpec", "Message", "ModelError", "NumericError",
     "ProtocolCorruptionError", "RankError", "RunResult", "StepSchedule",
-    "TopologyError", "TransportError", "latency_bound",
+    "TransportError", "latency_bound",
     "load_config", "micro_env",
     "run_experiment", "run_theory",
     "__version__",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from .config import load_config
 from .envs import CoupledEnv, enumerate_model
 from .errors import (CapacityError, ConfigurationError, DactdError,
                      IncompleteAggregationError, NumericError,
-                     ProtocolCorruptionError, TopologyError, TransportError)
+                     ProtocolCorruptionError, TransportError)
 from .funcapprox import TabularSoftmaxPolicy
 from .learner import RunResult, run_experiment
 from .oracle import exact_policy_gradient, ode_matrix, solve_model
@@ -40,8 +39,7 @@ EXIT_SUITE = 3
 
 _RUNTIME_ERRORS = (ProtocolCorruptionError, IncompleteAggregationError,
                    TransportError, NumericError)
-_VALIDATION_ERRORS = (CapacityError, ConfigurationError, TopologyError,
-                      ValueError)
+_VALIDATION_ERRORS = (CapacityError, ConfigurationError, ValueError)
 
 
 def _fmt(x: float) -> str:
@@ -83,11 +81,12 @@ def _final_mean(result: RunResult, window: int = 100) -> float:
 def cmd_run(ns: argparse.Namespace) -> int:
     if ns.jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {ns.jobs}")
-    cfg = load_config(ns.config)
+    overrides = {}
     if ns.seed is not None:
-        cfg = replace(cfg, seeds=(ns.seed,))
+        overrides["seeds"] = (ns.seed,)
     if ns.out is not None:
-        cfg = replace(cfg, out_dir=ns.out)
+        overrides["out_dir"] = ns.out
+    cfg = load_config(ns.config, **overrides)
     if ns.dry_run:
         print(yaml.safe_dump(cfg.resolved(), sort_keys=False).rstrip())
         return EXIT_OK

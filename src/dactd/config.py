@@ -223,9 +223,9 @@ def _build(cls, node, where: str):
         raise ConfigurationError(f"{where}: {exc}") from None
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a YAML experiment config; absent keys keep their
-    dataclass defaults."""
+def load_config(path: str | Path, **overrides) -> ExperimentConfig:
+    """Parse and validate a YAML experiment config once; absent keys keep
+    their defaults, and overrides (field=value) replace the file's values."""
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
@@ -244,4 +244,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
             AlgorithmChoice(a) if isinstance(a, str)
             else _build(AlgorithmChoice, a, "algorithms entry")
             for a in values["algorithms"]]
-    return ExperimentConfig(**values)
+    return ExperimentConfig(**{**values, **overrides})

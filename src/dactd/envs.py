@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapacityError
 
 # Largest global state or joint action space enumerate_model accepts: the
-# oracle allocates (S, A) tables and solves (S, S) systems, 128 MiB each here.
+# oracle allocates (S, A) tables, 128 MiB each here.
 STATE_CAP = 4096
 
 
@@ -145,17 +145,20 @@ class EnumeratedModel:
     count_index: np.ndarray       # (S, A) coupling count |s| + |a|
     count_transition: np.ndarray  # (2N+1, S) next-state law per count
     count_rewards: np.ndarray     # (N, 2N+1) private rewards per count
-    transition_pi: np.ndarray = field(init=False)   # (S, S)
-    rewards_pi: np.ndarray = field(init=False)      # (N, S) expected per state
+    mass: np.ndarray = field(init=False)        # (S, 2N+1) policy mass
+    rewards_pi: np.ndarray = field(init=False)  # (N, S) expected per state
 
     def __post_init__(self):
         # mass[s, c]: the policy mass of the actions a with |s| + |a| = c.
         S, C = self.count_index.shape[0], self.count_transition.shape[0]
         flat = (np.arange(S)[:, None] * C + self.count_index).ravel()
-        mass = np.bincount(flat, weights=self.policy_probs.ravel(),
-                           minlength=S * C).reshape(S, C)
-        self.transition_pi = mass @ self.count_transition
-        self.rewards_pi = self.count_rewards @ mass.T
+        self.mass = np.bincount(flat, weights=self.policy_probs.ravel(),
+                                minlength=S * C).reshape(S, C)
+        self.rewards_pi = self.count_rewards @ self.mass.T
+
+    @cached_property
+    def transition_pi(self) -> np.ndarray:  # (S, S), formed on first read
+        return self.mass @ self.count_transition
 
 
 def _local_policy_table(n_agents: int, local_policies) -> np.ndarray:
@@ -175,14 +178,14 @@ def enumerate_model(env: CoupledEnv, local_policies) -> EnumeratedModel:
     local_policies is one object per agent exposing probs(s_local) -> its
     two action probabilities, read once into model.local_policy.  Allocates
     the (S, A) joint policy and count index, the (2N+1, S) count rows and
-    the (S, S) kernel.  Raises CapacityError when S = A = 2^N > STATE_CAP.
+    the (S, 2N+1) count mass.  Raises CapacityError when S = A > STATE_CAP.
     """
     spec = env.spec
     n, S = spec.n_agents, spec.n_states
     if S > STATE_CAP:
         raise CapacityError(
             f"global spaces ({S} states, {S} actions) exceed cap {STATE_CAP}:"
-            f" the oracle allocates (S, A) policy tables and solves (S, S) systems")
+            f" the oracle allocates (S, A) policy tables")
     local = _local_policy_table(n, local_policies)
     # Product over agents of pi_i(a_i | s_i), each agent's table broadcast
     # over the (s_1..s_N, a_1..a_N) bit axes in turn.

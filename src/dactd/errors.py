@@ -12,10 +12,6 @@ class DactdError(Exception):
     """Base class for domain errors raised by this package."""
 
 
-class TopologyError(DactdError):
-    """Graph does not satisfy a structural requirement (e.g. connectivity)."""
-
-
 class ConfigurationError(DactdError):
     """A configuration is invalid or inconsistent with the requested run."""
 

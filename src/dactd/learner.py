@@ -133,8 +133,8 @@ def make_driver(algorithm: str, protocol: str, graph: GraphSchedule,
     the graph's diameter.  The acyclic protocol moves increments over a
     lossless unit-delay mailbox, so a channel that can drop or delay a send
     is refused rather than ignored; its driver checks that the graph is a
-    tree.  Raises ConfigurationError, or TopologyError where the graph's
-    always-present edges do not connect it."""
+    tree.  Raises ConfigurationError, also where the graph's always-present
+    edges do not connect it."""
     n = graph.n_agents
     if algorithm != "dac_td":
         diameter = int(hop_distances(n, graph.always_present_edges()).max())

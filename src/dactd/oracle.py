@@ -1,14 +1,14 @@
 """Exact reference computations on enumerable environments.
 
 Everything here is dense 64-bit linear algebra on the count-factorised model
-of :func:`dactd.envs.enumerate_model` (the (S, A) joint policy, the 2N+1
-transition rows and rewards of the coupling counts with their (S, A) index,
-and the (S, S) kernel under the policy): stationary distributions, per-agent
-and team value functions, the linear-critic fixed point the online updates
-converge to, exhaustive policy-gradient directions, and the correction terms
-that separate the learned update direction from the exact gradient when
-critics only see local state.  These are the ground truth for every
-convergence and bias test.
+of :func:`dactd.envs.enumerate_model`, whose kernel under the policy is
+P = M Q (M the (S, 2N+1) policy mass per coupling count, Q the count rows):
+stationary distributions and value functions, solved on the (2N+1)-state
+count chain Q M with no (S, S) system, the linear-critic fixed point the
+online updates converge to, exhaustive policy-gradient directions, and the
+correction terms that separate the learned update direction from the exact
+gradient when critics only see local state.  These are the ground truth for
+every convergence and bias test.
 """
 
 from __future__ import annotations
@@ -24,21 +24,11 @@ from .errors import ModelError, RankError
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Unique probability vector d with d P = d, residual <= 1e-12.
 
-    Solves M d = e_S, where M is P^T - I with its last row replaced by ones.
-    The rows of P^T - I add up to the zero vector, so the dropped row is
-    implied by the others; a stationary law is orthogonal to all of them yet
-    has d . 1 = 1.  Hence M is singular exactly when the chain has more than
-    one stationary law.
-
-    Uniqueness rule: ModelError when cond_2(M) > 1e8 * S.  An accepted M is
-    at 2-norm distance at least ||M||_2 / (1e8 S) >= 1e-8 / sqrt(S) from
-    every singular matrix (the row of ones alone has norm sqrt(S)), so no
-    chain whose transition matrix is that close to P in 2-norm has two
-    stationary laws.  An exactly reducible chain has cond_2(M) near
-    1 / machine epsilon and is always rejected.  An accepted chain still
-    raises ModelError when d has an entry below -1e-10 or a residual above
-    1e-12, which the solve's error (up to about 1e-8 * S near the bound) can
-    cause on chains with almost no stationary mass on some states.
+    Decided exactly on P's support: a state is recurrent when every state
+    it reaches reaches it back, and ModelError is raised unless the
+    recurrent states form one class.  On it d comes from GTH state reduction
+    (Grassmann, Taksar and Heyman, 1985), which reads only off-diagonal
+    entries and subtracts nothing; transient states get exactly 0.
     """
     P = np.asarray(P, dtype=np.float64)
     n = P.shape[0]
@@ -47,29 +37,36 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     if not np.allclose(P.sum(axis=1), 1.0, atol=1e-10) or (P < -1e-15).any():
         raise ValueError("transition matrix rows must be distributions")
 
-    M = P.T - np.eye(n)
-    M[-1, :] = 1.0
-    if not np.linalg.cond(M) <= 1e8 * n:
-        raise ModelError("stationary law is not numerically unique: chain is "
-                         "reducible or nearly so")
-    b = np.zeros(n)
-    b[-1] = 1.0
-    d = np.linalg.solve(M, b)
-    if d.min() < -1e-10:
-        raise ModelError("stationary distribution has a negative entry")
-    d = np.clip(d, 0.0, None)
-    d = d / d.sum()
+    # Reachability: square the support until it covers paths of n - 1 steps.
+    reach = (P > 0) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        r = reach.astype(np.float32)
+        reach = r @ r > 0
+    closed = np.flatnonzero(~(reach & ~reach.T).any(axis=1))
+    if not reach[np.ix_(closed, closed)].all():
+        raise ModelError("stationary law is not unique: the chain has more "
+                         "than one closed class")
+    A = P[np.ix_(closed, closed)]    # a copy, reduced in place
+    for k in range(len(A) - 1, 0, -1):
+        A[:k, k] /= A[k, :k].sum()
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    x = np.ones(len(A))
+    for k in range(1, len(A)):
+        x[k] = x[:k] @ A[:k, k]
+    d = np.zeros(n)
+    d[closed] = x / x.sum()
     if np.max(np.abs(d @ P - d)) > 1e-12:
         raise ModelError("stationary distribution residual above tolerance")
     return d
 
 
 def value_functions(model: EnumeratedModel) -> np.ndarray:
-    """True per-agent values V^i(s) = E[sum_t gamma^t r^i_t | s]: rows of
-    (I - gamma P)^{-1} applied to each agent's expected reward."""
-    S = model.transition_pi.shape[0]
-    A = np.eye(S) - model.spec.gamma * model.transition_pi
-    return np.linalg.solve(A, model.rewards_pi.T).T
+    """True per-agent values V^i(s) = E[sum_t gamma^t r^i_t | s], (N, S),
+    by (I - gamma M Q)^{-1} M = M (I - gamma Q M)^{-1}: one (2N+1)-sized
+    solve on the count rewards, with no unique stationary law needed."""
+    M, Q = model.mass, model.count_transition
+    return (M @ np.linalg.solve(np.eye(len(Q)) - model.spec.gamma * (Q @ M),
+                                model.count_rewards.T)).T
 
 
 @dataclass
@@ -83,7 +80,14 @@ class ExactSolution:
 
 
 def solve_model(model: EnumeratedModel) -> ExactSolution:
-    d = stationary_distribution(model.transition_pi)
+    """Stationary law d = mu Q from the count chain R = Q M: mu R = mu gives
+    d P = mu R Q = d, and P = M Q has R's nonzero eigenvalues with
+    multiplicity (Horn and Johnson, Matrix Analysis, 1.3), so P's law is
+    unique exactly when R's is.  The residual is checked as (d M) Q - d."""
+    M, Q = model.mass, model.count_transition
+    d = stationary_distribution(Q @ M) @ Q
+    if np.max(np.abs((d @ M) @ Q - d)) > 1e-12:
+        raise ModelError("stationary distribution residual above tolerance")
     v_agents = value_functions(model)
     return ExactSolution(model=model, d_pi=d, v_agents=v_agents,
                          v_team=v_agents.mean(axis=0))
@@ -119,21 +123,20 @@ def critic_fixed_point(model: EnumeratedModel, d_pi: np.ndarray, agent: int,
 
     Solves  Phi^T D (gamma P - I) Phi v = -Phi^T D r_hat  densely, where
     r_hat is the agent's expected private reward per state, as
-    gamma (D Phi)^T (P Phi) - (D Phi)^T Phi: no (S, S) matrix is formed
-    beyond P itself.  Raises ValueError for an agent id outside 1..N, and
-    RankError when Phi is column-rank deficient or the system is singular
-    beyond tolerance.
+    gamma (D Phi)^T (M (Q Phi)) - (D Phi)^T Phi: no (S, S) matrix is formed.
+    Raises ValueError for an agent id outside 1..N, and RankError when Phi
+    is column-rank deficient or the system is singular beyond tolerance.
     """
     _check_agent(model.spec, agent)
-    S = model.transition_pi.shape[0]
-    if Phi.shape[0] != S:
+    if Phi.shape[0] != model.spec.n_states:
         raise ValueError("feature matrix must have one row per global state")
     L = Phi.shape[1]
     if np.linalg.matrix_rank(Phi) < L:
         raise RankError("feature matrix has linearly dependent columns")
     r_hat = model.rewards_pi[agent - 1]
     dPhi = d_pi[:, None] * Phi
-    A = model.spec.gamma * (dPhi.T @ (model.transition_pi @ Phi)) - dPhi.T @ Phi
+    P_Phi = model.mass @ (model.count_transition @ Phi)
+    A = model.spec.gamma * (dPhi.T @ P_Phi) - dPhi.T @ Phi
     b = -(dPhi.T @ r_hat)
     try:
         v = np.linalg.solve(A, b)

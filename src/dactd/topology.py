@@ -19,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import TopologyError
+from .errors import ConfigurationError
 
 Edge = tuple[int, int]
 
@@ -166,7 +166,7 @@ def latency_bound(g: GraphSchedule, t1: int, t2: int) -> int:
         raise ValueError(f"t2 must be positive, got {t2}")
     dist = hop_distances(g.n_agents, g.always_present_edges())
     if (dist < 0).any():
-        raise TopologyError(
+        raise ConfigurationError(
             "graph schedule is not connected through always-present edges; "
             "the delivery guarantee cannot bound staleness")
     return max(1, int(dist.max()) * (t1 + t2))

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from dactd import cli
 from dactd.config import AlgorithmChoice, ExperimentConfig, load_config
-from dactd.errors import (ConfigurationError, ProtocolCorruptionError,
-                          TopologyError)
+from dactd.errors import ConfigurationError, ProtocolCorruptionError
 from dactd.transport import ChannelModel
 from dactd.verify import SuiteReport
 
@@ -286,6 +285,25 @@ def test_dry_run_output_loads_back_to_the_same_config(tmp_path, cfg, alias):
 # run subcommand
 # ---------------------------------------------------------------------------
 
+def test_overrides_are_validated_with_the_config_once(config_file, tmp_path,
+                                                      monkeypatch, capsys):
+    calls = []
+    validate = ExperimentConfig.__post_init__
+
+    def counting(cfg):
+        calls.append(cfg)
+        validate(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counting)
+    out_dir = tmp_path / "D"
+    assert cli.main(["run", "--config", str(config_file), "--seed", "3",
+                     "--out", str(out_dir), "--dry-run"]) == 0
+    assert len(calls) == 1
+    assert calls[0].seeds == (3,) and calls[0].out_dir == str(out_dir)
+    out = capsys.readouterr().out
+    assert "seeds:\n- 3\n" in out and f"out_dir: {out_dir}" in out
+
+
 def test_dry_run_prints_the_resolved_config(config_file, capsys):
     assert cli.main(["run", "--config", str(config_file), "--dry-run"]) == 0
     out = capsys.readouterr().out
@@ -476,7 +494,7 @@ UNBUILDABLE = {
 @pytest.mark.parametrize("name", UNBUILDABLE)
 def test_configs_whose_drivers_cannot_be_built_exit_1(name, tmp_path, capsys):
     path = _write(tmp_path, f"env: {{n_agents: 4}}\n{UNBUILDABLE[name]}\n")
-    with pytest.raises((ConfigurationError, TopologyError)):
+    with pytest.raises(ConfigurationError):
         load_config(path)
     assert cli.main(["run", "--config", str(path), "--dry-run"]) == 1
     assert "invalid configuration" in capsys.readouterr().err

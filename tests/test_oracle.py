@@ -1,7 +1,10 @@
 """Exact reference solutions: stationary laws, values, fixed points, gradients."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from dactd.config import ExperimentConfig
 from dactd.envs import CoupledEnv, enumerate_model, micro_env
 from dactd.errors import ModelError, RankError
 from dactd.funcapprox import (TabularSoftmaxPolicy, max_relative_error,
@@ -90,29 +93,40 @@ def test_occupancy_matches_a_long_simulation():
 
 
 # ---------------------------------------------------------------------------
-# The uniqueness decision against the eigenvalue count it replaced
+# The uniqueness decision against an exact count of unit eigenvalues
 # ---------------------------------------------------------------------------
 
-def _ref_law_is_unique(P):
-    """Slow reference: exactly one eigenvalue of P within 1e-8 of 1."""
-    return int(np.sum(np.abs(np.linalg.eigvals(P.T) - 1.0) < 1e-8)) == 1
+def _exact_law(P):
+    """Stationary law, as Fractions, of the chain whose off-diagonal entries
+    are P's (each diagonal entry is 1 minus its row's off-diagonal sum), or
+    None when eigenvalue 1 of that chain is not simple.
 
-
-def _ref_bordered_law(P):
-    """np.linalg.solve on P^T - I with its last row replaced by ones and
-    right-hand side e_S, clipped at zero and renormalised."""
-    n = P.shape[0]
-    M = P.T - np.eye(n)
-    M[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    d = np.clip(np.linalg.solve(M, b), 0.0, None)
-    return d / d.sum()
+    Gauss-Jordan elimination in rational arithmetic on P^T - I with its last
+    row replaced by ones and right-hand side e_S.  The dropped row is implied
+    by the others, so the system is singular exactly when the chain has more
+    than one stationary law."""
+    n = len(P)
+    F = [[Fraction(float(x)) for x in row] for row in P]
+    for i in range(n):
+        F[i][i] = 1 - (sum(F[i]) - F[i][i])
+    A = ([[F[j][i] - (i == j) for j in range(n)] + [Fraction(0)]
+          for i in range(n - 1)] + [[Fraction(1)] * (n + 1)])
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if A[r][col] != 0), None)
+        if pivot is None:
+            return None
+        A[col], A[pivot] = A[pivot], A[col]
+        for r in range(n):
+            if r != col and A[r][col] != 0:
+                f = A[r][col] / A[col][col]
+                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
+    return [A[i][n] / A[i][i] for i in range(n)]
 
 
 def _two_block_chain(S, leak):
     """Two random blocks of S/2 states; each row moves ``leak`` of its mass
-    uniformly onto the other block, so the second eigenvalue is 1 - 2 leak."""
+    uniformly onto the other block, so the second eigenvalue is 1 - 2 leak
+    and each block holds half the stationary mass."""
     rng = np.random.default_rng(S)
     h = S // 2
     P = np.full((S, S), leak / h)
@@ -126,44 +140,68 @@ def _two_block_chain(S, leak):
 def _clamped_team_chain(n, L):
     """CoupledEnv(n) under copy-state policies with logits [[L, -L], [-L, L]]
     (the tables a team reaches at theta_box = L): the all-zeros and all-ones
-    states become nearly absorbing as L grows."""
+    states become nearly absorbing as L grows, and the chain is symmetric
+    under flipping every bit."""
     table = np.array([[L, -L], [-L, L]], dtype=np.float64)
     policies = [TabularSoftmaxPolicy(2, 2, logits=table) for _ in range(n)]
     return enumerate_model(CoupledEnv(n), policies).transition_pi
 
 
-# (name, chain, accepted).  The conditioning rule agrees with the reference
-# on every chain listed here.
+# (name, chain, accepted): accepted when eigenvalue 1 is simple.  Every
+# blocks and team chain has full support, so it is irreducible however close
+# to reducible its leak or its logits make it.
 UNIQUENESS_CHAINS = (
-    [(f"blocks-S{S}-leak{leak:g}", _two_block_chain(S, leak), leak >= 1e-8)
+    [(f"blocks-S{S}-leak{leak:g}", _two_block_chain(S, leak), True)
      for S in (8, 128) for leak in (1e-3, 1e-6, 1e-8, 1e-10, 1e-13)]
-    + [(f"team-N{n}-L{L}", _clamped_team_chain(n, L), L <= 9)
+    + [(f"team-N{n}-L{L}", _clamped_team_chain(n, L), True)
        for n in (2, 5, 7) for L in (2, 4, 6, 8, 9, 10, 12)]
     + [("identity", np.eye(2), False),
        ("two-cycle", np.array([[0.0, 1.0], [1.0, 0.0]]), True),
        ("transient-state", np.array([[0.5, 0.5, 0.0],
                                      [0.0, 0.3, 0.7],
-                                     [0.0, 0.6, 0.4]]), True)])
+                                     [0.0, 0.6, 0.4]]), True),
+       ("transient-state-last", np.array([[0.2, 0.8, 0.0],
+                                          [0.9, 0.1, 0.0],
+                                          [0.3, 0.3, 0.4]]), True),
+       ("two-closed-classes-and-a-transient-state",
+        np.array([[0.4, 0.6, 0.0, 0.0, 0.0],
+                  [0.7, 0.3, 0.0, 0.0, 0.0],
+                  [0.1, 0.0, 0.6, 0.0, 0.3],
+                  [0.0, 0.0, 0.0, 0.5, 0.5],
+                  [0.0, 0.0, 0.0, 0.2, 0.8]]), False)])
 
 
-@pytest.mark.parametrize("P, accepted",
-                         [pytest.param(P, a, id=name)
+@pytest.mark.parametrize("name, P, accepted",
+                         [pytest.param(name, P, a, id=name)
                           for name, P, a in UNIQUENESS_CHAINS])
-def test_uniqueness_decision_matches_the_eigenvalue_count(P, accepted,
+def test_uniqueness_decision_matches_the_eigenvalue_count(name, P, accepted,
                                                           monkeypatch):
-    assert _ref_law_is_unique(P) == accepted
-    want = _ref_bordered_law(P) if accepted else None
+    """For S <= 16 the count is exact and d must match the exact rational
+    law entrywise, with exact zeros on transient states; above that size
+    the law must have the symmetry its chain has."""
+    exact = _exact_law(P) if len(P) <= 16 else None
+    if len(P) <= 16:
+        assert (exact is not None) == accepted
 
     def no_eigendecomposition(*args, **kwargs):
         raise AssertionError("stationary_distribution ran an eigensolver")
 
-    for name in ("eig", "eigvals"):
-        monkeypatch.setattr(np.linalg, name, no_eigendecomposition)
-    if accepted:
-        assert stationary_distribution(P).tobytes() == want.tobytes()
-    else:
+    for fn in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, fn, no_eigendecomposition)
+    if not accepted:
         with pytest.raises(ModelError):
             stationary_distribution(P)
+        return
+    d = stationary_distribution(P)
+    if exact is not None:
+        for got, want in zip(d, exact):
+            assert abs(Fraction(float(got)) - want) <= Fraction(1e-15) * want
+    elif name.startswith("blocks"):
+        h = len(P) // 2
+        assert d[:h].sum() == pytest.approx(0.5, abs=1e-12)
+        assert d[h:].sum() == pytest.approx(0.5, abs=1e-12)
+    else:
+        assert (np.abs(d - d[::-1]) <= 1e-12 * d).all()
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +440,28 @@ def test_ode_matrix_scales_rows_like_the_diagonal_product():
 
 
 # ---------------------------------------------------------------------------
-# Slow references: the per-(s, a) loops the count-factorised model replaced
+# Slow references: the per-(s, a) loops the count-factorised model replaced,
+# and the (S, S) solves the count chain replaced
 # ---------------------------------------------------------------------------
+
+def _ref_bordered_law(P):
+    """np.linalg.solve on P^T - I with its last row replaced by ones and
+    right-hand side e_S, clipped at zero and renormalised."""
+    n = P.shape[0]
+    M = P.T - np.eye(n)
+    M[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    d = np.clip(np.linalg.solve(M, b), 0.0, None)
+    return d / d.sum()
+
+
+def _ref_values(model):
+    """Per-agent values from the (S, S) system (I - gamma P) V^T = R^T."""
+    S = model.spec.n_states
+    return np.linalg.solve(np.eye(S) - model.spec.gamma * model.transition_pi,
+                           model.rewards_pi.T).T
+
 
 def _index_action(spec, ai):
     return np.array(np.unravel_index(ai, (2,) * spec.n_agents))
@@ -543,3 +601,45 @@ def test_count_model_matches_the_dense_reference(n, draw):
     for got, want in pairs:
         for g, w in zip(got, want):
             assert max_relative_error(g, w) <= PARITY_TOL
+
+
+@pytest.mark.parametrize("draw", [0, 1, 2])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_count_chain_solution_matches_the_dense_reference(n, draw):
+    rng = np.random.default_rng(1000 * n + draw)
+    policies = _parity_policies(n, draw, rng)
+    model = enumerate_model(CoupledEnv(n), policies)
+    sol = solve_model(model)
+    d = _ref_bordered_law(model.transition_pi)
+    assert (np.abs(sol.d_pi - d) <= PARITY_TOL * d).all()
+    assert max_relative_error(sol.v_agents, _ref_values(model)) <= PARITY_TOL
+
+
+def test_the_oracle_never_forms_the_s_by_s_kernel():
+    policies = _random_policies(21, n=5)
+    model = enumerate_model(CoupledEnv(5), policies)
+    sol = solve_model(model)
+    exact_policy_gradient(sol, policies)
+    for i in range(1, 6):
+        critic_fixed_point(model, sol.d_pi, i, feature_matrix(
+            model.spec, i, tabular_features(2)))
+    assert "transition_pi" not in model.__dict__
+    assert model.transition_pi.shape == (32, 32)    # formed on first read
+    assert "transition_pi" in model.__dict__
+
+
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_teams_clamped_at_the_default_theta_box_are_solved(n):
+    """Copy-state tables at the default theta_box of 10 make the all-zeros
+    and all-ones states nearly absorbing (spectral gap about 1e-9), but the
+    chain stays irreducible: its law is unique and symmetric under flipping
+    every bit."""
+    box = ExperimentConfig().theta_box
+    table = np.array([[box, -box], [-box, box]])
+    model = enumerate_model(CoupledEnv(n), [
+        TabularSoftmaxPolicy(2, 2, logits=table) for _ in range(n)])
+    d = solve_model(model).d_pi
+    assert np.abs(d @ model.transition_pi - d).max() <= 1e-15
+    assert (np.abs(d - d[::-1]) <= 1e-12 * d).all()
+    assert d[0] == pytest.approx(0.5, abs=2e-8)
+    assert d[-1] == pytest.approx(0.5, abs=2e-8)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dactd.errors import TopologyError
+from dactd.errors import ConfigurationError
 from dactd.topology import (GraphSchedule, cumulative_neighborhoods,
                             hop_distances, latency_bound)
 
@@ -210,13 +210,13 @@ def test_bound_is_at_least_one():
 
 def test_disconnected_graph_rejected():
     g = GraphSchedule.static(4, {(1, 2), (2, 1), (3, 4), (4, 3)})
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigurationError):
         latency_bound(g, 0, 1)
 
 
 def test_one_way_edge_breaks_connectivity():
     g = GraphSchedule.static(2, {(1, 2)})
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigurationError):
         latency_bound(g, 0, 1)
 
 
