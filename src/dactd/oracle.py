@@ -55,7 +55,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
         x[k] = x[:k] @ A[:k, k]
     d = np.zeros(n)
     d[closed] = x / x.sum()
-    if np.max(np.abs(d @ P - d)) > 1e-12:
+    if not np.max(np.abs(d @ P - d)) <= 1e-12:     # NaN fails too
         raise ModelError("stationary distribution residual above tolerance")
     return d
 
@@ -86,7 +86,7 @@ def solve_model(model: EnumeratedModel) -> ExactSolution:
     unique exactly when R's is.  The residual is checked as (d M) Q - d."""
     M, Q = model.mass, model.count_transition
     d = stationary_distribution(Q @ M) @ Q
-    if np.max(np.abs((d @ M) @ Q - d)) > 1e-12:
+    if not np.max(np.abs((d @ M) @ Q - d)) <= 1e-12:
         raise ModelError("stationary distribution residual above tolerance")
     v_agents = value_functions(model)
     return ExactSolution(model=model, d_pi=d, v_agents=v_agents,
