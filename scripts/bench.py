@@ -8,16 +8,21 @@ Each positional argument is ``label=path`` to a checkout holding
 checkout's ``BENCHMARK.json`` lists and every seed 1-10, the script runs
 ``perfbench/run.py --trace 0`` in each checkout in turn, alternating which
 checkout goes first so that machine drift falls on both sides.  It then
-times the Tier-1 suite once per checkout, and three full
-``dactd run --config configs/line5.yaml`` runs per checkout, alternating
-the same way, each into a temporary directory.  The output JSON holds, per
-checkout, the median, quartiles and per-seed values of every end-to-end
-metric, every set-up probe behind ``setup_s``, the output checks attempted
-and failed, the Tier-1 wall time, pass count and slowest tests, every line5
-run's wall time, exit code and sha256 of its ``summary.csv`` (equal digests
-mean the checkouts learned the same thing), the ``src/`` line count (the
-total that ``wc -l src/dactd/*.py`` prints), and the provenance: nproc,
-machine, Python and numpy versions, and git revision.
+times the Tier-1 suite three times per checkout, and three full
+``dactd run --config configs/line5.yaml`` runs per checkout, each into a
+temporary directory, alternating the checkouts the same way.  The output
+JSON holds, per checkout, the median, quartiles and per-seed values of
+every end-to-end metric, every set-up probe behind ``setup_s``, the output
+checks attempted and failed; every Tier-1 run's wall time, pass count,
+slowest tests and acceptance-criterion times, and their medians; every
+line5 run's wall time, exit code and sha256 of its ``summary.csv`` (equal
+digests mean the checkouts learned the same thing); the ``src/`` line
+count (the total that ``wc -l src/dactd/*.py`` prints); and the
+provenance: nproc, machine, Python and numpy versions, and git revision.
+
+A criterion's time is the setup plus call time that ``--durations`` gives
+its test.  The criterion-7 grid trains in the set-up of the first test that
+uses its module fixture, so that test's time is the grid's.
 """
 from __future__ import annotations
 
@@ -38,8 +43,17 @@ import numpy as np
 
 SEEDS = tuple(range(1, 11))
 LINE5_RUNS = 3
+TIER1_RUNS = 3
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
-         "--durations=5"]
+         "--durations=0"]
+ACCEPTANCE = "tests/test_acceptance.py::"
+CRITERIA = {
+    "criterion_7_grid":
+        ACCEPTANCE + "test_criterion_7_cooperation_beats_local_baselines",
+    "criterion_8":
+        ACCEPTANCE + "test_criterion_8_packet_loss_leaves_trajectories_unchanged",
+}
+SLOWEST = 5
 LINE5_RUN = ["run", "--config", "configs/line5.yaml"]
 
 
@@ -115,14 +129,29 @@ def tier1(path: Path) -> dict:
     lines = proc.stdout.strip().splitlines()
     counts = {kind: int(n) for n, kind in
               re.findall(r"(\d+) (passed|failed|error|skipped)", lines[-1])}
-    slowest: dict[str, float] = {}  # setup + call + teardown per test
-    for m in (re.match(r"([\d.]+)s (?:setup|call|teardown)\s+(\S+)", ln)
+    total: dict[str, float] = {}    # setup + call + teardown per test
+    criteria = dict.fromkeys(CRITERIA, 0.0)
+    for m in (re.match(r"([\d.]+)s (setup|call|teardown)\s+(\S+)", ln)
               for ln in lines):
         if m:
-            test = m.group(2)
-            slowest[test] = slowest.get(test, 0.0) + float(m.group(1))
+            seconds, phase, test = float(m.group(1)), m.group(2), m.group(3)
+            total[test] = total.get(test, 0.0) + seconds
+            for name, criterion in CRITERIA.items():
+                if test == criterion and phase != "teardown":
+                    criteria[name] += seconds
+    slowest = dict(sorted(total.items(), key=lambda kv: -kv[1])[:SLOWEST])
     return {"wall_s": round(wall, 1), "exit_code": proc.returncode,
-            "counts": counts, "slowest_s": slowest}
+            "counts": counts, "slowest_s": slowest, "criteria_s": criteria}
+
+
+def tier1_summary(results: list[dict]) -> dict:
+    """Every Tier-1 run, with the median wall time and criterion times."""
+    return {"wall_s_median": statistics.median(r["wall_s"] for r in results),
+            "criteria_s_median": {
+                name: statistics.median(r["criteria_s"][name]
+                                        for r in results)
+                for name in CRITERIA},
+            "runs": results}
 
 
 def main(argv=None) -> int:
@@ -173,10 +202,16 @@ def main(argv=None) -> int:
                 "failed": sum(r["failed"] for r in results),
                 "correct": all(r["correct"] for r in results),
             }
-        print(f"{label}: Tier-1 ...", flush=True)
-        entry["tier1"] = tier1(path)
-        print(f"{label}: Tier-1 {entry['tier1']}", flush=True)
         report["checkouts"][label] = entry
+    tier1_runs = {label: [] for label in checkouts}
+    for _ in range(TIER1_RUNS):
+        for label in order:
+            result = tier1(checkouts[label])
+            tier1_runs[label].append(result)
+            print(f"{label}: Tier-1 {result}", flush=True)
+        order.reverse()
+    for label, results in tier1_runs.items():
+        report["checkouts"][label]["tier1"] = tier1_summary(results)
     for _ in range(LINE5_RUNS):
         for label in order:
             result = line5_run(checkouts[label])

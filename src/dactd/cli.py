@@ -93,13 +93,17 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
     out_dir = _make_out_dir(cfg.out_dir)
     grid = cfg.expand_runs()
-    if ns.jobs == 1:
-        results = [run_experiment(cfg, alg, seed) for alg, seed in grid]
+    jobs = min(ns.jobs, len(grid))
+    if jobs == 1:
+        results = run_experiment(cfg, grid)
     else:
-        algs, seeds = zip(*grid)
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            results = list(pool.map(run_experiment, [cfg] * len(grid),
-                                    algs, seeds))
+        # Each worker trains one contiguous chunk of the grid as one loop.
+        cuts = [len(grid) * j // jobs for j in range(jobs + 1)]
+        chunks = [grid[a:b] for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = [res for part in pool.map(run_experiment,
+                                                [cfg] * jobs, chunks)
+                       for res in part]
 
     summary = ["algorithm,seed,final100_mean_team_return"]
     by_alg: dict[str, list[float]] = {}

@@ -88,11 +88,12 @@ class AlgorithmChoice:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One comparison study, and the only description of an experiment:
-    `learner.run_experiment(cfg, algorithm, seed)` runs one cell of its
-    (algorithm, seed) grid.  Every setting is checked when the config is
-    built; it is valid when `learner.make_driver` can build the dac_td driver
-    of its protocol and every grid cell's driver.  Each run replaces the
-    channel's seed field with a stream spawned from the run seed."""
+    `learner.run_experiment(cfg, runs)` trains a list of cells of its
+    (algorithm, seed) grid as one loop.  Every setting is checked when the
+    config is built; it is valid when `learner.make_driver` can build the
+    dac_td driver of its protocol and every grid cell's driver.  Each run
+    replaces the channel's seed field with a stream spawned from the run
+    seed."""
 
     name: str = "experiment"
     n_agents: int = 5

@@ -7,13 +7,16 @@ Two clock regimes share the same aggregation machinery:
   update exactly K steps after the data that produced it.  It is one loop on
   whole-team tables, (n, 2, 2) logits and (n, 2) critic weights; with
   ``protocol=None`` and a frozen actor it is fixed-policy TD(0);
-* the *episodic* regime (`run_experiment(cfg, algorithm, seed)`) runs one
-  cell of an `ExperimentConfig`'s (algorithm, seed) grid: fixed-length
-  episodes, batch critics trained between episodes, each episode's TD-error
-  sequence transmitted as one vector-valued protocol payload, and policy
-  updates applied with a K-episode lag.  The config is the only description
-  of the problem and is validated when it is built, so every run it admits
-  is one the model can honour.
+* the *episodic* regime (`run_experiment(cfg, runs)`) runs a list of cells
+  of an `ExperimentConfig`'s (algorithm, seed) grid as one stacked loop:
+  fixed-length episodes, batch critics trained between episodes, each
+  episode's TD-error sequence transmitted as one vector-valued protocol
+  payload, and policy updates applied with a K-episode lag.  Every cell's
+  agents are copies along one actor and one critic `MlpStack`, so each
+  episode is one rollout, one critic fit and one actor update for every
+  cell, and each cell's result is bitwise what it gives alone.  The config
+  is the only description of the problem and is validated when it is built,
+  so every run it admits is one the model can honour.
 
 Local states are binary and enter the networks one-hot, so every step of an
 episode feeds one of two input rows.  The episodic loop works on those rows,
@@ -295,14 +298,14 @@ class RunResult:
 
 
 def _value_table(net: MlpStack, basis: np.ndarray) -> np.ndarray:
-    """Per-agent state-value lookup: (n, n_local_states)."""
+    """Per-copy state-value lookup: (copies, n_local_states)."""
     return net.forward(basis)[:, :, 0]
 
 
 def _score_table(actor: MlpStack, basis: np.ndarray,
                  probs: np.ndarray) -> np.ndarray:
     """Score of log pi(a|s) for every (local state s, action a) pair, at row
-    2*s + a: (n, 4, P).  Each step's score is a row of this table."""
+    2*s + a: (copies, 4, P).  Each step's score is a row of this table."""
     sa_states = np.array([0, 0, 1, 1])
     return actor.param_grads(basis[:, sa_states],
                              np.eye(2)[[0, 1, 0, 1]] - probs[:, sa_states],
@@ -316,111 +319,156 @@ def _fit_gradient(critic: MlpStack, basis: np.ndarray, current: np.ndarray,
     (1/T) sum_t (target_t - V(s_t)) dV(s_t)/dparams, taken on the basis
     rows.  Every step's input is one of them, so the residuals enter as
     per-state sums: target sums minus visit counts times ``current``, the
-    (n, 2) value table."""
+    (copies, 2) value table."""
     resid = (target_sums - counts * current) / T
     return critic.param_grads(basis, resid[:, :, None], per_sample=False)
 
 
-def run_experiment(cfg: ExperimentConfig, algorithm: AlgorithmChoice,
-                   seed: int) -> RunResult:
-    """Train one cell of ``cfg``'s (algorithm, seed) grid.
+def _check_finite(net: MlpStack, runs, e: int, what: str) -> None:
+    """Raise NumericError naming the lowest-indexed cell whose copies of
+    ``net`` hold a non-finite parameter."""
+    bad = ~np.isfinite(net.get_flat()).reshape(len(runs), -1).all(axis=1)
+    if bad.any():
+        algorithm, seed = runs[int(np.argmax(bad))]
+        raise NumericError(f"{what} weights of {algorithm.label} seed {seed} "
+                           f"diverged to non-finite values at episode {e}")
 
-    All three algorithms draw from identical environment / policy /
-    initialization streams; they differ only in which TD-error sequences
-    reach each actor and with what lag."""
-    if algorithm not in cfg.algorithms:
-        raise ConfigurationError(
-            f"{algorithm.label} is not one of the config's algorithms")
-    n, T = cfg.n_agents, cfg.steps
 
-    ss = np.random.SeedSequence(seed)
-    init_ss, env_ss, policy_ss, channel_ss = ss.spawn(4)
-    rng_init = np.random.default_rng(init_ss)
-    rng_env = np.random.default_rng(env_ss)
-    rng_policy = np.random.default_rng(policy_ss)
+def run_experiment(cfg: ExperimentConfig,
+                   runs: list[tuple[AlgorithmChoice, int]]) -> list[RunResult]:
+    """Train the (algorithm, seed) cells ``runs`` of ``cfg``'s grid as one
+    stacked loop; return their results in the same order.
 
-    actor = MlpStack((2, *cfg.actor_hidden, 2), n, rng_init, cfg.leaky_slope)
-    critic = MlpStack((2, *cfg.critic_hidden, 1), n, rng_init, cfg.leaky_slope)
+    Cell c owns copies c*n .. c*n + n - 1 of one actor and one critic
+    `MlpStack`, initialized from its own seed, and keeps its own environment,
+    policy and channel streams and its own driver, so every cell gives bit
+    for bit what it gives when run alone.  All three algorithms draw from
+    identical streams; they differ only in which TD-error sequences reach
+    each actor and with what lag."""
+    for algorithm, _ in runs:
+        if algorithm not in cfg.algorithms:
+            raise ConfigurationError(
+                f"{algorithm.label} is not one of the config's algorithms")
+    if not runs:
+        return []
+    n, T, C = cfg.n_agents, cfg.steps, len(runs)
+    graph = cfg.build_graph()
+    actor_rows, critic_rows, rng_env, rng_policy, drivers = [], [], [], [], []
+    for algorithm, seed in runs:
+        init_ss, env_ss, policy_ss, channel_ss = (
+            np.random.SeedSequence(seed).spawn(4))
+        rng_init = np.random.default_rng(init_ss)
+        actor_rows.append(MlpStack((2, *cfg.actor_hidden, 2), n, rng_init,
+                                   cfg.leaky_slope).get_flat())
+        critic_rows.append(MlpStack((2, *cfg.critic_hidden, 1), n, rng_init,
+                                    cfg.leaky_slope).get_flat())
+        rng_env.append(np.random.default_rng(env_ss))
+        rng_policy.append(np.random.default_rng(policy_ss))
+        drivers.append(make_driver(algorithm.kind, cfg.protocol, graph,
+                                   cfg.channel, algorithm.k, (T,),
+                                   channel_ss.generate_state(1)[0]))
+    actor = MlpStack((2, *cfg.actor_hidden, 2), C * n, slope=cfg.leaky_slope)
+    actor.set_flat(np.concatenate(actor_rows))
+    critic = MlpStack((2, *cfg.critic_hidden, 1), C * n, slope=cfg.leaky_slope)
+    critic.set_flat(np.concatenate(critic_rows))
 
-    driver = make_driver(algorithm.kind, cfg.protocol, cfg.build_graph(),
-                         cfg.channel, algorithm.k, (T,),
-                         channel_ss.generate_state(1)[0])
-    K = driver.K
-
-    basis = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
-    agents = np.arange(n)
-    agent_idx = agents[:, None]
-    team_returns = np.zeros(cfg.episodes)
-    agent_returns = np.zeros((cfg.episodes, n))
-    applied = np.zeros(cfg.episodes, dtype=bool)
-    eta_buf: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # Each copy's lag is its cell's K; the score tables of the last
+    # max(K) + 1 episodes are kept in a ring indexed by episode.
+    lags = np.repeat([d.K for d in drivers], n)
+    ring = int(lags.max()) + 1
+    score_ring = np.empty((ring, C * n, 4, actor.n_params))
+    code_ring = np.empty((ring, C * n, T), dtype=np.int64)
+    cells = [slice(c * n, (c + 1) * n) for c in range(C)]
+    basis = np.broadcast_to(np.eye(2), (C * n, 2, 2)).copy()
+    copies = np.arange(C * n)
+    copy_idx = copies[:, None]
+    team_returns = np.zeros((C, cfg.episodes))
+    agent_returns = np.zeros((C, cfg.episodes, n))
+    team_delta = np.empty((C * n, T))
 
     for e in range(cfg.episodes):
-        # Roll out one episode under the current (frozen) policies.  With two
-        # actions, inverse-CDF sampling takes action 1 exactly when the draw
-        # is at least pi(0|s), so each step's action for either local state
-        # is read off the episode's (T, n) block of policy draws.  The rollout
-        # carries only the coupling count |s| + |a| = base + s @ gain.
-        probs = softmax(actor.forward(basis))            # (n, s, a)
-        u_policy = rng_policy.random((T, n))
-        u_env = rng_env.random((T, n))
-        takes_one = (probs[None, :, :, 0]
-                     <= u_policy[:, :, None]).astype(np.int64)  # (T, n, s)
-        base = takes_one[:, :, 0].sum(axis=1)
-        gain = 1 + takes_one[:, :, 1] - takes_one[:, :, 0]
-        traj = np.zeros((T + 1, n), dtype=np.int64)
+        # Roll out one episode of every cell under the current (frozen)
+        # policies.  With two actions, inverse-CDF sampling takes action 1
+        # exactly when the draw is at least pi(0|s), so each step's action for
+        # either local state is read off the episode's (T, n) block of policy
+        # draws.  The rollout carries only each cell's coupling count
+        # |s| + |a| = base + s . gain, an integer sum, so it is exact.
+        probs = softmax(actor.forward(basis))            # (C*n, s, a)
+        u_policy = np.stack([rng.random((T, n)) for rng in rng_policy], axis=1)
+        u_env = np.stack([rng.random((T, n)) for rng in rng_env], axis=1)
+        takes_one = (probs.reshape(C, n, 2, 2)[None, :, :, :, 0]
+                     <= u_policy[..., None]).astype(np.int64)  # (T, C, n, s)
+        base = takes_one[..., 0].sum(axis=2)              # (T, C)
+        gain = 1 + takes_one[..., 1] - takes_one[..., 0]  # (T, C, n)
+        traj = np.zeros((T + 1, C, n), dtype=np.int64)
         s = traj[0]
         for t in range(T):
-            traj[t + 1] = u_env[t] < (base[t] + s @ gain[t]) / (2.0 * n)
+            traj[t + 1] = u_env[t] < ((base[t] + (s * gain[t]).sum(axis=1))
+                                      / (2.0 * n))[:, None]
             s = traj[t + 1]
-        actions = takes_one[np.arange(T)[:, None], agents, traj[:-1]]
-        coupling = (traj[:-1].sum(axis=1) + actions.sum(axis=1)) / (2.0 * n)
-        agent_returns[e, 0] = coupling.sum()
-        team_returns[e] = agent_returns[e].sum() / n
+        s_seq = traj[:-1].reshape(T, C * n)
+        actions = takes_one.reshape(T, C * n, 2)[
+            np.arange(T)[:, None], copies, s_seq]        # (T, C*n)
+        # Float reductions run along a contiguous last axis, as in one cell.
+        occupied = (s_seq + actions).reshape(T, C, n).sum(axis=2)
+        coupling = np.ascontiguousarray(occupied.T) / (2.0 * n)   # (C, T)
+        agent_returns[:, e, 0] = coupling.sum(axis=1)
+        team_returns[:, e] = agent_returns[:, e].sum(axis=1) / n
 
-        rewards_seq = np.zeros((n, T))
-        rewards_seq[0] = coupling
-        s_seq = traj[:-1].T                               # (n, T)
-        sn_seq = traj[1:].T
-        x_seq = basis[agent_idx, s_seq]                   # (n, T, 2) one-hot
-        counts = x_seq.sum(axis=1)                        # (n, s)
+        rewards_seq = np.zeros((C * n, T))
+        rewards_seq[::n] = coupling
+        s_seq = s_seq.T                                   # (C*n, T)
+        sn_seq = traj[1:].reshape(T, C * n).T
+        x_seq = basis[copy_idx, s_seq]                    # (C*n, T, 2) one-hot
+        counts = x_seq.sum(axis=1)                        # (C*n, s)
 
         # Scores under the behaviour policy, before any update.
-        eta_buf[e] = (_score_table(actor, basis, probs), 2 * s_seq + actions.T)
+        score_ring[e % ring] = _score_table(actor, basis, probs)
+        code_ring[e % ring] = 2 * s_seq + actions.T
 
         # Batch critic regression with periodically refreshed targets.
         for epoch in range(cfg.critic_epochs):
             current = _value_table(critic, basis)
             if epoch % cfg.target_refresh == 0:
-                targets = rewards_seq + cfg.gamma * current[agent_idx, sn_seq]
+                targets = rewards_seq + cfg.gamma * current[copy_idx, sn_seq]
                 target_sums = (targets[:, None, :] @ x_seq)[:, 0]
             grad = _fit_gradient(critic, basis, current, target_sums, counts, T)
             critic.apply_update(cfg.critic_step * grad)
-        if not np.all(np.isfinite(critic.get_flat())):
-            raise NumericError("critic weights diverged to non-finite values")
+        _check_finite(critic, runs, e, "critic")
 
         # TD-error sequence of this episode under the trained critic.
         table = _value_table(critic, basis)
-        delta = (rewards_seq + cfg.gamma * table[agent_idx, sn_seq]
-                 - table[agent_idx, s_seq])               # (n, T)
+        delta = (rewards_seq + cfg.gamma * table[copy_idx, sn_seq]
+                 - table[copy_idx, s_seq])               # (C*n, T)
+        for rows, driver in zip(cells, drivers):
+            team_delta[rows] = driver.tick(e, delta[rows])
 
-        team_delta = driver.tick(e, delta)                # (n, T)
-        cohort = e - K
-        if cohort >= 0:
-            scores, codes = eta_buf.pop(cohort)
-            steps = (cfg.actor_step * team_delta[:, :, None]
-                     * scores[agent_idx, codes])
+        # Each cell whose cohort e - K is readable steps its actor along the
+        # score table saved at that cohort, clamping after every step.
+        live = np.flatnonzero(lags <= e)
+        if live.size:
+            cohort = (e - lags[live]) % ring
+            scores = score_ring[cohort, live]             # (rows, 4, P)
+            codes = code_ring[cohort, live]               # (rows, T)
+            scaled = cfg.actor_step * team_delta[live]
             theta = actor.get_flat()
+            step_rows = np.arange(live.size)
+            live_theta = theta[live]
             for t in range(T):
-                theta += steps[:, t]
-                np.clip(theta, -cfg.theta_box, cfg.theta_box, out=theta)
+                live_theta += scaled[:, t, None] * scores[step_rows, codes[:, t]]
+                np.clip(live_theta, -cfg.theta_box, cfg.theta_box,
+                        out=live_theta)
+            theta[live] = live_theta
             actor.set_flat(theta)
-            applied[e] = True
-        if not np.all(np.isfinite(actor.get_flat())):
-            raise NumericError("actor weights diverged to non-finite values")
+        _check_finite(actor, runs, e, "actor")
 
-    return RunResult(algorithm=algorithm.kind, seed=seed, K=K,
-                     team_returns=team_returns, agent_returns=agent_returns,
-                     updates_applied=applied, payload_slots=driver.payload_slots,
-                     actor_params=actor.get_flat(),
-                     critic_params=critic.get_flat())
+    actor_params, critic_params = actor.get_flat(), critic.get_flat()
+    return [RunResult(algorithm=algorithm.kind, seed=seed, K=driver.K,
+                      team_returns=team_returns[c],
+                      agent_returns=agent_returns[c],
+                      updates_applied=np.arange(cfg.episodes) >= driver.K,
+                      payload_slots=driver.payload_slots,
+                      actor_params=actor_params[rows],
+                      critic_params=critic_params[rows])
+            for c, ((algorithm, seed), driver, rows)
+            in enumerate(zip(runs, drivers, cells))]

@@ -113,9 +113,10 @@ def experiment_grid():
                     AlgorithmChoice("independent_ac")),
         seeds=SEEDS)
     start = time.perf_counter()
+    grid = cfg.expand_runs()
     results = {alg.label: [] for alg in cfg.algorithms}
-    for alg, seed in cfg.expand_runs():
-        results[alg.label].append(run_experiment(cfg, alg, seed))
+    for (alg, _), res in zip(grid, run_experiment(cfg, grid)):
+        results[alg.label].append(res)
     return results, time.perf_counter() - start
 
 
@@ -173,10 +174,10 @@ def test_criterion_8_packet_loss_leaves_trajectories_unchanged(capsys):
     lossy_cfg = replace(clean_cfg,
                         channel=replace(clean_cfg.channel, drop_prob=0.3))
 
+    grid = clean_cfg.expand_runs()
     identical = True
-    for alg, seed in clean_cfg.expand_runs():
-        clean = run_experiment(clean_cfg, alg, seed)
-        lossy = run_experiment(lossy_cfg, alg, seed)
+    for clean, lossy in zip(run_experiment(clean_cfg, grid),
+                            run_experiment(lossy_cfg, grid)):
         assert clean.K == lossy.K == 8
         identical &= (
             np.array_equal(clean.team_returns, lossy.team_returns)

@@ -367,6 +367,22 @@ def test_parallel_execution_matches_serial(config_file, tmp_path):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
+def test_uneven_job_chunks_match_serial(tmp_path):
+    # Four cells in three contiguous chunks, so the chunks differ in size.
+    path = tmp_path / "four.yaml"
+    path.write_text(SMOKE.replace("seeds: [0]", "seeds: [0, 1]")
+                    .replace("OUTDIR", str(tmp_path / "results")))
+    outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in ("1", "3")}
+    for jobs, out in outs.items():
+        assert cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--jobs", jobs]) == 0
+    names = sorted(p.name for p in outs["1"].glob("*.csv"))
+    assert names == sorted(p.name for p in outs["3"].glob("*.csv"))
+    assert len(names) == 5
+    for name in names:
+        assert (outs["1"] / name).read_bytes() == (outs["3"] / name).read_bytes()
+
+
 def test_seed_override_runs_a_single_seed(config_file, tmp_path):
     out = tmp_path / "seeded"
     assert cli.main(["run", "--config", str(config_file), "--seed", "7",
@@ -501,12 +517,23 @@ def test_configs_whose_drivers_cannot_be_built_exit_1(name, tmp_path, capsys):
 
 
 def test_protocol_violations_exit_2(config_file, monkeypatch, capsys):
-    def boom(cfg, algorithm, seed):
+    def boom(cfg, runs):
         raise ProtocolCorruptionError("conflicting packet contents")
 
     monkeypatch.setattr(cli, "run_experiment", boom)
     assert cli.main(["run", "--config", str(config_file)]) == 2
     assert "runtime protocol violation" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_run_exits_2_naming_its_cell(tmp_path, capsys):
+    path = tmp_path / "runaway.yaml"
+    path.write_text(SMOKE.replace("step: 0.1,", "step: 1.0e+8,")
+                    .replace("OUTDIR", str(tmp_path / "results")))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert ("runtime protocol violation: critic weights of dac_td seed 0 "
+            "diverged to non-finite values at episode 0"
+            in capsys.readouterr().err)
 
 
 def test_failing_suite_exits_3(monkeypatch, capsys):

@@ -95,10 +95,8 @@ def test_acyclic_exchange_digest():
 
 def test_line5_grid_digest():
     cfg = replace(load_config(LINE5), episodes=30, seeds=(0, 1))
-    parts = []
-    for alg, seed in cfg.expand_runs():
-        res = run_experiment(cfg, alg, seed)
-        parts.append([res.team_returns, res.actor_params, res.critic_params])
+    parts = [[res.team_returns, res.actor_params, res.critic_params]
+             for res in run_experiment(cfg, cfg.expand_runs())]
     assert len(parts) == 8
     assert payload_digest(parts) == LINE5_GRID_DIGEST
 

@@ -1,18 +1,20 @@
 """Training loops: schedules, delayed updates, and baseline equivalences."""
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dactd.config import AlgorithmChoice, ExperimentConfig
+from dactd.config import AlgorithmChoice, ExperimentConfig, load_config
 from dactd.envs import CoupledEnv, micro_env
 from dactd.errors import ConfigurationError, NumericError
 from dactd.funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
                               max_relative_error, softmax, tabular_features)
-from dactd.learner import (StepSchedule, TheoryRunResult, _fit_gradient,
-                           _score_table, actor_step, critic_step, make_driver,
+from dactd.learner import (RunResult, StepSchedule, TheoryRunResult,
+                           _fit_gradient, _score_table, _value_table,
+                           actor_step, critic_step, make_driver,
                            run_experiment, run_theory, td_errors)
 from dactd.protocol import ascending_mean
 from dactd.topology import GraphSchedule
@@ -513,7 +515,7 @@ def test_spec_validation():
                          graph_edges=((1, 3), (3, 1)))
     # A run outside the config's grid skips none of its checks.
     with pytest.raises(ConfigurationError):
-        run_experiment(BASE, AlgorithmChoice("khop_sac", 1), 0)
+        run_experiment(BASE, [(AlgorithmChoice("khop_sac", 1), 0)])
     for bad in (dict(gamma=1.5), dict(gamma=float("nan")),
                 dict(steps=0), dict(critic_epochs=0), dict(target_refresh=0),
                 dict(theta_box=-1.0), dict(theta_box=float("inf")),
@@ -615,7 +617,7 @@ def test_episodic_rollout_is_the_coupled_env_law():
     # CoupledEnv on the same per-step uniforms: episodes 0..K run before the
     # first actor update, so their returns must match bit for bit.
     seed, n, T = 0, BASE.n_agents, BASE.steps
-    res = run_experiment(BASE, DAC, seed)
+    res = run_experiment(BASE, [(DAC, seed)])[0]
     init_ss, env_ss, policy_ss, _ = np.random.SeedSequence(seed).spawn(4)
     actor = MlpStack((2, *BASE.actor_hidden, 2), n,
                      np.random.default_rng(init_ss), BASE.leaky_slope)
@@ -639,7 +641,7 @@ def test_episodic_rollout_is_the_coupled_env_law():
 
 
 def test_episodic_run_shapes_and_reward_structure():
-    res = run_experiment(BASE, DAC, 0)
+    res = run_experiment(BASE, [(DAC, 0)])[0]
     assert res.algorithm == "dac_td"
     assert res.K == 2
     assert res.payload_slots == 2 * 3
@@ -655,8 +657,7 @@ def test_episodic_run_shapes_and_reward_structure():
 
 
 def test_full_diameter_neighborhood_baseline_is_bitwise_identical():
-    dac = run_experiment(BASE, DAC, 0)
-    sac = run_experiment(BASE, SAC2, 0)
+    dac, sac = run_experiment(BASE, [(DAC, 0), (SAC2, 0)])
     assert dac.K == sac.K == 2
     assert np.array_equal(dac.team_returns, sac.team_returns)
     assert np.array_equal(dac.agent_returns, sac.agent_returns)
@@ -665,13 +666,14 @@ def test_full_diameter_neighborhood_baseline_is_bitwise_identical():
     assert sac.payload_slots == 0
 
 
+SAC3 = AlgorithmChoice("khop_sac", 3)
+RING = replace(BASE, n_agents=4, graph_kind="custom",
+               graph_edges=((1, 2), (2, 3), (3, 4), (4, 1)),
+               algorithms=(DAC, SAC3))
+
+
 def test_one_way_ring_baseline_at_the_diameter_is_bitwise_identical():
-    sac3 = AlgorithmChoice("khop_sac", 3)
-    ring = replace(BASE, n_agents=4, graph_kind="custom",
-                   graph_edges=((1, 2), (2, 3), (3, 4), (4, 1)),
-                   algorithms=(DAC, sac3))
-    dac = run_experiment(ring, DAC, 0)
-    sac = run_experiment(ring, sac3, 0)
+    dac, sac = run_experiment(RING, [(DAC, 0), (SAC3, 0)])
     assert dac.K == sac.K == 3
     assert np.array_equal(dac.team_returns, sac.team_returns)
     assert np.array_equal(dac.actor_params, sac.actor_params)
@@ -679,16 +681,15 @@ def test_one_way_ring_baseline_at_the_diameter_is_bitwise_identical():
 
 
 def test_zero_hop_baseline_collapses_to_independent_learning():
-    k0 = run_experiment(BASE, SAC0, 0)
-    ind = run_experiment(BASE, IND, 0)
+    k0, ind = run_experiment(BASE, [(SAC0, 0), (IND, 0)])
     assert np.array_equal(k0.team_returns, ind.team_returns)
     assert np.array_equal(k0.actor_params, ind.actor_params)
     assert np.array_equal(k0.critic_params, ind.critic_params)
 
 
 def test_tree_protocol_reproduces_the_general_run():
-    gen = run_experiment(BASE, DAC, 0)
-    acy = run_experiment(replace(BASE, protocol="acyclic"), DAC, 0)
+    gen = run_experiment(BASE, [(DAC, 0)])[0]
+    acy = run_experiment(replace(BASE, protocol="acyclic"), [(DAC, 0)])[0]
     assert gen.K == acy.K
     assert np.array_equal(gen.team_returns, acy.team_returns)
     assert np.allclose(gen.actor_params, acy.actor_params, atol=1e-9)
@@ -698,9 +699,11 @@ def test_tree_protocol_reproduces_the_general_run():
 
 def test_packet_loss_does_not_perturb_learning():
     lossless = run_experiment(replace(
-        BASE, channel=ChannelModel(t1=1, t2=1, drop_prob=0.0, seed=5)), DAC, 0)
+        BASE, channel=ChannelModel(t1=1, t2=1, drop_prob=0.0, seed=5)),
+        [(DAC, 0)])[0]
     lossy = run_experiment(replace(
-        BASE, channel=ChannelModel(t1=1, t2=1, drop_prob=0.4, seed=5)), DAC, 0)
+        BASE, channel=ChannelModel(t1=1, t2=1, drop_prob=0.4, seed=5)),
+        [(DAC, 0)])[0]
     assert lossless.K == lossy.K == 4
     assert np.array_equal(lossless.team_returns, lossy.team_returns)
     assert np.array_equal(lossless.actor_params, lossy.actor_params)
@@ -708,19 +711,156 @@ def test_packet_loss_does_not_perturb_learning():
 
 
 def test_different_seeds_give_different_trajectories():
-    a = run_experiment(BASE, DAC, 0)
-    b = run_experiment(BASE, DAC, 1)
+    a, b = run_experiment(BASE, [(DAC, 0), (DAC, 1)])
     assert not np.array_equal(a.team_returns, b.team_returns)
 
 
 def test_episodic_runs_are_reproducible():
-    a = run_experiment(BASE, DAC, 0)
-    b = run_experiment(BASE, DAC, 0)
+    a = run_experiment(BASE, [(DAC, 0)])[0]
+    b = run_experiment(BASE, [(DAC, 0)])[0]
     assert np.array_equal(a.team_returns, b.team_returns)
     assert np.array_equal(a.actor_params, b.actor_params)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_runaway_batch_critic_raises():
-    with pytest.raises(NumericError):
-        run_experiment(replace(BASE, critic_step=1e8, episodes=3), DAC, 0)
+    # Every cell diverges at once; the lowest-indexed one is named.
+    with pytest.raises(NumericError, match="critic weights of independent_ac "
+                       "seed 1 diverged to non-finite values at episode 0$"):
+        run_experiment(replace(BASE, critic_step=1e8, episodes=3),
+                       [(IND, 1), (DAC, 0)])
+    # Seed 0 stays finite; seed 3 diverges at episode 2 and seed 2 later.
+    with pytest.raises(NumericError, match="critic weights of dac_td seed 3 "
+                       "diverged to non-finite values at episode 2$"):
+        run_experiment(replace(BASE, critic_step=2.3),
+                       [(DAC, 0), (DAC, 2), (DAC, 3)])
+
+
+# ---------------------------------------------------------------------------
+# The stacked grid against the one-cell loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_experiment(cfg: ExperimentConfig, algorithm: AlgorithmChoice,
+                         seed: int) -> RunResult:
+    """One cell trained alone, episode by episode: the slow reference for
+    the stacked grid of `run_experiment`."""
+    n, T = cfg.n_agents, cfg.steps
+    init_ss, env_ss, policy_ss, channel_ss = np.random.SeedSequence(
+        seed).spawn(4)
+    rng_init = np.random.default_rng(init_ss)
+    rng_env = np.random.default_rng(env_ss)
+    rng_policy = np.random.default_rng(policy_ss)
+    actor = MlpStack((2, *cfg.actor_hidden, 2), n, rng_init, cfg.leaky_slope)
+    critic = MlpStack((2, *cfg.critic_hidden, 1), n, rng_init, cfg.leaky_slope)
+    driver = make_driver(algorithm.kind, cfg.protocol, cfg.build_graph(),
+                         cfg.channel, algorithm.k, (T,),
+                         channel_ss.generate_state(1)[0])
+    K = driver.K
+
+    basis = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+    agents = np.arange(n)
+    agent_idx = agents[:, None]
+    team_returns = np.zeros(cfg.episodes)
+    agent_returns = np.zeros((cfg.episodes, n))
+    applied = np.zeros(cfg.episodes, dtype=bool)
+    eta_buf = {}
+    for e in range(cfg.episodes):
+        probs = softmax(actor.forward(basis))
+        u_policy = rng_policy.random((T, n))
+        u_env = rng_env.random((T, n))
+        takes_one = (probs[None, :, :, 0]
+                     <= u_policy[:, :, None]).astype(np.int64)
+        base = takes_one[:, :, 0].sum(axis=1)
+        gain = 1 + takes_one[:, :, 1] - takes_one[:, :, 0]
+        traj = np.zeros((T + 1, n), dtype=np.int64)
+        s = traj[0]
+        for t in range(T):
+            traj[t + 1] = u_env[t] < (base[t] + s @ gain[t]) / (2.0 * n)
+            s = traj[t + 1]
+        actions = takes_one[np.arange(T)[:, None], agents, traj[:-1]]
+        coupling = (traj[:-1].sum(axis=1) + actions.sum(axis=1)) / (2.0 * n)
+        agent_returns[e, 0] = coupling.sum()
+        team_returns[e] = agent_returns[e].sum() / n
+
+        rewards_seq = np.zeros((n, T))
+        rewards_seq[0] = coupling
+        s_seq = traj[:-1].T
+        sn_seq = traj[1:].T
+        x_seq = basis[agent_idx, s_seq]
+        counts = x_seq.sum(axis=1)
+        eta_buf[e] = (_score_table(actor, basis, probs), 2 * s_seq + actions.T)
+
+        for epoch in range(cfg.critic_epochs):
+            current = _value_table(critic, basis)
+            if epoch % cfg.target_refresh == 0:
+                targets = rewards_seq + cfg.gamma * current[agent_idx, sn_seq]
+                target_sums = (targets[:, None, :] @ x_seq)[:, 0]
+            grad = _fit_gradient(critic, basis, current, target_sums, counts, T)
+            critic.apply_update(cfg.critic_step * grad)
+        if not np.all(np.isfinite(critic.get_flat())):
+            raise NumericError("critic weights diverged to non-finite values")
+
+        table = _value_table(critic, basis)
+        delta = (rewards_seq + cfg.gamma * table[agent_idx, sn_seq]
+                 - table[agent_idx, s_seq])
+        team_delta = driver.tick(e, delta)
+        if e >= K:
+            scores, codes = eta_buf.pop(e - K)
+            steps = (cfg.actor_step * team_delta[:, :, None]
+                     * scores[agent_idx, codes])
+            theta = actor.get_flat()
+            for t in range(T):
+                theta += steps[:, t]
+                np.clip(theta, -cfg.theta_box, cfg.theta_box, out=theta)
+            actor.set_flat(theta)
+            applied[e] = True
+        if not np.all(np.isfinite(actor.get_flat())):
+            raise NumericError("actor weights diverged to non-finite values")
+
+    return RunResult(algorithm=algorithm.kind, seed=seed, K=K,
+                     team_returns=team_returns, agent_returns=agent_returns,
+                     updates_applied=applied, payload_slots=driver.payload_slots,
+                     actor_params=actor.get_flat(),
+                     critic_params=critic.get_flat())
+
+
+def assert_same_bits(a: RunResult, b: RunResult) -> None:
+    for f in fields(RunResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype,
+                                                       y.tobytes()), f.name
+        else:
+            assert x == y, f.name
+
+
+LINE5 = Path(__file__).resolve().parents[1] / "configs" / "line5.yaml"
+TIGHT_BOX = 0.2
+STACKED_CASES = {
+    "line5": lambda: load_config(LINE5, episodes=12, seeds=(0, 1)),
+    "lossy delayed channel": lambda: replace(BASE, channel=LOSSY),
+    "acyclic": lambda: replace(BASE, protocol="acyclic"),
+    "ring, khop k=3": lambda: RING,
+    "clamped": lambda: replace(BASE, theta_box=TIGHT_BOX, seeds=(0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", STACKED_CASES)
+def test_stacked_grid_is_bitwise_the_one_cell_loop(case):
+    cfg = STACKED_CASES[case]()
+    grid = cfg.expand_runs()
+    stacked = run_experiment(cfg, grid)
+    assert len(stacked) == len(grid)
+    for (alg, seed), res in zip(grid, stacked):
+        assert_same_bits(res, reference_experiment(cfg, alg, seed))
+    # Neither the order of the cells nor how the grid is split matters.
+    for res, back in zip(stacked, run_experiment(cfg, grid[::-1])[::-1]):
+        assert_same_bits(res, back)
+    half = len(grid) // 2
+    split = (run_experiment(cfg, grid[:half])
+             + run_experiment(cfg, grid[half:]))
+    for res, part in zip(stacked, split):
+        assert_same_bits(res, part)
+    if case == "clamped":
+        assert any((np.abs(res.actor_params) == TIGHT_BOX).any()
+                   for res in stacked)
