@@ -123,7 +123,8 @@ def actor_step(theta: np.ndarray, delta_team: np.ndarray, eta: np.ndarray,
                alpha: float, box: float) -> np.ndarray:
     """One clamped ascent step of every (2, 2) logit table along its score."""
     out = theta + (alpha * delta_team)[:, None, None] * eta
-    np.clip(out, -box, box, out=out)
+    np.minimum(out, box, out=out)
+    np.maximum(out, -box, out=out)
     return out
 
 
@@ -456,8 +457,8 @@ def run_experiment(cfg: ExperimentConfig,
             live_theta = theta[live]
             for t in range(T):
                 live_theta += scaled[:, t, None] * scores[step_rows, codes[:, t]]
-                np.clip(live_theta, -cfg.theta_box, cfg.theta_box,
-                        out=live_theta)
+                np.minimum(live_theta, cfg.theta_box, out=live_theta)
+                np.maximum(live_theta, -cfg.theta_box, out=live_theta)
             theta[live] = live_theta
             actor.set_flat(theta)
         _check_finite(actor, runs, e, "actor")

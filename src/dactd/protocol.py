@@ -8,8 +8,10 @@ Agents recover the exact team-average TD error of tick ``t - K`` at tick
   state per slot; receivers fill in unknown slots verbatim (write-once), so
   the recovered mean is bitwise equal to a centralized collector's.  Every
   agent that knows a slot therefore holds the origin's own value, so one
-  value ring serves the whole team and the simulated state is one shared
-  ring of known masks, which a merge ORs into;
+  write-once value buffer serves the whole team, and the simulated state is
+  the team's known masks indexed by age: a merge is one slice OR, and a
+  message's values are a read-only view of buffer rows that are never
+  overwritten;
 * the **acyclic protocol** runs on static connected acyclic (tree) graphs
   with unit delay and no losses, exchanging only K per-cohort increments per
   edge; a correction per directed neighbour pair cancels the overlap between
@@ -132,27 +134,46 @@ class WindowPayload:
             raise ValueError(f"payload values are {self.values.dtype}, "
                              f"not float64")
 
+    @classmethod
+    def _of_team(cls, origins: tuple[int, ...], values: np.ndarray,
+                 known: np.ndarray) -> "WindowPayload":
+        """A payload cut from the team state, whose origins, shapes and
+        dtype hold by construction, so the checks are skipped."""
+        payload = object.__new__(cls)
+        object.__setattr__(payload, "origins", origins)
+        object.__setattr__(payload, "values", values)
+        object.__setattr__(payload, "known", known)
+        return payload
+
     @property
     def slot_count(self) -> int:
         return self.known.shape[0] * self.known.shape[1]
 
 
 class TeamTDAggregator:
-    """The general protocol's team state: one ring of what every agent
-    knows, and one ring of the TD errors themselves.
+    """The general protocol's team state: what every agent knows, by age,
+    and one write-once buffer of the TD errors themselves.
 
     Fill-in is write-once and copies are verbatim, so every agent that knows
     slot (origin o, agent j) holds exactly agent j's tick-o TD error.  One
     copy of the values is therefore enough, and what the protocol decides
     is *when* each agent comes to know each slot.
 
-    Ring layout: the row of age tau = newest - origin is
-    ``(_base + tau) % (K + 1)`` in both rings (``_rows[tau]``), and a tick
-    steps the shared ``_base`` back by one, since all agents advance in
-    lockstep.  ``_known[i, row, j]`` says whether agent i+1 knows agent
-    j+1's TD error of that row's origin, and ``_values[row, j]`` is that
-    error.  Rows for cohorts before tick 0 start out all-known zero,
-    matching the protocols' zero initialization.
+    Known masks are indexed by age tau = newest - origin:
+    ``_known[i, tau, j]`` says whether agent i+1 knows agent j+1's TD error
+    of origin newest - tau, and a tick shifts every agent's rows one age
+    older (all agents advance in lockstep), so a merge is one slice OR and a
+    window is one contiguous copy.
+
+    Values live in a buffer of ``K + 1 + ceil((K+1)/4)`` rows, newest
+    first: age tau is row ``_pos + tau``, and a tick writes its TD errors
+    into the row above the newest.  Each row is written exactly once; when
+    the top row is used up, a fresh buffer is allocated and the K newest
+    rows are copied to its bottom.  A payload's values are therefore a
+    read-only view of rows that are never overwritten: a message in flight
+    keeps exactly what was sent, and an old buffer lives only as long as a
+    message still references it.  Rows for cohorts before tick 0 start out
+    all-known zero, matching the protocols' zero initialization.
     """
 
     def __init__(self, n_agents: int, K: int,
@@ -163,14 +184,20 @@ class TeamTDAggregator:
         self.K = K
         self.value_shape = tuple(value_shape)
         self.newest_tick = -1
-        self._base = 0
-        self._rows = np.arange(K + 1)
-        self._values = np.zeros((K + 1, n_agents, *self.value_shape))
+        span = K + 1 + -(-(K + 1) // 4)
+        self._buf = np.zeros((span, n_agents, *self.value_shape))
+        self._pos = span - (K + 1)
         self._known = np.ones((n_agents, K + 1, n_agents), dtype=bool)
         self._own = np.eye(n_agents, dtype=bool)
-        self._sent = np.zeros((K, n_agents, *self.value_shape))
-        self._sent.setflags(write=False)
+        self._origins = tuple(range(-1, -1 - K, -1))
+        self._sent = self._window_values()
         self.histories = [TDHistory(self, i) for i in range(1, n_agents + 1)]
+
+    def _window_values(self) -> np.ndarray:
+        """Read-only view of the values of ages 0..K-1."""
+        view = self._buf[self._pos:self._pos + self.K]
+        view.flags.writeable = False
+        return view
 
     def begin_tick(self, t: int, deltas: np.ndarray) -> None:
         """Slide every window to newest tick t (lockstep: t = previous + 1).
@@ -180,36 +207,39 @@ class TeamTDAggregator:
         twice."""
         _check_next_tick(self.newest_tick, t)
         self.newest_tick = t
-        self._base = (self._base - 1) % (self.K + 1)
-        self._rows = (self._base + np.arange(self.K + 1)) % (self.K + 1)
-        self._values[self._base] = deltas
-        self._known[:, self._base] = self._own
-        # Messages stay in flight after the ring rows they were cut from are
-        # overwritten, so each tick's payloads share one copy of the window.
-        self._sent = self._values[self._rows[:-1]]
-        self._sent.setflags(write=False)
+        if self._pos == 0:
+            fresh = np.empty_like(self._buf)
+            fresh[-self.K:] = self._buf[:self.K]
+            self._buf = fresh
+            self._pos = len(fresh) - self.K
+        self._pos -= 1
+        self._buf[self._pos] = deltas
+        self._known[:, 1:] = self._known[:, :-1]
+        self._known[:, 0] = self._own
+        self._origins = tuple(range(t, t - self.K, -1))
+        self._sent = self._window_values()
 
-    def _row(self, origin_tick: int) -> int:
+    def _age(self, origin_tick: int) -> int:
         tau = self.newest_tick - origin_tick
         if not (0 <= tau <= self.K):
             raise ValueError(
                 f"origin {origin_tick} outside window "
                 f"[{self.newest_tick - self.K}, {self.newest_tick}]")
-        return int(self._rows[tau])
+        return tau
 
     def read_team(self, t_minus_K: int) -> np.ndarray:
         """Every agent's team-average TD error of the requested origin tick,
         (N, *value_shape), summed in ascending agent-id order.  Raises
         IncompleteAggregationError for the lowest-numbered agent that still
         misses a slot, naming the missing agents."""
-        r = self._row(t_minus_K)
-        known = self._known[:, r]
+        tau = self._age(t_minus_K)
+        known = self._known[:, tau]
         if not known.all():
             agent = int(np.argmin(known.all(axis=1)))
             missing = (np.flatnonzero(~known[agent]) + 1).tolist()
             raise IncompleteAggregationError(t_minus_K, agent + 1, missing)
         out = np.empty((self.n_agents, *self.value_shape))
-        out[:] = ascending_mean(self._values[r])
+        out[:] = ascending_mean(self._buf[self._pos + tau])
         return out
 
 
@@ -223,7 +253,7 @@ class TDHistory:
         self.team = team
         self.owner = owner
         self.K = team.K
-        self._known = team._known[owner - 1]     # (K+1, N) view, ring rows
+        self._known = team._known[owner - 1]     # (K+1, N) view, by age
 
     @property
     def newest_tick(self) -> int:
@@ -244,25 +274,24 @@ class TDHistory:
         first = max(0, -lag)
         stop = min(len(payload.origins), self.K + 1 - lag)
         if first < stop:
-            rows = self.team._rows[lag + first:lag + stop]
-            self._known[rows] |= payload.known[first:stop]
+            self._known[lag + first:lag + stop] |= payload.known[first:stop]
         return self
 
     def vector_at(self, origin_tick: int) -> TDVector:
-        r = self.team._row(origin_tick)
-        known = self._known[r].copy()
-        mask = known.reshape(-1, *[1] * len(self.team.value_shape))
-        return TDVector(origin_tick, np.where(mask, self.team._values[r], 0.0),
-                        known)
+        team = self.team
+        tau = team._age(origin_tick)
+        known = self._known[tau].copy()
+        mask = known.reshape(-1, *[1] * len(team.value_shape))
+        return TDVector(origin_tick,
+                        np.where(mask, team._buf[team._pos + tau], 0.0), known)
 
     def window_payload(self) -> WindowPayload:
         """The K freshest origins (ages 0..K-1), newest first: a copy of
-        this agent's known rows over the tick's shared value snapshot."""
-        t = self.team.newest_tick
-        known = self._known[self.team._rows[:-1]]
-        known.setflags(write=False)
-        return WindowPayload(origins=tuple(range(t, t - self.K, -1)),
-                             values=self.team._sent, known=known)
+        this agent's known rows over the tick's shared view of the values."""
+        known = self._known[:self.K].copy()
+        known.flags.writeable = False
+        return WindowPayload._of_team(self.team._origins, self.team._sent,
+                                      known)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +304,8 @@ class GeneralProtocolDriver:
     Round order matters: deliveries from earlier ticks are merged *before*
     the window snapshot is taken (receive, merge, forward within one round),
     and a second drain after sending absorbs zero-delay deliveries so they
-    cannot be lost.  tick() returns every agent's read-out of tick t - K.
+    cannot be lost.  Edges send in sorted order, cached per phase of the
+    schedule.  tick() returns every agent's read-out of tick t - K.
     """
 
     def __init__(self, graph: GraphSchedule, channel: Channel, K: int,
@@ -286,6 +316,7 @@ class GeneralProtocolDriver:
         self.n_agents = graph.n_agents
         self.value_shape = tuple(value_shape)
         self.team = TeamTDAggregator(graph.n_agents, K, value_shape)
+        self._order = [sorted(graph.edges_at(p)) for p in range(graph.period)]
 
     @property
     def newest_tick(self) -> int:
@@ -298,18 +329,18 @@ class GeneralProtocolDriver:
     def tick(self, t: int, deltas: np.ndarray) -> np.ndarray:
         # Both checks run before the tick changes the team or the channel.
         self.team.begin_tick(t, _checked_deltas(self, t, deltas))
-        views = self.team.histories
-        pre = [self.channel.drain(i, t) for i in range(1, self.n_agents + 1)]
-        for view, msgs in zip(views, pre):
+        views, channel = self.team.histories, self.channel
+        agents = range(1, self.n_agents + 1)
+        for view, msgs in zip(views, [channel.drain(i, t) for i in agents]):
             for msg in msgs:
                 view.merge_payload(msg.payload)
         payloads = [view.window_payload() for view in views]
-        for (src, dst) in sorted(self.graph.edges_at(t)):
-            if payloads[src - 1].slot_count != self.payload_slots:
-                raise ProtocolCorruptionError("window payload has wrong slot count")
-            self.channel.attempt_send((src, dst), payloads[src - 1], t)
-        for i, view in enumerate(views, start=1):
-            for msg in self.channel.drain(i, t):
+        if any(p.slot_count != self.payload_slots for p in payloads):
+            raise ProtocolCorruptionError("window payload has wrong slot count")
+        for edge in self._order[t % len(self._order)]:
+            channel.attempt_send(edge, payloads[edge[0] - 1], t)
+        for view, i in zip(views, agents):
+            for msg in channel.drain(i, t):
                 view.merge_payload(msg.payload)
         return self.team.read_team(t - self.K)
 

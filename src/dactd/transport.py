@@ -8,8 +8,14 @@ send at ``t_s`` is assigned a delivery tick ``t_r ∈ [t_s, t_s + t2]`` by the
 configured delay law.  Payloads are carried verbatim (never copied or
 altered) and a successful send is delivered exactly once.
 
-A channel is owned by a single run's lockstep loop; determinism follows from
-the seeded generator plus the caller iterating edges in a fixed order.
+A channel is owned by a single run's lockstep loop, and its randomness is
+one block per tick: the first send attempted at tick ``t`` draws two
+uniforms for every edge of the schedule's union (one decides the edge's
+drop, the other its delay), whether or not the edge sends.  The outcome of
+an (edge, tick) pair therefore depends only on the seed, the tick and the
+edge's own drop streak, not on which other edges were attempted at that
+tick or in what order.  Ticks must not decrease; a tick with no attempts
+is skipped without drawing its block.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ class ChannelModel:
                 f"unknown delay_law {self.delay_law!r}, expected one of {DELAY_LAWS}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     src: int
     dst: int
@@ -68,38 +74,62 @@ class Message:
 
 
 class Channel:
-    """Stateful medium binding a ChannelModel to a GraphSchedule."""
+    """Stateful medium binding a ChannelModel to a GraphSchedule.
+
+    Edges are numbered in sorted order over the union of the schedule's
+    edge sets; row k of a tick's draw block belongs to edge k, and
+    ``_streak[k]`` counts its consecutive drops."""
 
     def __init__(self, model: ChannelModel, graph: GraphSchedule):
         self.model = model
         self.graph = graph
         self._rng = np.random.default_rng(model.seed)
+        union = set().union(*(graph.edges_at(p) for p in range(graph.period)))
+        self._index = {e: k for k, e in enumerate(sorted(union))}
+        self._streak = [0] * len(union)
+        self._tick = -1                 # the last tick whose block is drawn
+        self._drops: list[bool] = []
+        self._delays: list[int] = []
         self._pending: dict[tuple[int, int], list[Message]] = {}
-        self._drop_streak: dict[tuple[int, int], int] = {}
+
+    def _draw(self, t: int) -> None:
+        """Draw tick t's block, stepping the generator past the blocks of
+        the ticks skipped since the last draw without making them."""
+        if t < self._tick:
+            raise TransportError(f"tick {t} is earlier than tick "
+                                 f"{self._tick}, whose draws are made")
+        width = len(self._streak)
+        if t > self._tick + 1:
+            self._rng.bit_generator.advance(2 * width * (t - self._tick - 1))
+        u = self._rng.random((width, 2))
+        self._tick = t
+        self._drops = (u[:, 0] < self.model.drop_prob).tolist()
+        if self.model.delay_law == "fixed":
+            self._delays = [self.model.t2] * width
+        else:
+            # u < 1, so the product rounds below t2 + 1: delays 0..t2.
+            self._delays = (u[:, 1] * (self.model.t2 + 1)).astype(
+                np.int64).tolist()
 
     def attempt_send(self, edge: tuple[int, int], payload: Any, t: int) -> int | None:
         """Try to send payload over edge at tick t.
 
         Returns the delivery tick on success, None on a drop.  Delivery is
-        forced once the edge has seen t1 consecutive drops.
+        forced once the edge has seen t1 consecutive drops.  Raises
+        TransportError for an edge not active at t or a tick before the
+        last one attempted.
         """
         if edge not in self.graph.edges_at(t):
             raise TransportError(f"edge {edge} is not active at tick {t}")
         src, dst = edge
-        streak = self._drop_streak.get(edge, 0)
-        if streak >= self.model.t1:
-            success = True
-        else:
-            success = self._rng.random() >= self.model.drop_prob
-        if not success:
-            self._drop_streak[edge] = streak + 1
+        if t != self._tick:
+            self._draw(t)
+        k = self._index[edge]
+        if self._streak[k] < self.model.t1 and self._drops[k]:
+            self._streak[k] += 1
             return None
-        self._drop_streak[edge] = 0
-        if self.model.delay_law == "fixed":
-            delay = self.model.t2
-        else:
-            delay = int(self._rng.integers(0, self.model.t2 + 1))
-        deliver = t + delay
+        self._streak[k] = 0
+        deliver = t + self._delays[k]
         msg = Message(src=src, dst=dst, payload=payload,
                       sent_tick=t, deliver_tick=deliver)
         self._pending.setdefault((deliver, dst), []).append(msg)
@@ -109,7 +139,8 @@ class Channel:
         """All messages for dst deliverable exactly at tick t, ordered by
         (src, sent_tick) with arrival order breaking ties."""
         msgs = self._pending.pop((t, dst), [])
-        msgs.sort(key=lambda m: (m.src, m.sent_tick))
+        if len(msgs) > 1:
+            msgs.sort(key=lambda m: (m.src, m.sent_tick))
         return msgs
 
     def pending_count(self) -> int:

@@ -9,6 +9,12 @@ from einsum to matmul kernels and began fitting its critic on per-state
 residual sums: both reorder floating-point sums.  Over the digest's grid the
 parameters moved by at most 5.3e-15 and every team return stayed the same
 bit for bit; the two exchange digests did not change.
+
+``EXCHANGE_DIGEST`` was re-baselined once, when the channel began drawing
+one block of uniforms per tick (two per edge of the schedule's union)
+instead of one draw per attempt.  Only the realised drops and delays moved,
+so only the recorded traffic changed: every read-out is still the central
+mean bit for bit, and the other three digests did not change.
 """
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +33,7 @@ from helpers import payload_digest
 
 LINE5 = Path(__file__).resolve().parents[1] / "configs" / "line5.yaml"
 
-EXCHANGE_DIGEST = "721a241b6886261e"
+EXCHANGE_DIGEST = "c2a71a9ffc366fe5"
 LINE5_GRID_DIGEST = "3692ac30990d2017"
 ACYCLIC_DIGEST = "800bf3e97c013c0c"
 ONLINE_DIGEST = "1bd385562499f2be"

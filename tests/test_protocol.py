@@ -363,8 +363,8 @@ def test_payload_carries_k_times_n_slots_newest_first():
     assert p.origins == (1, 0)
     assert not p.values.flags.writeable and not p.known.flags.writeable
     assert p.known.tolist() == [[True, False, False], [True, False, False]]
-    # Every payload of a tick shares one copy of the values, which the
-    # next tick's ring writes do not reach.
+    # Every payload of a tick shares one read-only view of the values,
+    # whose rows later ticks never write.
     assert p.values is team.histories[2].window_payload().values
     team.begin_tick(2, np.zeros(3))
     team.begin_tick(3, np.zeros(3))
@@ -616,8 +616,9 @@ def lossy_exchanges(draw):
 @given(lossy_exchanges())
 def test_team_state_matches_the_per_agent_reference(case):
     # Both drivers run over channels built from one ChannelModel, so they
-    # see the same drops and delays; the rings share one layout, so every
-    # agent's known rows and values compare row for row.
+    # see the same drops and delays.  The team state keeps its known masks
+    # and values by age and the reference by ring row, so every agent's
+    # rows are compared age by age.
     g, model, K, deltas = case
     shape = deltas.shape[2:]
     team = GeneralProtocolDriver(g, Channel(model, g), K, shape)
@@ -630,15 +631,58 @@ def test_team_state_matches_the_per_agent_reference(case):
                 outcomes.append(driver.tick(t, deltas[t]).tobytes())
             except IncompleteAggregationError as err:
                 outcomes.append((err.tick, err.agent, err.missing))
+        state = team.team
+        by_age = state._buf[state._pos:state._pos + K + 1]
         for i in range(1, g.n_agents + 1):
-            known = team.team._known[i - 1]
+            known = state._known[i - 1]
             hist = ref.aggs[i].history
-            assert (known == hist._known).all()
-            values = np.where(known[mask], team.team._values, 0.0)
-            assert values.tobytes() == hist._values.tobytes()
+            rows = (hist._base + np.arange(K + 1)) % (K + 1)
+            assert (known == hist._known[rows]).all()
+            values = np.where(known[mask], by_age, 0.0)
+            assert values.tobytes() == hist._values[rows].tobytes()
         assert outcomes[0] == outcomes[1]
         if isinstance(outcomes[1], tuple):
             break
+
+
+def test_payloads_in_flight_keep_their_values():
+    # Delays up to 3 ticks over a lossy line, long enough for the team state
+    # to replace its value buffer many times: every delivered payload's
+    # values must be bitwise what they were when it was sent, and each row
+    # must hold its origin's TD errors.
+    class CopyingChannel(Channel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.sent, self.delivered = {}, []
+
+        def attempt_send(self, edge, payload, t):
+            self.sent[edge, t] = payload.values.copy()
+            return super().attempt_send(edge, payload, t)
+
+        def drain(self, dst, t):
+            msgs = super().drain(dst, t)
+            self.delivered.extend(msgs)
+            return msgs
+
+    g = GraphSchedule.line(4)
+    model = ChannelModel(t1=2, t2=3, drop_prob=0.4, seed=19)
+    K = latency_bound(g, model.t1, model.t2)
+    ch = CopyingChannel(model, g)
+    driver = GeneralProtocolDriver(g, ch, K, (2,))
+    deltas = _random_stream(np.random.default_rng(20), 8 * K, 4, (2,))
+    replaced, buf = 0, driver.team._buf
+    for t in range(len(deltas)):
+        driver.tick(t, deltas[t])
+        replaced += driver.team._buf is not buf
+        buf = driver.team._buf
+    assert replaced >= 4
+    assert max(m.deliver_tick - m.sent_tick for m in ch.delivered) == 3
+    for m in ch.delivered:
+        values = m.payload.values
+        assert values.tobytes() == ch.sent[(m.src, m.dst), m.sent_tick].tobytes()
+        for row, origin in zip(values, m.payload.origins):
+            want = deltas[origin] if origin >= 0 else np.zeros((4, 2))
+            assert row.tobytes() == want.tobytes()
 
 
 def test_exchange_rejects_mismatched_stream_width():

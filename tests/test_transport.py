@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dactd.errors import ConfigurationError, TransportError
-from dactd.topology import GraphSchedule
+from dactd.protocol import run_general_exchange
+from dactd.topology import GraphSchedule, latency_bound
 from dactd.transport import Channel, ChannelModel
+from dactd.verify import random_strong_digraph
 
 from helpers import payload_digest
 
@@ -102,6 +104,73 @@ def test_drop_streaks_are_tracked_per_edge():
 
 
 # ---------------------------------------------------------------------------
+# One draw block per tick
+# ---------------------------------------------------------------------------
+
+COMPLETE4 = GraphSchedule.complete(4)
+LOSSY = ChannelModel(t1=2, t2=3, drop_prob=0.5, seed=41)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_edge_outcome_ignores_the_other_edges_and_their_order(seed):
+    # Each tick attempts a random subset of the edges in a random order.
+    # Every edge's outcomes must equal those of a channel on which only
+    # that edge is attempted, at the same ticks.
+    rng = np.random.default_rng(seed)
+    edges = sorted(COMPLETE4.edges_at(0))
+    ch = Channel(LOSSY, COMPLETE4)
+    outcomes = {e: [] for e in edges}
+    for t in range(40):
+        for k in rng.permutation(len(edges)):
+            if rng.random() < 0.6:
+                e = edges[k]
+                outcomes[e].append((t, ch.attempt_send(e, None, t)))
+    for e, got in outcomes.items():
+        alone = Channel(LOSSY, COMPLETE4)
+        assert got == [(t, alone.attempt_send(e, None, t)) for t, _ in got]
+
+
+def test_tick_before_the_last_drawn_tick_is_refused():
+    ch = Channel(LOSSY, COMPLETE4)
+    ch.attempt_send((1, 2), None, 5)
+    ch.attempt_send((2, 1), None, 5)        # the same tick is fine
+    with pytest.raises(TransportError, match="tick 4"):
+        ch.attempt_send((1, 3), None, 4)
+
+
+class CountingGenerator:
+    """A generator that counts the blocks drawn through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.bit_generator = rng.bit_generator
+        self.blocks = 0
+
+    def random(self, size):
+        self.blocks += 1
+        return self.rng.random(size)
+
+
+def test_skipped_ticks_are_stepped_over_without_drawing_their_blocks():
+    # A channel that first sends at tick 30 draws what a channel drawing
+    # every tick's block draws at tick 30.
+    every = Channel(LOSSY, COMPLETE4)
+    for t in range(30):
+        every.attempt_send((1, 2), None, t)
+    later = Channel(LOSSY, COMPLETE4)
+    later._rng = CountingGenerator(later._rng)
+    for e in sorted(COMPLETE4.edges_at(0)):
+        if e != (1, 2):
+            assert (later.attempt_send(e, None, 30)
+                    == every.attempt_send(e, None, 30))
+    assert later._rng.blocks == 1
+    # A gap of a billion ticks costs one block, not a billion.
+    later.attempt_send((1, 2), None, 10 ** 9)
+    assert later._rng.blocks == 2
+
+
+# ---------------------------------------------------------------------------
 # Draining
 # ---------------------------------------------------------------------------
 
@@ -175,6 +244,36 @@ def test_traces_always_satisfy_the_guarantee(t1, t2, drop, seed):
     for tick, _, deliver in attempts:
         if deliver is not None:
             assert 0 <= deliver - tick <= t2
+
+
+def test_protocol_traffic_satisfies_the_guarantee():
+    # Every attempt of a general-protocol run on a time-varying digraph,
+    # recorded as the driver makes it: per tick, a subset of the union's
+    # edges sends.  Some sends must be forced for the check to bite.
+    g = random_strong_digraph(5, np.random.default_rng(3), time_varying=True)
+    model = ChannelModel(t1=2, t2=3, drop_prob=0.6, seed=9)
+    K = latency_bound(g, model.t1, model.t2)
+
+    class RecordingChannel(Channel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.attempts = []
+
+        def attempt_send(self, edge, payload, t):
+            deliver = super().attempt_send(edge, payload, t)
+            self.attempts.append((t, edge, deliver))
+            return deliver
+
+    ch = RecordingChannel(model, g)
+    deltas = np.random.default_rng(4).normal(size=(K + 30, 5))
+    res = run_general_exchange(g, ch, deltas, K)
+    assert (res.readouts[K:] == res.reference[K:, None]).all()
+    assert check_delivery_guarantee(ch.attempts, model.t1, model.t2)
+    streaks, forced = {}, 0
+    for _, edge, deliver in ch.attempts:
+        forced += deliver is not None and streaks.get(edge, 0) == model.t1
+        streaks[edge] = 0 if deliver is not None else streaks.get(edge, 0) + 1
+    assert forced > 0
 
 
 def test_guarantee_checker_flags_violations():
