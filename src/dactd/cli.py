@@ -29,7 +29,7 @@ from .errors import (CapacityError, ConfigurationError, DactdError,
                      ProtocolCorruptionError, TransportError)
 from .funcapprox import TabularSoftmaxPolicy
 from .learner import RunResult, run_experiment
-from .oracle import exact_policy_gradient, ode_matrix, solve_model
+from .oracle import drift_eigenvalue, exact_policy_gradient, solve_model
 from .verify import ALL_SUITES, run_suite
 
 EXIT_OK = 0
@@ -155,19 +155,18 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
                     for _ in range(n_agents)]
     model = enumerate_model(env, policies)
     sol = solve_model(model)
-    evals = np.linalg.eigvals(ode_matrix(model.transition_pi, sol.d_pi, gamma))
     grads = exact_policy_gradient(sol, policies)
 
-    spec = model.spec
+    S = model.spec.n_states
     rows = ["state,d_pi," + ",".join(f"v_{i}" for i in range(1, n_agents + 1))
             + ",v_team"]
-    for s in range(spec.n_states):
+    for s in range(S):
         vals = ",".join(_fmt(sol.v_agents[i, s]) for i in range(n_agents))
-        rows.append(f"{spec.index_state(s)},{_fmt(sol.d_pi[s])},{vals},"
+        rows.append(f"{model.spec.bits[:, s]},{_fmt(sol.d_pi[s])},{vals},"
                     f"{_fmt(sol.v_team[s])}")
-    print(f"states: {spec.n_states}, joint actions: {spec.n_actions}, "
-          f"gamma: {gamma}")
-    print(f"drift-matrix max eigenvalue real part: {evals.real.max():.6g}")
+    print(f"states: {S}, joint actions: {S}, gamma: {gamma}")
+    print(f"projected-drift max eigenvalue real part: "
+          f"{drift_eigenvalue(model, sol.d_pi):.6g}")
     print("\n".join(rows))
     for i, g in enumerate(grads, start=1):
         print(f"grad agent {i}: " + " ".join(_fmt(v) for v in g))

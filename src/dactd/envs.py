@@ -15,15 +15,15 @@ start from the all-zeros state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError
 
-# Largest global state or joint action space enumerate_model accepts: the
-# oracle allocates (S, A) tables, 128 MiB each here.
+# Largest global state space enumerate_model accepts.  The oracle forms no
+# (S, A) or (S, S) array, so the cap bounds only its S-sized outputs.
 STATE_CAP = 4096
 
 
@@ -44,10 +44,6 @@ class JommdpSpec:
     def n_states(self) -> int:
         return 2 ** self.n_agents
 
-    @property
-    def n_actions(self) -> int:
-        return 2 ** self.n_agents
-
     @cached_property
     def bits(self) -> np.ndarray:
         """(N, 2^N) read-only table: row i is agent i+1's local state in each
@@ -56,9 +52,6 @@ class JommdpSpec:
             self.n_agents, -1)
         bits.setflags(write=False)
         return bits
-
-    def index_state(self, idx: int) -> np.ndarray:
-        return self.bits[:, idx]
 
 
 class CoupledEnv:
@@ -135,30 +128,38 @@ def micro_env(gamma: float = 0.9) -> CoupledEnv:
 
 @dataclass
 class EnumeratedModel:
-    """Coupled environment under a fixed joint policy, factorised by the
-    coupling count c = |s| + |a|: the law of s' given (s, a) is
-    count_transition[count_index[s, a]], with no (S, A, S) kernel formed."""
+    """Coupled environment under fixed local policies, factorised by the
+    coupling count c = |s| + |a|: the kernel under the policy is P = M Q,
+    M = ``mass`` (row s: the law of |a| given s, shifted by |s|) and
+    Q = ``count_transition``; no (S, A) or (S, S) array is formed."""
 
     spec: JommdpSpec
     local_policy: np.ndarray      # (N, 2, 2) pi_i(a_i | s_i) per agent
-    policy_probs: np.ndarray      # (S, A) joint policy
-    count_index: np.ndarray       # (S, A) coupling count |s| + |a|
     count_transition: np.ndarray  # (2N+1, S) next-state law per count
     count_rewards: np.ndarray     # (N, 2N+1) private rewards per count
-    mass: np.ndarray = field(init=False)        # (S, 2N+1) policy mass
-    rewards_pi: np.ndarray = field(init=False)  # (N, S) expected per state
+    mass: np.ndarray              # (S, 2N+1) policy mass per count
+    rewards_pi: np.ndarray        # (N, S) expected private rewards
 
-    def __post_init__(self):
-        # mass[s, c]: the policy mass of the actions a with |s| + |a| = c.
-        S, C = self.count_index.shape[0], self.count_transition.shape[0]
-        flat = (np.arange(S)[:, None] * C + self.count_index).ravel()
-        self.mass = np.bincount(flat, weights=self.policy_probs.ravel(),
-                                minlength=S * C).reshape(S, C)
-        self.rewards_pi = self.count_rewards @ self.mass.T
 
-    @cached_property
-    def transition_pi(self) -> np.ndarray:  # (S, S), formed on first read
-        return self.mass @ self.count_transition
+def count_laws(local: np.ndarray, bits: np.ndarray,
+               leave_one_out: bool = False) -> np.ndarray:
+    """(N+1, R, S) laws of |a| given s, the count of agents acting 1:
+    row 0 over every agent and, with leave_one_out (R = N+1), row r over
+    every agent but agent r, which starts as row 0 just before agent r.
+    Agent by agent, law_k <- law_k pi_i(0|s_i) + law_{k-1} pi_i(1|s_i),
+    both factors read from the (N, 2, 2) table (never as 1 - p)."""
+    n, S = bits.shape
+    q = local[np.arange(n)[:, None], bits].transpose(0, 2, 1)[:, :, None]
+    law = np.zeros((n + 1, n + 1 if leave_one_out else 1, S))
+    law[0] = 1.0
+    for i in range(n):
+        rows = i + 1 if leave_one_out else 1
+        if leave_one_out:
+            law[:, i + 1] = law[:, 0]
+        moved = law[:i + 1, :rows] * q[i, 1]
+        law[:i + 1, :rows] *= q[i, 0]
+        law[1:i + 2, :rows] += moved
+    return law
 
 
 def _local_policy_table(n_agents: int, local_policies) -> np.ndarray:
@@ -173,36 +174,27 @@ def _local_policy_table(n_agents: int, local_policies) -> np.ndarray:
 
 
 def enumerate_model(env: CoupledEnv, local_policies) -> EnumeratedModel:
-    """Exact count-factorised model of env under per-agent local policies.
-
-    local_policies is one object per agent exposing probs(s_local) -> its
-    two action probabilities, read once into model.local_policy.  Allocates
-    the (S, A) joint policy and count index, the (2N+1, S) count rows and
-    the (S, 2N+1) count mass.  Raises CapacityError when S = A > STATE_CAP.
-    """
+    """Exact count-factorised model of env under per-agent local policies,
+    each read once through probs(s_local) into model.local_policy.  Raises
+    ValueError for a row that is not a distribution (an entry < 0, or a sum
+    off 1 by more than 1e-10) and CapacityError when S > STATE_CAP."""
     spec = env.spec
     n, S = spec.n_agents, spec.n_states
     if S > STATE_CAP:
         raise CapacityError(
-            f"global spaces ({S} states, {S} actions) exceed cap {STATE_CAP}:"
-            f" the oracle allocates (S, A) policy tables")
+            f"global state space ({S} states) exceeds cap {STATE_CAP}: the"
+            f" oracle returns S-sized laws, values and feature tables")
     local = _local_policy_table(n, local_policies)
-    # Product over agents of pi_i(a_i | s_i), each agent's table broadcast
-    # over the (s_1..s_N, a_1..a_N) bit axes in turn.
-    joint = np.ones((1,) * (2 * n))
-    for i in range(n):
-        shape = [1] * (2 * n)
-        shape[i] = shape[n + i] = 2
-        joint = joint * local[i].reshape(shape)
-    policy = joint.reshape(S, S)
-    counts = spec.bits.sum(axis=0)
+    bad = (local < 0).any(axis=2) | ~(np.abs(local.sum(axis=2) - 1.0) <= 1e-10)
+    if bad.any():
+        i, s_local = np.argwhere(bad)[0]
+        raise ValueError(f"agent {i + 1}'s policy in local state {s_local} "
+                         f"is not a distribution: {local[i, s_local]}")
     count_transition, count_rewards = env.count_model()
-
     if not np.allclose(count_transition.sum(axis=1), 1.0, atol=1e-12):
         raise ValueError("transition kernel rows must sum to 1")
-    if not np.allclose(policy.sum(axis=1), 1.0, atol=1e-10):
-        raise ValueError("joint policy rows must sum to 1")
-    return EnumeratedModel(spec=spec, local_policy=local, policy_probs=policy,
-                           count_index=counts[:, None] + counts,
-                           count_transition=count_transition,
-                           count_rewards=count_rewards)
+    mass = np.zeros((S, 2 * n + 1))
+    mass[np.arange(S)[:, None], spec.bits.sum(axis=0)[:, None]
+         + np.arange(n + 1)] = count_laws(local, spec.bits)[:, 0].T
+    return EnumeratedModel(spec, local, count_transition, count_rewards, mass,
+                           count_rewards @ mass.T)

@@ -180,8 +180,8 @@ class TheoryRunResult:
     actor_params: list[np.ndarray]
 
 
-def _check_online_inputs(policies, critics, actor_schedule, n_steps,
-                         protocol, theta_box) -> tuple[int, float]:
+def _check_online_inputs(policies, critics, actor_schedule, n_steps, protocol,
+                         channel_model, theta_box) -> tuple[int, float]:
     """Reject what the table loop cannot run; return n_steps and theta_box."""
     if not all(isinstance(p, TabularSoftmaxPolicy) and p.logits.shape == (2, 2)
                for p in policies):
@@ -194,8 +194,9 @@ def _check_online_inputs(policies, critics, actor_schedule, n_steps,
     if n_steps < 0:
         raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
     theta_box = _as_positive(theta_box, "theta_box")
-    if protocol is None and actor_schedule is not None:
-        raise ConfigurationError("protocol=None needs actor_schedule=None")
+    if protocol is None and (actor_schedule, channel_model) != (None, None):
+        raise ConfigurationError("protocol=None runs no driver: it needs "
+                                 "actor_schedule=None and channel_model=None")
     return n_steps, theta_box
 
 
@@ -211,14 +212,16 @@ def run_theory(env: CoupledEnv, graph: GraphSchedule, policies, critics,
     take one critic step, hand the TD error to the protocol, and — once the
     K-step-old cohort is readable — apply the delayed policy update with the
     score table saved when that data was generated.  actor_schedule=None
-    freezes the policies (pure evaluation); protocol=None, which needs it,
-    also runs no driver (K = 0, no read-out).  The final logit and weight
-    tables are written back into ``policies`` and ``critics``."""
+    freezes the policies (pure evaluation); protocol=None, which needs it
+    and channel_model=None, also runs no driver (K = 0, no read-out).  The
+    final logit and weight tables are written back into ``policies`` and
+    ``critics``."""
     n = env.n_agents
     if graph.n_agents != n or len(policies) != n or len(critics) != n:
         raise ValueError("agent count mismatch between env, graph and learners")
     n_steps, theta_box = _check_online_inputs(
-        policies, critics, actor_schedule, n_steps, protocol, theta_box)
+        policies, critics, actor_schedule, n_steps, protocol, channel_model,
+        theta_box)
 
     _, env_ss, policy_ss, channel_ss = np.random.SeedSequence(seed).spawn(4)
     rng_env = np.random.default_rng(env_ss)

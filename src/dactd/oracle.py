@@ -5,10 +5,11 @@ of :func:`dactd.envs.enumerate_model`, whose kernel under the policy is
 P = M Q (M the (S, 2N+1) policy mass per coupling count, Q the count rows):
 stationary distributions and value functions, solved on the (2N+1)-state
 count chain Q M with no (S, S) system, the linear-critic fixed point the
-online updates converge to, exhaustive policy-gradient directions, and the
+online updates converge to and its projected drift, exhaustive
+policy-gradient directions from per-count weights and count laws, and the
 correction terms that separate the learned update direction from the exact
-gradient when critics only see local state.  These are the ground truth for
-every convergence and bias test.
+gradient when critics only see local state.  No (S, A) or (S, S) array is
+formed.  These are the ground truth for every convergence and bias test.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import EnumeratedModel, JommdpSpec, _local_policy_table
+from .envs import (EnumeratedModel, JommdpSpec, _local_policy_table,
+                   count_laws)
 from .errors import ModelError, RankError
 
 
@@ -71,7 +73,7 @@ def value_functions(model: EnumeratedModel) -> np.ndarray:
 
 @dataclass
 class ExactSolution:
-    """Stationary law and exact values of a model under its joint policy."""
+    """Stationary law and exact values of a model under its policies."""
 
     model: EnumeratedModel
     d_pi: np.ndarray            # (S,)
@@ -110,34 +112,39 @@ def feature_matrix(spec: JommdpSpec, agent: int,
     return local[spec.bits[agent - 1]]
 
 
-def ode_matrix(P_pi: np.ndarray, d_pi: np.ndarray, gamma: float) -> np.ndarray:
-    """D (gamma P - I) with D = diag(d_pi), formed by scaling rows: the drift
-    whose eigenvalues must have negative real parts for the critic updates
-    to be a stable linear system."""
-    return d_pi[:, None] * (gamma * P_pi - np.eye(P_pi.shape[0]))
+def projected_drift(model: EnumeratedModel, d_pi: np.ndarray,
+                    Phi: np.ndarray) -> np.ndarray:
+    """Phi^T D (gamma P - I) Phi, D = diag(d_pi): the drift of linear TD(0)
+    on features Phi (Tsitsiklis and Van Roy, 1997), with P Phi = M (Q Phi)."""
+    dPhi = d_pi[:, None] * Phi
+    P_Phi = model.mass @ (model.count_transition @ Phi)
+    return model.spec.gamma * (dPhi.T @ P_Phi) - dPhi.T @ Phi
+
+
+def drift_eigenvalue(model: EnumeratedModel, d_pi: np.ndarray) -> float:
+    """Largest real eigenvalue part over the agents' projected drifts on
+    tabular features of their own local state."""
+    return max(float(np.linalg.eigvals(projected_drift(
+        model, d_pi, feature_matrix(model.spec, i, np.eye(2)))).real.max())
+        for i in range(1, model.spec.n_agents + 1))
 
 
 def critic_fixed_point(model: EnumeratedModel, d_pi: np.ndarray, agent: int,
                        Phi: np.ndarray) -> np.ndarray:
     """Weights the linear critic of one agent converges to.
 
-    Solves  Phi^T D (gamma P - I) Phi v = -Phi^T D r_hat  densely, where
-    r_hat is the agent's expected private reward per state, as
-    gamma (D Phi)^T (M (Q Phi)) - (D Phi)^T Phi: no (S, S) matrix is formed.
-    Raises ValueError for an agent id outside 1..N, and RankError when Phi
-    is column-rank deficient or the system is singular beyond tolerance.
+    Solves  A v = -Phi^T D r_hat  densely, with A the projected drift and
+    r_hat the agent's expected private reward per state.  Raises ValueError
+    for an agent id outside 1..N, and RankError when Phi is column-rank
+    deficient or the system is singular beyond tolerance.
     """
     _check_agent(model.spec, agent)
     if Phi.shape[0] != model.spec.n_states:
         raise ValueError("feature matrix must have one row per global state")
-    L = Phi.shape[1]
-    if np.linalg.matrix_rank(Phi) < L:
+    if np.linalg.matrix_rank(Phi) < Phi.shape[1]:
         raise RankError("feature matrix has linearly dependent columns")
-    r_hat = model.rewards_pi[agent - 1]
-    dPhi = d_pi[:, None] * Phi
-    P_Phi = model.mass @ (model.count_transition @ Phi)
-    A = model.spec.gamma * (dPhi.T @ P_Phi) - dPhi.T @ Phi
-    b = -(dPhi.T @ r_hat)
+    A = projected_drift(model, d_pi, Phi)
+    b = -((d_pi[:, None] * Phi).T @ model.rewards_pi[agent - 1])
     try:
         v = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -151,31 +158,23 @@ def critic_fixed_point(model: EnumeratedModel, d_pi: np.ndarray, agent: int,
 # Exhaustive update directions and bias decomposition
 # ---------------------------------------------------------------------------
 
-def advantage_table(model: EnumeratedModel, value_table: np.ndarray) -> np.ndarray:
-    """(S, A) table of the expected team TD error under the given team value
-    table:  mean_reward(s,a) + gamma E[V(s')|s,a] - V(s)."""
-    meanV = np.asarray(value_table, dtype=np.float64)
-    per_count = (model.count_rewards.mean(axis=0)
-                 + model.spec.gamma * model.count_transition @ meanV)
-    return per_count[model.count_index] - meanV[:, None]
-
-
-def _direction_from_table(solution: ExactSolution,
-                          table_sa: np.ndarray) -> list[np.ndarray]:
-    """Per-agent exhaustive expectation of table(s,a) * score_i(s^i, a^i)
-    under d_pi and the joint policy, for tabular softmax scorers.
-
-    Agent i's local weights w_i[s_i, a_i], the (s, a) weights summed over
-    its bits, are the (2, 2) diagonal blocks of E w E^T for E the (2N, S)
-    one-hot of spec.bits.  The score of log pi_i(a|s) in logit row s is
-    onehot(a) - pi_i(.|s): the expectation is w_i - w_i.sum(1) * pi_i."""
+def _direction(solution: ExactSolution, g: np.ndarray) -> list[np.ndarray]:
+    """Per-agent exhaustive expectation of (g(|s| + |a|) - V(s)) score_i
+    under d_pi and the policy, for tabular softmax scorers and any V: the
+    score onehot(a_i) - pi_i(.|s_i) has mean zero, so V drops out.  With
+    L_i(k|s) the law of how many agents but i act 1, agent i's weights
+      w_i[x, y] = pi_i(y|x) sum_{s: s_i = x} d(s) sum_k L_i(k|s) g(|s| + y + k)
+    give the direction w_i - w_i.sum(1) * pi_i, whose row x is (-z, z) for
+      z = pi_i(0|x) pi_i(1|x) sum_{s: s_i = x} d(s) sum_k L_i(k|s) dg(|s| + k)
+    with dg(c) = g(c + 1) - g(c)."""
     model = solution.model
-    n, bits = model.spec.n_agents, model.spec.bits
-    w = solution.d_pi[:, None] * model.policy_probs * table_sa
-    E = np.stack([1 - bits, bits], axis=1).reshape(2 * n, -1).astype(np.float64)
-    w_local = np.einsum("iaib->iab", (E @ w @ E.T).reshape(n, 2, n, 2))
-    g = w_local - w_local.sum(axis=2, keepdims=True) * model.local_policy
-    return list(g.reshape(n, 4))
+    n, bits, pi = model.spec.n_agents, model.spec.bits, model.local_policy
+    law = count_laws(pi, bits, leave_one_out=True)[:n, 1:]
+    dg = np.diff(g)[bits.sum(axis=0)[:, None] + np.arange(n)]   # (S, k)
+    h = np.einsum("kis,sk->is", law, dg) * solution.d_pi
+    E = np.stack([1 - bits, bits], axis=1).astype(np.float64)  # (N, 2, S)
+    z = np.einsum("ixs,is->ix", E, h) * pi[:, :, 0] * pi[:, :, 1]
+    return list(np.stack([-z, z], axis=2).reshape(n, 4))
 
 
 def _team_critic(solution: ExactSolution, critic_tables) -> np.ndarray:
@@ -191,8 +190,10 @@ def update_direction(solution: ExactSolution,
     """Exhaustive expected actor-update direction per agent when TD errors
     are computed from critic_tables ((N, S) values per agent, already
     broadcast to global states)."""
-    return _direction_from_table(solution, advantage_table(
-        solution.model, _team_critic(solution, critic_tables)))
+    model = solution.model
+    return _direction(solution, model.count_rewards.mean(axis=0)
+                      + model.spec.gamma * model.count_transition
+                      @ _team_critic(solution, critic_tables))
 
 
 def exact_policy_gradient(solution: ExactSolution, policies) -> list[np.ndarray]:
@@ -216,6 +217,4 @@ def correction_terms(solution: ExactSolution,
     """
     model = solution.model
     dV = _team_critic(solution, critic_tables) - solution.v_team
-    corr_c = model.spec.gamma * model.count_transition @ dV
-    corr_sa = corr_c[model.count_index] - dV[:, None]
-    return _direction_from_table(solution, corr_sa)
+    return _direction(solution, model.spec.gamma * model.count_transition @ dV)

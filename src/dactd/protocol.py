@@ -191,7 +191,11 @@ class TeamTDAggregator:
         self._own = np.eye(n_agents, dtype=bool)
         self._origins = tuple(range(-1, -1 - K, -1))
         self._sent = self._window_values()
-        self.histories = [TDHistory(self, i) for i in range(1, n_agents + 1)]
+
+    @property
+    def histories(self) -> list["TDHistory"]:
+        """Fresh views of agents 1..N; the team keeps none (no cycle)."""
+        return [TDHistory(self, i) for i in range(1, self.n_agents + 1)]
 
     def _window_values(self) -> np.ndarray:
         """Read-only view of the values of ages 0..K-1."""
@@ -316,6 +320,7 @@ class GeneralProtocolDriver:
         self.n_agents = graph.n_agents
         self.value_shape = tuple(value_shape)
         self.team = TeamTDAggregator(graph.n_agents, K, value_shape)
+        self._views = self.team.histories
         self._order = [sorted(graph.edges_at(p)) for p in range(graph.period)]
 
     @property
@@ -329,7 +334,7 @@ class GeneralProtocolDriver:
     def tick(self, t: int, deltas: np.ndarray) -> np.ndarray:
         # Both checks run before the tick changes the team or the channel.
         self.team.begin_tick(t, _checked_deltas(self, t, deltas))
-        views, channel = self.team.histories, self.channel
+        views, channel = self._views, self.channel
         agents = range(1, self.n_agents + 1)
         for view, msgs in zip(views, [channel.drain(i, t) for i in agents]):
             for msg in msgs:

@@ -16,9 +16,9 @@ from .funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
                          finite_difference, max_relative_error, one_hot,
                          softmax, tabular_features)
 from .learner import StepSchedule, _score_table, run_theory
-from .oracle import (correction_terms, critic_fixed_point,
-                     exact_policy_gradient, feature_matrix, ode_matrix,
-                     solve_model, update_direction)
+from .oracle import (correction_terms, critic_fixed_point, drift_eigenvalue,
+                     exact_policy_gradient, feature_matrix, solve_model,
+                     update_direction)
 from .protocol import (check_neighborhood_invariant, run_acyclic_exchange,
                        run_general_exchange)
 from .topology import GraphSchedule, latency_bound
@@ -180,7 +180,8 @@ def critic_suite(n_steps: int = 200_000,
 
     One on-policy trajectory under the uniform policy with step sizes
     0.5/(t+1)^0.6; the terminal weights must be within 1e-2 of the dense
-    linear-solve fixed point, and the drift matrix must be strictly stable.
+    linear-solve fixed point, and every agent's projected drift must be
+    strictly stable.
     """
     env = micro_env()
     policies = [TabularSoftmaxPolicy(2, 2) for _ in range(env.n_agents)]
@@ -195,13 +196,11 @@ def critic_suite(n_steps: int = 200_000,
                          critics, None, StepSchedule.polynomial(0.5, 0.6),
                          n_steps, seed, protocol=None).critic_weights
     err = float(np.max(np.abs(np.array(weights) - fixed)))
-    evals = np.linalg.eigvals(ode_matrix(model.transition_pi, sol.d_pi,
-                                         model.spec.gamma))
-    eig_max = float(evals.real.max())
+    eig_max = drift_eigenvalue(model, sol.d_pi)
     passed = err <= 1e-2 and eig_max <= -1e-6
     return SuiteReport("critic", passed, 1, err, 1e-2, seed,
                        [f"||v_T - v*||_inf = {err:.3g} after {n_steps} steps",
-                        f"drift-matrix max real eigenvalue: {eig_max:.3g}"])
+                        f"projected-drift max real eigenvalue: {eig_max:.3g}"])
 
 
 # The piecewise-linear activation is non-differentiable at 0, so a central
@@ -297,11 +296,10 @@ def gradient_suite(n_cases: int = 100, seed: int = 20240505) -> SuiteReport:
 
 def _bias_setting(policies, mc_seed: int, samples: int) -> dict:
     """Monte Carlo update direction vs the exact-gradient decomposition."""
-    env = micro_env()
-    model = enumerate_model(env, policies)
+    model = enumerate_model(micro_env(), policies)
     sol = solve_model(model)
     spec = model.spec
-    S, A, N = spec.n_states, spec.n_actions, spec.n_agents
+    S, N = spec.n_states, spec.n_agents
 
     local_tabs = np.array([
         critic_fixed_point(model, sol.d_pi, i, feature_matrix(
@@ -314,25 +312,27 @@ def _bias_setting(policies, mc_seed: int, samples: int) -> dict:
 
     rng = np.random.default_rng(mc_seed)
     cum_d = np.cumsum(sol.d_pi)
-    cum_pi = np.cumsum(model.policy_probs, axis=1)
     cum_P = np.cumsum(model.count_transition, axis=1)
-    r_team = model.count_rewards.mean(axis=0)[model.count_index]
+    r_team = model.count_rewards.mean(axis=0)
     v_hat = local_tabs.mean(axis=0)
     v_true = sol.v_team
 
     s = np.searchsorted(cum_d, rng.random(samples), side="right").clip(0, S - 1)
-    a = (cum_pi[s] <= rng.random(samples)[:, None]).sum(axis=1).clip(0, A - 1)
-    sn = (cum_P[model.count_index[s, a]] <= rng.random(samples)[:, None]
-          ).sum(axis=1).clip(0, S - 1)
+    x = spec.bits[:, s]                                   # (N, samples)
+    # Each agent acts 1 when its uniform reaches pi_i(0 | its local state).
+    a = (model.local_policy[np.arange(N)[:, None], x, 0]
+         <= rng.random((N, samples))).astype(np.int64)
+    c = x.sum(axis=0) + a.sum(axis=0)
+    sn = (cum_P[c] <= rng.random(samples)[:, None]).sum(axis=1).clip(0, S - 1)
 
-    d_hat = r_team[s, a] + spec.gamma * v_hat[sn] - v_hat[s]
-    d_true = r_team[s, a] + spec.gamma * v_true[sn] - v_true[s]
+    d_hat = r_team[c] + spec.gamma * v_hat[sn] - v_hat[s]
+    d_true = r_team[c] + spec.gamma * v_true[sn] - v_true[s]
 
     mc_dir, mc_exact, mc_bias = [], [], []
     for i in range(N):
         table = np.array([[policies[i].score(sl, al)
                            for al in range(2)] for sl in range(2)])
-        scores = table[spec.bits[i][s], spec.bits[i][a]]
+        scores = table[x[i], a[i]]
         mc_dir.append((d_hat[:, None] * scores).mean(axis=0))
         mc_exact.append((d_true[:, None] * scores).mean(axis=0))
         mc_bias.append(((d_hat - d_true)[:, None] * scores).mean(axis=0))

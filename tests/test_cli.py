@@ -559,7 +559,7 @@ def test_oracle_dump(tmp_path, capsys):
     assert cli.main(["oracle", "--agents", "2", "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "states: 4, joint actions: 4, gamma: 0.9" in text
-    assert "drift-matrix max eigenvalue real part:" in text
+    assert "projected-drift max eigenvalue real part:" in text
     assert "state,d_pi,v_1,v_2,v_team" in text
     assert "grad agent 1:" in text
     table = (out / "oracle.csv").read_text().splitlines()

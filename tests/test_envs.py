@@ -91,7 +91,7 @@ def test_next_state_law_is_an_independent_product():
     probs = env.count_model()[0][s.sum() + a.sum()]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     spec = env.spec
-    joint = {tuple(spec.index_state(i)): probs[i] for i in range(spec.n_states)}
+    joint = {tuple(spec.bits[:, i]): probs[i] for i in range(spec.n_states)}
     assert joint[(1, 1)] == pytest.approx(q * q)
     assert joint[(0, 0)] == pytest.approx((1 - q) * (1 - q))
 
@@ -123,12 +123,12 @@ def test_initial_state_is_all_zeros():
 def test_spec_indexing_round_trips():
     for n in range(1, 8):
         spec = CoupledEnv(n).spec
-        assert spec.n_states == spec.n_actions == 2 ** n
+        assert spec.n_states == 2 ** n
         assert np.array_equal(spec.bits, np.unravel_index(np.arange(2 ** n),
                                                           (2,) * n))
         assert spec.bits.dtype == np.int64 and not spec.bits.flags.writeable
         for i in range(spec.n_states):
-            s = spec.index_state(i)
+            s = spec.bits[:, i]
             assert s.dtype == np.int64 and ((s == 0) | (s == 1)).all()
             assert np.ravel_multi_index(tuple(s), (2,) * n) == i
 
@@ -136,7 +136,7 @@ def test_spec_indexing_round_trips():
 def test_transition_rows_are_stochastic():
     model = enumerate_model(micro_env(),
                             [TabularSoftmaxPolicy(2, 2) for _ in range(2)])
-    assert np.abs(model.transition_pi.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(model.mass.sum(axis=1) - 1.0).max() <= 1e-12
     assert np.abs(model.count_transition.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -144,7 +144,8 @@ def test_forced_policy_saturates_the_all_ones_state():
     force_one = FixedTablePolicy(np.array([[0.0, 1.0], [0.0, 1.0]]))
     model = enumerate_model(micro_env(), [force_one, force_one])
     s_all1 = np.ravel_multi_index((1, 1), (2, 2))
-    row = model.transition_pi[s_all1]
+    assert model.mass[s_all1, 4] == 1.0              # |s| + |a| = 4 surely
+    row = model.mass[s_all1] @ model.count_transition
     assert row[s_all1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -154,22 +155,35 @@ def test_expected_private_reward_under_uniform_policy():
     # mean over the four joint actions of (sum(s) + sum(a)) / 4
     spec = model.spec
     for si in range(spec.n_states):
-        s = spec.index_state(si)
+        s = spec.bits[:, si]
         expected = (s.sum() + 1.0) / 4.0
         assert model.rewards_pi[0, si] == pytest.approx(expected, abs=1e-12)
         assert model.rewards_pi[1, si] == 0.0
 
 
-def test_joint_policy_is_the_product_of_locals():
-    pols = [TabularSoftmaxPolicy(2, 2, logits=np.array([[1.0, 0.0], [0.0, 0.0]])),
-            TabularSoftmaxPolicy(2, 2)]
-    probs = enumerate_model(micro_env(), pols).policy_probs
-    assert probs.shape == (4, 4)
-    assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
-    s = np.ravel_multi_index((0, 0), (2, 2))
-    a = np.ravel_multi_index((0, 1), (2, 2))
-    expected = pols[0].probs(0)[0] * pols[1].probs(0)[1]
-    assert probs[s, a] == pytest.approx(expected, abs=1e-15)
+# (case, agent, local state, the second policy's table)
+BAD_POLICY_ROWS = [
+    ("negative entry", 1, 0, None),
+    ("row sums to 1 + 2e-10", 2, 1, [[0.5, 0.5], [0.5, 0.5 + 2e-10]]),
+    ("nan entry", 2, 0, [[np.nan, 1.0], [0.5, 0.5]]),
+]
+
+
+@pytest.mark.parametrize("case, agent, s_local, table", BAD_POLICY_ROWS,
+                         ids=[c[0] for c in BAD_POLICY_ROWS])
+def test_enumeration_refuses_local_rows_that_are_not_distributions(
+        case, agent, s_local, table):
+    """Each local row is checked itself: [1.5, -0.5] sums to 1, and the
+    joint rows it makes would too, but the count mass would go negative."""
+    first = FixedTablePolicy([[1.5, -0.5], [1.0, 0.0]] if table is None
+                             else [[1.0, 0.0], [0.0, 1.0]])
+    second = FixedTablePolicy(np.eye(2))
+    if table is not None:
+        second.table = np.array(table)
+    with pytest.raises(ValueError, match=f"agent {agent}'s policy in local "
+                                         f"state {s_local} is not a "
+                                         f"distribution"):
+        enumerate_model(micro_env(), [first, second])
 
 
 def test_enumeration_respects_the_capacity_cap():
@@ -181,12 +195,13 @@ def test_enumeration_respects_the_capacity_cap():
 
 def test_ten_agents_enumerate_quickly_without_a_dense_kernel():
     # The (S, A, S) kernel at N = 10 would take 8.6 GB; the count-factorised
-    # model holds (S, A) and (S, S) arrays only.
+    # model holds (2N+1, S) count rows and the (S, 2N+1) count mass only.
     rng = np.random.default_rng(10)
     pols = [TabularSoftmaxPolicy(2, 2, logits=rng.normal(size=(2, 2)))
             for _ in range(10)]
     start = time.perf_counter()
     model = enumerate_model(CoupledEnv(n_agents=10), pols)
     assert time.perf_counter() - start < 2.0
-    assert model.transition_pi.shape == (1024, 1024)
-    assert np.abs(model.transition_pi.sum(axis=1) - 1.0).max() <= 1e-12
+    assert model.mass.shape == (1024, 21)
+    assert model.count_transition.shape == (21, 1024)
+    assert np.abs(model.mass.sum(axis=1) - 1.0).max() <= 1e-12

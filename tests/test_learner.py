@@ -324,6 +324,17 @@ def test_run_theory_rejects_what_the_table_loop_cannot_run(name):
                    protocol=kw["protocol"], theta_box=kw["theta_box"])
 
 
+def test_run_theory_refuses_a_channel_without_a_protocol():
+    # protocol=None with actor_schedule=None is a valid evaluation run, so
+    # only the channel can be what is refused; it would be silently unused.
+    policies, critics = _fresh_learners(2)
+    with pytest.raises(ConfigurationError, match="channel_model"):
+        run_theory(CoupledEnv(2, 0.9), GraphSchedule.line(2), policies,
+                   critics, None, StepSchedule.constant(0.05), 5, seed=0,
+                   protocol=None,
+                   channel_model=ChannelModel(t1=3, t2=5, drop_prob=0.9))
+
+
 # ---------------------------------------------------------------------------
 # Online regime
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Exact reference solutions: stationary laws, values, fixed points, gradients."""
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,30 +10,37 @@ from dactd.envs import CoupledEnv, enumerate_model, micro_env
 from dactd.errors import ModelError, RankError
 from dactd.funcapprox import (TabularSoftmaxPolicy, max_relative_error,
                               tabular_features)
-from dactd.oracle import (advantage_table, correction_terms,
-                          critic_fixed_point, exact_policy_gradient,
-                          feature_matrix, ode_matrix, solve_model,
+from dactd.oracle import (correction_terms, critic_fixed_point,
+                          drift_eigenvalue, exact_policy_gradient,
+                          feature_matrix, projected_drift, solve_model,
                           stationary_distribution, update_direction,
                           value_functions)
 
 from helpers import FixedTablePolicy
 
 
+def _uniform_policies():
+    return [TabularSoftmaxPolicy(2, 2) for _ in range(2)]
+
+
 def _uniform_model():
-    return enumerate_model(micro_env(),
-                           [TabularSoftmaxPolicy(2, 2) for _ in range(2)])
+    return enumerate_model(micro_env(), _uniform_policies())
 
 
-def surrogate_objective(model, d_frozen, critic_tables, local_policies):
+def _uniform_kernel():
+    return _ref_kernel(micro_env(), _uniform_policies())
+
+
+def surrogate_objective(env, d_frozen, critic_tables, local_policies):
     """Scalar objective whose policy gradient equals update_direction when
     the state distribution and critics are frozen:
 
         J'(theta) = sum_s d(s) sum_a pi_theta(a|s) * delta_hat(s, a)
-    """
-    spec = model.spec
-    policy = enumerate_model(CoupledEnv(spec.n_agents, spec.gamma),
-                             local_policies).policy_probs
-    table = advantage_table(model, np.asarray(critic_tables).mean(axis=0))
+
+    computed on the dense (S, A) references."""
+    policy, transition_sa, rewards_sa = _ref_enumerate(env, local_policies)
+    table = _ref_advantage(env.spec, transition_sa, rewards_sa,
+                           np.asarray(critic_tables))
     return float(d_frozen @ (policy * table).sum(axis=1))
 
 
@@ -45,6 +53,125 @@ def _random_policies(seed=42, n=2):
 def _three_agent_solution():
     policies = _random_policies(13, n=3)
     return solve_model(enumerate_model(CoupledEnv(3), policies)), policies
+
+
+# ---------------------------------------------------------------------------
+# Slow references: the per-(s, a) loops and the (S, A) joint policy the
+# count-factorised model replaced, and the (S, S) solves the count chain
+# replaced.  Every dense (S, S) kernel in this file comes from them.
+# ---------------------------------------------------------------------------
+
+def _ref_bordered_law(P):
+    """np.linalg.solve on P^T - I with its last row replaced by ones and
+    right-hand side e_S, clipped at zero and renormalised."""
+    n = P.shape[0]
+    M = P.T - np.eye(n)
+    M[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    d = np.clip(np.linalg.solve(M, b), 0.0, None)
+    return d / d.sum()
+
+
+def _ref_values(model, P):
+    """Per-agent values from the (S, S) system (I - gamma P) V^T = R^T."""
+    S = model.spec.n_states
+    return np.linalg.solve(np.eye(S) - model.spec.gamma * P,
+                           model.rewards_pi.T).T
+
+
+def _bits_of(spec, ai):
+    return np.array(np.unravel_index(ai, (2,) * spec.n_agents))
+
+
+def _ref_next_state_probs(env, s, a):
+    q = env.coupling(s, a)
+    per_agent = np.array([1.0 - q, q])
+    out = np.array([1.0])
+    for _ in range(env.n_agents):
+        out = np.outer(out, per_agent).ravel()
+    return out
+
+
+def _ref_joint_policy_probs(spec, local_policies):
+    S = A = spec.n_states
+    policy = np.zeros((S, A))
+    for si in range(S):
+        s = _bits_of(spec, si)
+        joint = np.array([1.0])
+        for i in range(spec.n_agents):
+            probs_i = np.asarray(local_policies[i].probs(int(s[i])),
+                                 dtype=np.float64)
+            joint = np.outer(joint, probs_i).ravel()
+        policy[si] = joint
+    return policy
+
+
+def _ref_mass(spec, local_policies):
+    """(S, 2N+1) policy mass of each coupling count |s| + |a|, summed from
+    the dense joint policy."""
+    policy = _ref_joint_policy_probs(spec, local_policies)
+    counts = spec.bits.sum(axis=0)
+    mass = np.zeros((spec.n_states, 2 * spec.n_agents + 1))
+    np.add.at(mass, (np.arange(spec.n_states)[:, None],
+                     counts[:, None] + counts), policy)
+    return mass
+
+
+def _ref_kernel(env, local_policies):
+    """(S, S) kernel under the policy: the dense mass times the count rows."""
+    return _ref_mass(env.spec, local_policies) @ env.count_model()[0]
+
+
+def _ref_advantage(spec, transition_sa, rewards_sa, values):
+    """(S, A) expected team TD error under the mean of the value tables."""
+    meanV = values.mean(axis=0)
+    return (rewards_sa.mean(axis=0) + spec.gamma * transition_sa @ meanV
+            - meanV[:, None])
+
+
+def _ref_enumerate(env, local_policies):
+    """Dense (S, A) policy, (S, A, S) kernel and (N, S, A) rewards."""
+    spec = env.spec
+    S = A = spec.n_states
+    policy = _ref_joint_policy_probs(spec, local_policies)
+    transition_sa = np.zeros((S, A, S))
+    rewards_sa = np.zeros((spec.n_agents, S, A))
+    actions = [_bits_of(spec, ai) for ai in range(A)]
+    for si in range(S):
+        s = _bits_of(spec, si)
+        for ai, a in enumerate(actions):
+            transition_sa[si, ai] = _ref_next_state_probs(env, s, a)
+            rewards_sa[:, si, ai] = env.rewards(s, a)
+    return policy, transition_sa, rewards_sa
+
+
+def _ref_direction_from_table(spec, policy_probs, d_pi, table_sa, policies):
+    w_sa = d_pi[:, None] * policy_probs * table_sa
+    states = [_bits_of(spec, si) for si in range(spec.n_states)]
+    actions = states
+    out = []
+    for i, pol in enumerate(policies):
+        w_local = np.zeros((2, 2))
+        for si, s in enumerate(states):
+            for ai, a in enumerate(actions):
+                w_local[s[i], a[i]] += w_sa[si, ai]
+        g = np.zeros(pol.get_flat().size)
+        for sl in range(2):
+            for al in range(2):
+                if w_local[sl, al] != 0.0:
+                    g += w_local[sl, al] * pol.score(sl, al)
+        out.append(g)
+    return out
+
+
+def _ref_feature_matrix(spec, agent, local):
+    rows = []
+    for si in range(spec.n_states):
+        s = _bits_of(spec, si)
+        rows.append(local[int(s[agent - 1])])
+    return np.array(rows)
+
 
 
 # ---------------------------------------------------------------------------
@@ -62,25 +189,24 @@ def test_identity_chain_is_rejected_as_reducible():
 
 
 def test_fixed_point_residual_is_tiny():
-    model = _uniform_model()
-    d = stationary_distribution(model.transition_pi)
-    assert np.abs(d @ model.transition_pi - d).max() <= 1e-12
+    P = _uniform_kernel()
+    d = stationary_distribution(P)
+    assert np.abs(d @ P - d).max() <= 1e-12
     assert d.sum() == pytest.approx(1.0, abs=1e-12)
     assert (d > 0).all()
 
 
 def test_uniform_policy_occupancy_is_known_exactly():
-    model = _uniform_model()
-    d = stationary_distribution(model.transition_pi)
+    d = stationary_distribution(_uniform_kernel())
     assert d == pytest.approx([9 / 28, 5 / 28, 5 / 28, 9 / 28], abs=1e-12)
 
 
 def test_occupancy_matches_a_long_simulation():
-    model = _uniform_model()
-    d = stationary_distribution(model.transition_pi)
+    P = _uniform_kernel()
+    d = stationary_distribution(P)
     # 1,000 chains walked side by side, one inverse-CDF step per tick; the
     # last 1,000 of their 1,050 steps give 10^6 counted states.
-    cum = np.cumsum(model.transition_pi, axis=1)[:, :-1]
+    cum = np.cumsum(P, axis=1)[:, :-1]
     rng = np.random.default_rng(99)
     counts = np.zeros(4)
     s = np.zeros(1000, dtype=np.int64)
@@ -144,7 +270,7 @@ def _clamped_team_chain(n, L):
     under flipping every bit."""
     table = np.array([[L, -L], [-L, L]], dtype=np.float64)
     policies = [TabularSoftmaxPolicy(2, 2, logits=table) for _ in range(n)]
-    return enumerate_model(CoupledEnv(n), policies).transition_pi
+    return _ref_kernel(CoupledEnv(n), policies)
 
 
 # (name, chain, accepted): accepted when eigenvalue 1 is simple.  Every
@@ -218,10 +344,11 @@ def test_private_value_tables_under_the_uniform_policy():
 
 def test_values_solve_the_bellman_equations():
     model = _uniform_model()
+    P = _uniform_kernel()
     v = value_functions(model)
     for i in range(2):
         lhs = v[i]
-        rhs = model.rewards_pi[i] + model.spec.gamma * model.transition_pi @ v[i]
+        rhs = model.rewards_pi[i] + model.spec.gamma * P @ v[i]
         assert np.abs(lhs - rhs).max() <= 1e-10
 
 
@@ -251,8 +378,8 @@ def test_all_ones_is_the_best_deterministic_policy():
 
 def test_myopic_fixed_point_is_the_reward_vector():
     env = micro_env(gamma=0.0)
-    model = enumerate_model(env, [TabularSoftmaxPolicy(2, 2) for _ in range(2)])
-    d = stationary_distribution(model.transition_pi)
+    model = enumerate_model(env, _uniform_policies())
+    d = stationary_distribution(_ref_kernel(env, _uniform_policies()))
     Phi = np.eye(4)
     v = critic_fixed_point(model, d, 1, Phi)
     assert v == pytest.approx(model.rewards_pi[0], abs=1e-12)
@@ -260,17 +387,18 @@ def test_myopic_fixed_point_is_the_reward_vector():
 
 def test_full_state_fixed_point_is_the_true_value_function():
     model = _uniform_model()
-    d = stationary_distribution(model.transition_pi)
+    P = _uniform_kernel()
+    d = stationary_distribution(P)
     Phi = np.eye(4)                         # one-hot over global states
     v = critic_fixed_point(model, d, 1, Phi)
-    direct = np.linalg.solve(np.eye(4) - model.spec.gamma * model.transition_pi,
+    direct = np.linalg.solve(np.eye(4) - model.spec.gamma * P,
                              model.rewards_pi[0])
     assert np.abs(v - direct).max() <= 1e-10
 
 
 def test_local_feature_fixed_points():
     model = _uniform_model()
-    d = stationary_distribution(model.transition_pi)
+    d = stationary_distribution(_uniform_kernel())
     phi = tabular_features(2)
     v1 = critic_fixed_point(model, d, 1, feature_matrix(model.spec, 1, phi))
     v2 = critic_fixed_point(model, d, 2, feature_matrix(model.spec, 2, phi))
@@ -280,11 +408,11 @@ def test_local_feature_fixed_points():
 
 def test_fixed_point_satisfies_projected_orthogonality():
     model = _uniform_model()
-    d = stationary_distribution(model.transition_pi)
+    P = _uniform_kernel()
+    d = stationary_distribution(P)
     Phi = feature_matrix(model.spec, 1, tabular_features(2))
     v = critic_fixed_point(model, d, 1, Phi)
-    resid = (model.rewards_pi[0] + model.spec.gamma * model.transition_pi
-             @ (Phi @ v) - Phi @ v)
+    resid = model.rewards_pi[0] + model.spec.gamma * P @ (Phi @ v) - Phi @ v
     assert np.abs(Phi.T @ (d * resid)).max() <= 1e-12
 
 
@@ -298,7 +426,7 @@ def test_critic_fixed_point_validates_the_agent_id():
 
 def test_duplicated_feature_column_is_rejected():
     model = _uniform_model()
-    d = stationary_distribution(model.transition_pi)
+    d = stationary_distribution(_uniform_kernel())
     Phi = np.ones((4, 2))
     with pytest.raises(RankError):
         critic_fixed_point(model, d, 1, Phi)
@@ -315,11 +443,15 @@ def test_feature_matrix_validates_the_agent_id():
 
 
 def test_drift_matrix_is_strictly_stable():
+    """Every agent's projected drift on its local tabular features is
+    stable, and drift_eigenvalue reports the largest real part of them."""
     model = _uniform_model()
-    d = stationary_distribution(model.transition_pi)
-    evals = np.linalg.eigvals(ode_matrix(model.transition_pi, d,
-                                         model.spec.gamma))
-    assert evals.real.max() <= -1e-6
+    d = stationary_distribution(_uniform_kernel())
+    evals = [np.linalg.eigvals(projected_drift(
+        model, d, feature_matrix(model.spec, i, tabular_features(2))))
+        for i in (1, 2)]
+    assert drift_eigenvalue(model, d) == max(e.real.max() for e in evals)
+    assert drift_eigenvalue(model, d) <= -1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +472,11 @@ def test_gradient_matches_finite_differences_of_the_frozen_objective():
             hi[j] += eps
             lo[j] -= eps
             pol.set_flat(hi)
-            up = surrogate_objective(model, sol.d_pi, sol.v_agents, policies)
+            up = surrogate_objective(micro_env(), sol.d_pi, sol.v_agents,
+                                     policies)
             pol.set_flat(lo)
-            down = surrogate_objective(model, sol.d_pi, sol.v_agents, policies)
+            down = surrogate_objective(micro_env(), sol.d_pi, sol.v_agents,
+                                       policies)
             pol.set_flat(base)
             fd[j] = (up - down) / (2 * eps)
         assert max_relative_error(grads[i], fd) <= 1e-4
@@ -352,11 +486,12 @@ def test_one_exact_ascent_step_improves_the_frozen_objective():
     policies = _random_policies(7)
     model = enumerate_model(micro_env(), policies)
     sol = solve_model(model)
-    before = surrogate_objective(model, sol.d_pi, sol.v_agents, policies)
+    before = surrogate_objective(micro_env(), sol.d_pi, sol.v_agents,
+                                 policies)
     grads = exact_policy_gradient(sol, policies)
     for pol, g in zip(policies, grads):
         pol.set_flat(pol.get_flat() + 1e-3 * g)
-    after = surrogate_objective(model, sol.d_pi, sol.v_agents, policies)
+    after = surrogate_objective(micro_env(), sol.d_pi, sol.v_agents, policies)
     assert after > before
 
 
@@ -430,108 +565,9 @@ def test_critic_tables_need_one_row_per_agent(direction):
         direction(sol, sol.v_agents[:2])
 
 
-def test_ode_matrix_scales_rows_like_the_diagonal_product():
-    rng = np.random.default_rng(11)
-    P = rng.random((6, 6))
-    P /= P.sum(axis=1, keepdims=True)
-    d = stationary_distribution(P)
-    dense = np.diag(d) @ (0.9 * P - np.eye(6))
-    assert np.abs(ode_matrix(P, d, 0.9) - dense).max() <= 1e-15
-
-
 # ---------------------------------------------------------------------------
-# Slow references: the per-(s, a) loops the count-factorised model replaced,
-# and the (S, S) solves the count chain replaced
+# Parity with the slow references
 # ---------------------------------------------------------------------------
-
-def _ref_bordered_law(P):
-    """np.linalg.solve on P^T - I with its last row replaced by ones and
-    right-hand side e_S, clipped at zero and renormalised."""
-    n = P.shape[0]
-    M = P.T - np.eye(n)
-    M[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    d = np.clip(np.linalg.solve(M, b), 0.0, None)
-    return d / d.sum()
-
-
-def _ref_values(model):
-    """Per-agent values from the (S, S) system (I - gamma P) V^T = R^T."""
-    S = model.spec.n_states
-    return np.linalg.solve(np.eye(S) - model.spec.gamma * model.transition_pi,
-                           model.rewards_pi.T).T
-
-
-def _index_action(spec, ai):
-    return np.array(np.unravel_index(ai, (2,) * spec.n_agents))
-
-
-def _ref_next_state_probs(env, s, a):
-    q = env.coupling(s, a)
-    per_agent = np.array([1.0 - q, q])
-    out = np.array([1.0])
-    for _ in range(env.n_agents):
-        out = np.outer(out, per_agent).ravel()
-    return out
-
-
-def _ref_joint_policy_probs(spec, local_policies):
-    S, A = spec.n_states, spec.n_actions
-    policy = np.zeros((S, A))
-    for si in range(S):
-        s = spec.index_state(si)
-        joint = np.array([1.0])
-        for i in range(spec.n_agents):
-            probs_i = np.asarray(local_policies[i].probs(int(s[i])),
-                                 dtype=np.float64)
-            joint = np.outer(joint, probs_i).ravel()
-        policy[si] = joint
-    return policy
-
-
-def _ref_enumerate(env, local_policies):
-    """Dense (S, A) policy, (S, A, S) kernel and (N, S, A) rewards."""
-    spec = env.spec
-    S, A = spec.n_states, spec.n_actions
-    policy = _ref_joint_policy_probs(spec, local_policies)
-    transition_sa = np.zeros((S, A, S))
-    rewards_sa = np.zeros((spec.n_agents, S, A))
-    actions = [_index_action(spec, ai) for ai in range(A)]
-    for si in range(S):
-        s = spec.index_state(si)
-        for ai, a in enumerate(actions):
-            transition_sa[si, ai] = _ref_next_state_probs(env, s, a)
-            rewards_sa[:, si, ai] = env.rewards(s, a)
-    return policy, transition_sa, rewards_sa
-
-
-def _ref_direction_from_table(spec, policy_probs, d_pi, table_sa, policies):
-    w_sa = d_pi[:, None] * policy_probs * table_sa
-    states = [spec.index_state(si) for si in range(spec.n_states)]
-    actions = [_index_action(spec, ai) for ai in range(spec.n_actions)]
-    out = []
-    for i, pol in enumerate(policies):
-        w_local = np.zeros((2, 2))
-        for si, s in enumerate(states):
-            for ai, a in enumerate(actions):
-                w_local[s[i], a[i]] += w_sa[si, ai]
-        g = np.zeros(pol.get_flat().size)
-        for sl in range(2):
-            for al in range(2):
-                if w_local[sl, al] != 0.0:
-                    g += w_local[sl, al] * pol.score(sl, al)
-        out.append(g)
-    return out
-
-
-def _ref_feature_matrix(spec, agent, local):
-    rows = []
-    for si in range(spec.n_states):
-        s = spec.index_state(si)
-        rows.append(local[int(s[agent - 1])])
-    return np.array(rows)
-
 
 def _parity_policies(n, draw, rng):
     """Softmax policies that the model is enumerated under and that supply
@@ -559,16 +595,18 @@ def test_count_model_matches_the_dense_reference(n, draw):
     model = enumerate_model(env, policies)
     spec = model.spec
     policy, transition_sa, rewards_sa = _ref_enumerate(env, policies)
+    counts = spec.bits.sum(axis=0)
+    count_index = counts[:, None] + counts
 
-    assert np.array_equal(model.policy_probs, policy)
     if draw == "fixed":
         assert (model.local_policy[:, 0, 0] == 0.0).all()
-    assert np.array_equal(model.count_transition[model.count_index],
-                          transition_sa)
-    assert np.array_equal(model.count_rewards[:, model.count_index],
-                          rewards_sa)
-    assert max_relative_error(model.transition_pi, np.einsum(
-        "sa,sat->st", policy, transition_sa)) <= PARITY_TOL
+    assert np.array_equal(model.count_transition[count_index], transition_sa)
+    assert np.array_equal(model.count_rewards[:, count_index], rewards_sa)
+    assert max_relative_error(model.mass,
+                              _ref_mass(spec, policies)) <= PARITY_TOL
+    P = np.einsum("sa,sat->st", policy, transition_sa)
+    assert max_relative_error(model.mass @ model.count_transition,
+                              P) <= PARITY_TOL
     assert max_relative_error(model.rewards_pi, np.einsum(
         "sa,nsa->ns", policy, rewards_sa)) <= PARITY_TOL
 
@@ -580,14 +618,19 @@ def test_count_model_matches_the_dense_reference(n, draw):
     sol = solve_model(model)
     critics = rng.normal(size=(n, spec.n_states))
 
+    # Each agent's projected drift against Phi^T diag(d) (gamma P - I) Phi.
+    drift = sol.d_pi[:, None] * (spec.gamma * P - np.eye(spec.n_states))
+    for i in range(1, n + 1):
+        Phi = _ref_feature_matrix(spec, i, phi)
+        assert max_relative_error(projected_drift(model, sol.d_pi, Phi),
+                                  Phi.T @ drift @ Phi) <= PARITY_TOL
+
     def ref_direction(table_sa):
         return _ref_direction_from_table(spec, policy, sol.d_pi, table_sa,
                                          policies)
 
     def ref_advantage(values):
-        meanV = values.mean(axis=0)
-        return (rewards_sa.mean(axis=0) + spec.gamma * transition_sa @ meanV
-                - meanV[:, None])
+        return _ref_advantage(spec, transition_sa, rewards_sa, values)
 
     dV = (critics - sol.v_agents).mean(axis=0)
     pairs = [
@@ -610,22 +653,30 @@ def test_count_chain_solution_matches_the_dense_reference(n, draw):
     policies = _parity_policies(n, draw, rng)
     model = enumerate_model(CoupledEnv(n), policies)
     sol = solve_model(model)
-    d = _ref_bordered_law(model.transition_pi)
+    P = _ref_kernel(CoupledEnv(n), policies)
+    d = _ref_bordered_law(P)
     assert (np.abs(sol.d_pi - d) <= PARITY_TOL * d).all()
-    assert max_relative_error(sol.v_agents, _ref_values(model)) <= PARITY_TOL
+    assert max_relative_error(sol.v_agents, _ref_values(model, P)) <= PARITY_TOL
 
 
-def test_the_oracle_never_forms_the_s_by_s_kernel():
-    policies = _random_policies(21, n=5)
-    model = enumerate_model(CoupledEnv(5), policies)
-    sol = solve_model(model)
-    exact_policy_gradient(sol, policies)
-    for i in range(1, 6):
-        critic_fixed_point(model, sol.d_pi, i, feature_matrix(
-            model.spec, i, tabular_features(2)))
-    assert "transition_pi" not in model.__dict__
-    assert model.transition_pi.shape == (32, 32)    # formed on first read
-    assert "transition_pi" in model.__dict__
+def test_the_oracle_at_twelve_agents_peaks_under_32_mib():
+    """One (S, A) or (S, S) float64 table at N = 12 takes 128 MiB; a whole
+    oracle pass, with a fixed point for every agent, stays under 32 MiB."""
+    n = 12
+    policies = _random_policies(21, n=n)
+    env = CoupledEnv(n)
+    tracemalloc.start()
+    try:
+        model = enumerate_model(env, policies)
+        sol = solve_model(model)
+        exact_policy_gradient(sol, policies)
+        for i in range(1, n + 1):
+            critic_fixed_point(model, sol.d_pi, i, feature_matrix(
+                model.spec, i, tabular_features(2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("n", [2, 5, 7])
@@ -636,10 +687,10 @@ def test_teams_clamped_at_the_default_theta_box_are_solved(n):
     every bit."""
     box = ExperimentConfig().theta_box
     table = np.array([[box, -box], [-box, box]])
-    model = enumerate_model(CoupledEnv(n), [
-        TabularSoftmaxPolicy(2, 2, logits=table) for _ in range(n)])
-    d = solve_model(model).d_pi
-    assert np.abs(d @ model.transition_pi - d).max() <= 1e-15
+    policies = [TabularSoftmaxPolicy(2, 2, logits=table) for _ in range(n)]
+    d = solve_model(enumerate_model(CoupledEnv(n), policies)).d_pi
+    P = _ref_kernel(CoupledEnv(n), policies)
+    assert np.abs(d @ P - d).max() <= 1e-15
     assert (np.abs(d - d[::-1]) <= 1e-12 * d).all()
     assert d[0] == pytest.approx(0.5, abs=2e-8)
     assert d[-1] == pytest.approx(0.5, abs=2e-8)

@@ -1,4 +1,6 @@
 """Windowed fill-in protocol: write-once merges, exact delayed read-out."""
+import gc
+import weakref
 from typing import Any, Iterable
 
 import numpy as np
@@ -683,6 +685,33 @@ def test_payloads_in_flight_keep_their_values():
         for row, origin in zip(values, m.payload.origins):
             want = deltas[origin] if origin >= 0 else np.zeros((4, 2))
             assert row.tobytes() == want.tobytes()
+
+
+def test_a_dropped_driver_frees_its_team_without_the_cycle_collector():
+    # The team holds no view of itself, so reference counting alone frees a
+    # dropped driver's team (and its value buffer) at del.
+    g = GraphSchedule.line(4)
+    model = ChannelModel(t1=1, t2=2, drop_prob=0.3, seed=5)
+    K = latency_bound(g, model.t1, model.t2)
+    gc.disable()
+    try:
+        driver = GeneralProtocolDriver(g, Channel(model, g), K)
+        for t in range(2 * K):
+            driver.tick(t, np.arange(4.0) + t)
+        team = weakref.ref(driver.team)
+        del driver
+        assert team() is None
+    finally:
+        gc.enable()
+
+
+def test_team_views_share_the_team_state():
+    team = TeamTDAggregator(3, 2)
+    first, again = team.histories[0], team.histories[0]
+    assert first is not again and first.team is team
+    team.begin_tick(0, np.array([1.0, 2.0, 3.0]))
+    again.merge_payload(team.histories[1].window_payload())
+    assert list(first.vector_at(0).known) == [True, True, False]
 
 
 def test_exchange_rejects_mismatched_stream_width():
