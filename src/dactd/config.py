@@ -230,8 +230,8 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc.strerror}")
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config is not valid YAML: {exc}")
     values = _read(raw, _LAYOUT, "config", {})

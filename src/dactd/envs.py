@@ -141,24 +141,18 @@ class EnumeratedModel:
     rewards_pi: np.ndarray        # (N, S) expected private rewards
 
 
-def count_laws(local: np.ndarray, bits: np.ndarray,
-               leave_one_out: bool = False) -> np.ndarray:
-    """(N+1, R, S) laws of |a| given s, the count of agents acting 1:
-    row 0 over every agent and, with leave_one_out (R = N+1), row r over
-    every agent but agent r, which starts as row 0 just before agent r.
-    Agent by agent, law_k <- law_k pi_i(0|s_i) + law_{k-1} pi_i(1|s_i),
-    both factors read from the (N, 2, 2) table (never as 1 - p)."""
+def count_laws(local: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """(N+1, N+1, S) prefix laws: law[i, k, s] is the probability, given s,
+    that k of agents 1..i act 1.  Agent by agent, law[i+1, k] =
+    law[i, k] pi_i(0|s_i) + law[i, k-1] pi_i(1|s_i), both factors read from
+    the (N, 2, 2) table (never as 1 - p)."""
     n, S = bits.shape
-    q = local[np.arange(n)[:, None], bits].transpose(0, 2, 1)[:, :, None]
-    law = np.zeros((n + 1, n + 1 if leave_one_out else 1, S))
-    law[0] = 1.0
+    q = np.where(bits[:, None], local[:, 1, :, None], local[:, 0, :, None])
+    law = np.zeros((n + 1, n + 1, S))
+    law[0, 0] = 1.0
     for i in range(n):
-        rows = i + 1 if leave_one_out else 1
-        if leave_one_out:
-            law[:, i + 1] = law[:, 0]
-        moved = law[:i + 1, :rows] * q[i, 1]
-        law[:i + 1, :rows] *= q[i, 0]
-        law[1:i + 2, :rows] += moved
+        law[i + 1, :i + 1] = law[i, :i + 1] * q[i, 0]
+        law[i + 1, 1:i + 2] += law[i, :i + 1] * q[i, 1]
     return law
 
 
@@ -195,6 +189,6 @@ def enumerate_model(env: CoupledEnv, local_policies) -> EnumeratedModel:
         raise ValueError("transition kernel rows must sum to 1")
     mass = np.zeros((S, 2 * n + 1))
     mass[np.arange(S)[:, None], spec.bits.sum(axis=0)[:, None]
-         + np.arange(n + 1)] = count_laws(local, spec.bits)[:, 0].T
+         + np.arange(n + 1)] = count_laws(local, spec.bits)[n].T
     return EnumeratedModel(spec, local, count_transition, count_rewards, mass,
                            count_rewards @ mass.T)

@@ -161,17 +161,21 @@ def critic_fixed_point(model: EnumeratedModel, d_pi: np.ndarray, agent: int,
 def _direction(solution: ExactSolution, g: np.ndarray) -> list[np.ndarray]:
     """Per-agent exhaustive expectation of (g(|s| + |a|) - V(s)) score_i
     under d_pi and the policy, for tabular softmax scorers and any V: the
-    score onehot(a_i) - pi_i(.|s_i) has mean zero, so V drops out.  With
-    L_i(k|s) the law of how many agents but i act 1, agent i's weights
-      w_i[x, y] = pi_i(y|x) sum_{s: s_i = x} d(s) sum_k L_i(k|s) g(|s| + y + k)
-    give the direction w_i - w_i.sum(1) * pi_i, whose row x is (-z, z) for
-      z = pi_i(0|x) pi_i(1|x) sum_{s: s_i = x} d(s) sum_k L_i(k|s) dg(|s| + k)
-    with dg(c) = g(c + 1) - g(c)."""
+    score onehot(a_i) - pi_i(.|s_i) has mean zero, so V drops out.  Agent
+    i's row x is (-z, z), z = pi_i(0|x) pi_i(1|x) sum_{s: s_i = x} d(s) h_i(s),
+    h_i(s) the mean of dg(|s| + k) = g(|s| + k + 1) - g(|s| + k) over the
+    count k of agents but i acting 1.  From U[k] = dg(|s| + k), for agents
+    N..1: h_i = sum_k law[i-1, k] U[k] on the prefix laws, then agent i is
+    folded in, U <- pi_i(0|s_i) U[:-1] + pi_i(1|s_i) U[1:]."""
     model = solution.model
     n, bits, pi = model.spec.n_agents, model.spec.bits, model.local_policy
-    law = count_laws(pi, bits, leave_one_out=True)[:n, 1:]
-    dg = np.diff(g)[bits.sum(axis=0)[:, None] + np.arange(n)]   # (S, k)
-    h = np.einsum("kis,sk->is", law, dg) * solution.d_pi
+    law = count_laws(pi, bits)
+    q = np.where(bits[:, None], pi[:, 1, :, None], pi[:, 0, :, None])
+    U = np.diff(g)[bits.sum(axis=0) + np.arange(n)[:, None]]      # (k, S)
+    h = np.empty((n, bits.shape[1]))
+    for i in range(n - 1, -1, -1):
+        h[i] = (law[i, :i + 1] * U).sum(axis=0) * solution.d_pi
+        U = q[i, 0] * U[:-1] + q[i, 1] * U[1:]
     E = np.stack([1 - bits, bits], axis=1).astype(np.float64)  # (N, 2, S)
     z = np.einsum("ixs,is->ix", E, h) * pi[:, :, 0] * pi[:, :, 1]
     return list(np.stack([-z, z], axis=2).reshape(n, 4))

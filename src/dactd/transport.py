@@ -49,10 +49,12 @@ class ChannelModel:
 
     def __post_init__(self):
         for name, check in (("t1", _as_int), ("t2", _as_int),
-                            ("drop_prob", _as_real)):
+                            ("drop_prob", _as_real), ("seed", _as_int)):
             object.__setattr__(self, name, check(getattr(self, name), name))
-        if self.t1 < 0:
-            raise ConfigurationError(f"t1 must be non-negative, got {self.t1}")
+        for name in ("t1", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must be non-negative, got {getattr(self, name)}")
         if self.t2 < 1:
             raise ConfigurationError(f"t2 must be positive, got {self.t2}")
         if not (0.0 <= self.drop_prob < 1.0):

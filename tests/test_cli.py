@@ -570,6 +570,15 @@ def test_oracle_dump(tmp_path, capsys):
     assert printed[start:start + len(table)] == table
 
 
+def test_unreadable_config_path_exits_1(tmp_path, capsys):
+    for cmd in ("run", "oracle"):
+        assert cli.main([cmd, "--config", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"invalid configuration: cannot read config "
+                                f"{tmp_path}: Is a directory\n")
+
+
 def test_oracle_sizes_outside_the_model_exit_1(config_file, capsys):
     # No agents, 2^13 states (above the enumeration cap), and sizes given
     # both by a config and by flags.

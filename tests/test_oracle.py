@@ -646,6 +646,50 @@ def test_count_model_matches_the_dense_reference(n, draw):
             assert max_relative_error(g, w) <= PARITY_TOL
 
 
+def _ref_leave_one_out_direction(sol, g):
+    """Directions from (N+1, N+1, S) leave-one-out count laws, O(N^3 S):
+    column r + 1 is the law of |a| over every agent but agent r + 1, copied
+    from column 0 just before that agent is folded in, and each h_i sums
+    its law against dg(|s| + k) = g(|s| + k + 1) - g(|s| + k)."""
+    model = sol.model
+    n, bits, pi = model.spec.n_agents, model.spec.bits, model.local_policy
+    q = pi[np.arange(n)[:, None], bits].transpose(0, 2, 1)[:, :, None]
+    law = np.zeros((n + 1, n + 1, model.spec.n_states))
+    law[0] = 1.0
+    for i in range(n):
+        law[:, i + 1] = law[:, 0]
+        moved = law[:i + 1, :i + 1] * q[i, 1]
+        law[:i + 1, :i + 1] *= q[i, 0]
+        law[1:i + 2, :i + 1] += moved
+    dg = np.diff(g)[bits.sum(axis=0)[:, None] + np.arange(n)]   # (S, k)
+    h = np.einsum("kis,sk->is", law[:n, 1:], dg) * sol.d_pi
+    E = np.stack([1 - bits, bits], axis=1).astype(np.float64)  # (N, 2, S)
+    z = np.einsum("ixs,is->ix", E, h) * pi[:, :, 0] * pi[:, :, 1]
+    return list(np.stack([-z, z], axis=2).reshape(n, 4))
+
+
+@pytest.mark.parametrize("draw", [0, 1, 2, "fixed"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_directions_match_the_leave_one_out_reference(n, draw):
+    rng = np.random.default_rng(700 * n + (9 if draw == "fixed" else draw))
+    policies = _parity_policies(n, draw, rng)
+    model = enumerate_model(CoupledEnv(n), policies)
+    sol = solve_model(model)
+    Q, gamma = model.count_transition, model.spec.gamma
+    critics = rng.normal(size=(n, model.spec.n_states))
+    dV = (critics - sol.v_agents).mean(axis=0)
+    r_bar = model.count_rewards.mean(axis=0)
+    pairs = [
+        (exact_policy_gradient(sol, policies), r_bar + gamma * Q @ sol.v_team),
+        (update_direction(sol, critics),
+         r_bar + gamma * Q @ critics.mean(axis=0)),
+        (correction_terms(sol, critics), gamma * Q @ dV),
+    ]
+    for got, g in pairs:
+        for d, w in zip(got, _ref_leave_one_out_direction(sol, g)):
+            assert max_relative_error(d, w) <= PARITY_TOL
+
+
 @pytest.mark.parametrize("draw", [0, 1, 2])
 @pytest.mark.parametrize("n", range(1, 11))
 def test_count_chain_solution_matches_the_dense_reference(n, draw):

@@ -31,9 +31,13 @@ def test_bad_delay_parameters_rejected():
         ChannelModel(t2=0)
     # Counts that would fail mid-run, or run as 1, are rejected up front.
     for bad in (dict(t2=1.5), dict(t1=0.5, drop_prob=0.2), dict(t1=True),
-                dict(t2="2"), dict(drop_prob="0.1"), dict(drop_prob=False)):
+                dict(t2="2"), dict(drop_prob="0.1"), dict(drop_prob=False),
+                dict(seed=-1), dict(seed=1.5), dict(seed="x"),
+                dict(seed=True)):
         with pytest.raises(ConfigurationError):
             ChannelModel(**bad)
+    # A numpy integer seed, as drawn for a driver's channel, is an int.
+    assert type(ChannelModel(seed=np.uint32(7)).seed) is int
 
 
 def test_unknown_delay_law_rejected():
