@@ -9,7 +9,7 @@ lag K, and run synchronized K-delayed policy updates.
 __version__ = "0.1.0"
 
 from .config import AlgorithmChoice, ExperimentConfig, load_config
-from .envs import CoupledEnv, JommdpSpec, micro_env
+from .envs import CoupledEnv, micro_env
 from .errors import (CapacityError, ConfigurationError, DactdError,
                      IncompleteAggregationError, ModelError, NumericError,
                      ProtocolCorruptionError, RankError, TransportError)
@@ -20,10 +20,9 @@ from .transport import Channel, ChannelModel, Message
 __all__ = [
     "AlgorithmChoice", "CapacityError", "Channel", "ChannelModel",
     "ConfigurationError", "CoupledEnv", "DactdError", "ExperimentConfig",
-    "GraphSchedule", "IncompleteAggregationError",
-    "JommdpSpec", "Message", "ModelError", "NumericError",
-    "ProtocolCorruptionError", "RankError", "RunResult", "StepSchedule",
-    "TransportError", "latency_bound",
+    "GraphSchedule", "IncompleteAggregationError", "Message", "ModelError",
+    "NumericError", "ProtocolCorruptionError", "RankError", "RunResult",
+    "StepSchedule", "TransportError", "latency_bound",
     "load_config", "micro_env",
     "run_experiment", "run_theory",
     "__version__",

@@ -9,14 +9,13 @@ Subcommands:
 * ``oracle``      — dump exact quantities (stationary law, values, gradient)
                     for an enumerable config.
 
-Exit codes: 0 success, 1 validation failure, 2 runtime protocol violation,
-3 property-suite failure.
+Exit codes: 0 success, 1 validation or usage failure, 2 runtime protocol
+violation, 3 property-suite failure.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +99,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
         # Each worker trains one contiguous chunk of the grid as one loop.
         cuts = [len(grid) * j // jobs for j in range(jobs + 1)]
         chunks = [grid[a:b] for a, b in zip(cuts, cuts[1:])]
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = [res for part in pool.map(run_experiment,
                                                 [cfg] * jobs, chunks)
@@ -124,6 +124,8 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    if ns.seed is not None and ns.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {ns.seed}")
     names = list(ALL_SUITES) if ns.suite == "all" else [ns.suite]
     failed = False
     for name in names:
@@ -136,6 +138,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_oracle(ns: argparse.Namespace) -> int:
+    if ns.policy_seed is not None and ns.policy_seed < 0:
+        raise ConfigurationError(
+            f"--policy-seed must be >= 0, got {ns.policy_seed}")
     if ns.config is not None:
         if ns.agents is not None or ns.gamma is not None:
             raise ConfigurationError("--agents and --gamma cannot be combined "
@@ -157,12 +162,12 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     sol = solve_model(model)
     grads = exact_policy_gradient(sol, policies)
 
-    S = model.spec.n_states
+    S = env.n_states
     rows = ["state,d_pi," + ",".join(f"v_{i}" for i in range(1, n_agents + 1))
             + ",v_team"]
     for s in range(S):
         vals = ",".join(_fmt(sol.v_agents[i, s]) for i in range(n_agents))
-        rows.append(f"{model.spec.bits[:, s]},{_fmt(sol.d_pi[s])},{vals},"
+        rows.append(f"{env.bits[:, s]},{_fmt(sol.d_pi[s])},{vals},"
                     f"{_fmt(sol.v_team[s])}")
     print(f"states: {S}, joint actions: {S}, gamma: {gamma}")
     print(f"projected-drift max eigenvalue real part: "
@@ -214,8 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    try:
+        ns = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return ns.func(ns)
     except _RUNTIME_ERRORS as exc:

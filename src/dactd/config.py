@@ -143,6 +143,8 @@ class ExperimentConfig:
             raise ConfigurationError("seeds must be >= 0")
         if not self.algorithms:
             raise ConfigurationError("at least one algorithm is required")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ConfigurationError("duplicate algorithms in algorithm list")
         for name in ("n_agents", "episodes", "steps", "critic_epochs",
                      "target_refresh"):
             if getattr(self, name) < 1:

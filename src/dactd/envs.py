@@ -27,18 +27,16 @@ from .errors import CapacityError
 STATE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class JommdpSpec:
-    """Size and discount of a team of N binary agents: S = A = 2^N."""
+class CoupledEnv:
+    """The coupled binary environment of N agents: S = A = 2^N."""
 
-    n_agents: int
-    gamma: float
-
-    def __post_init__(self):
-        if self.n_agents < 1:
+    def __init__(self, n_agents: int, gamma: float = 0.9):
+        if n_agents < 1:
             raise ValueError("n_agents must be >= 1")
-        if not (0.0 <= self.gamma < 1.0):
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
+        if not (0.0 <= gamma < 1.0):
+            raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+        self.n_agents = n_agents
+        self.gamma = gamma
 
     @property
     def n_states(self) -> int:
@@ -52,21 +50,6 @@ class JommdpSpec:
             self.n_agents, -1)
         bits.setflags(write=False)
         return bits
-
-
-class CoupledEnv:
-    """The coupled binary environment for any number of agents."""
-
-    def __init__(self, n_agents: int, gamma: float = 0.9):
-        self.spec = JommdpSpec(n_agents=n_agents, gamma=gamma)
-
-    @property
-    def n_agents(self) -> int:
-        return self.spec.n_agents
-
-    @property
-    def gamma(self) -> float:
-        return self.spec.gamma
 
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.n_agents, dtype=np.int64)
@@ -133,7 +116,7 @@ class EnumeratedModel:
     M = ``mass`` (row s: the law of |a| given s, shifted by |s|) and
     Q = ``count_transition``; no (S, A) or (S, S) array is formed."""
 
-    spec: JommdpSpec
+    spec: CoupledEnv              # the environment
     local_policy: np.ndarray      # (N, 2, 2) pi_i(a_i | s_i) per agent
     count_transition: np.ndarray  # (2N+1, S) next-state law per count
     count_rewards: np.ndarray     # (N, 2N+1) private rewards per count
@@ -172,8 +155,7 @@ def enumerate_model(env: CoupledEnv, local_policies) -> EnumeratedModel:
     each read once through probs(s_local) into model.local_policy.  Raises
     ValueError for a row that is not a distribution (an entry < 0, or a sum
     off 1 by more than 1e-10) and CapacityError when S > STATE_CAP."""
-    spec = env.spec
-    n, S = spec.n_agents, spec.n_states
+    n, S = env.n_agents, env.n_states
     if S > STATE_CAP:
         raise CapacityError(
             f"global state space ({S} states) exceeds cap {STATE_CAP}: the"
@@ -188,7 +170,7 @@ def enumerate_model(env: CoupledEnv, local_policies) -> EnumeratedModel:
     if not np.allclose(count_transition.sum(axis=1), 1.0, atol=1e-12):
         raise ValueError("transition kernel rows must sum to 1")
     mass = np.zeros((S, 2 * n + 1))
-    mass[np.arange(S)[:, None], spec.bits.sum(axis=0)[:, None]
-         + np.arange(n + 1)] = count_laws(local, spec.bits)[n].T
-    return EnumeratedModel(spec, local, count_transition, count_rewards, mass,
+    mass[np.arange(S)[:, None], env.bits.sum(axis=0)[:, None]
+         + np.arange(n + 1)] = count_laws(local, env.bits)[n].T
+    return EnumeratedModel(env, local, count_transition, count_rewards, mass,
                            count_rewards @ mass.T)

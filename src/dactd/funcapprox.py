@@ -27,13 +27,6 @@ from typing import Callable
 import numpy as np
 
 
-def one_hot(idx, size: int) -> np.ndarray:
-    arr = np.asarray(idx, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= size):
-        raise ValueError(f"index outside 0..{size - 1}")
-    return np.eye(size)[arr]
-
-
 def leaky(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x > 0, x, slope * x)
 
@@ -236,9 +229,10 @@ class TabularSoftmaxPolicy:
             self.n_states, self.n_actions).copy()
 
 
-def finite_difference(f: Callable[[np.ndarray], float], x: np.ndarray,
-                      step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function of a flat vector."""
+def finite_difference(f: Callable[[np.ndarray], float],
+                      x: np.ndarray) -> np.ndarray:
+    """Central differences, step 1e-5, of a scalar function of a flat vector."""
+    step = 1e-5
     x = np.asarray(x, dtype=np.float64)
     g = np.zeros_like(x)
     for i in range(x.size):

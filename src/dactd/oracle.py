@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import (EnumeratedModel, JommdpSpec, _local_policy_table,
+from .envs import (CoupledEnv, EnumeratedModel, _local_policy_table,
                    count_laws)
 from .errors import ModelError, RankError
 
@@ -95,21 +95,21 @@ def solve_model(model: EnumeratedModel) -> ExactSolution:
                          v_team=v_agents.mean(axis=0))
 
 
-def _check_agent(spec: JommdpSpec, agent: int) -> None:
-    if not (1 <= agent <= spec.n_agents):
-        raise ValueError(f"agent id {agent} outside 1..{spec.n_agents}")
+def _check_agent(env: CoupledEnv, agent: int) -> None:
+    if not (1 <= agent <= env.n_agents):
+        raise ValueError(f"agent id {agent} outside 1..{env.n_agents}")
 
 
-def feature_matrix(spec: JommdpSpec, agent: int,
+def feature_matrix(env: CoupledEnv, agent: int,
                    local: np.ndarray) -> np.ndarray:
     """Features of every global state: row s is phi(s^agent), the row of the
     (2, dim) table ``local`` at the agent's own bit of s."""
-    _check_agent(spec, agent)
+    _check_agent(env, agent)
     local = np.asarray(local, dtype=np.float64)
     if local.ndim != 2 or len(local) != 2:
         raise ValueError(f"feature table of shape {local.shape} needs one row "
                          f"per local state of agent {agent}")
-    return local[spec.bits[agent - 1]]
+    return local[env.bits[agent - 1]]
 
 
 def projected_drift(model: EnumeratedModel, d_pi: np.ndarray,

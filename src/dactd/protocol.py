@@ -39,8 +39,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import (ConfigurationError, IncompleteAggregationError,
-                     NumericError, ProtocolCorruptionError)
+from .errors import ConfigurationError, IncompleteAggregationError, NumericError
 from .topology import GraphSchedule, hop_distances, latency_bound
 from .transport import Channel
 
@@ -144,10 +143,6 @@ class WindowPayload:
         object.__setattr__(payload, "values", values)
         object.__setattr__(payload, "known", known)
         return payload
-
-    @property
-    def slot_count(self) -> int:
-        return self.known.shape[0] * self.known.shape[1]
 
 
 class TeamTDAggregator:
@@ -340,8 +335,6 @@ class GeneralProtocolDriver:
             for msg in msgs:
                 view.merge_payload(msg.payload)
         payloads = [view.window_payload() for view in views]
-        if any(p.slot_count != self.payload_slots for p in payloads):
-            raise ProtocolCorruptionError("window payload has wrong slot count")
         for edge in self._order[t % len(self._order)]:
             channel.attempt_send(edge, payloads[edge[0] - 1], t)
         for view, i in zip(views, agents):
@@ -564,12 +557,13 @@ def check_neighborhood_invariant(graph: GraphSchedule, deltas: np.ndarray,
     of i; for every neighbour pair (i, j) and depth d in [1, K-1]: the
     correction z[ij, d] must equal the sum over agents at distance exactly d
     of i minus those within distance d-1 of j.  Cohorts before tick 0 count
-    as zero.
+    as zero.  The driver's tree has symmetric edges, so a distance is a
+    directed hop count.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
     n = graph.n_agents
     pairs = sorted(graph.edges_at(0))     # the driver's correction rows
-    dist = hop_distances(n, graph.edges_at(0), undirected=True)
+    dist = hop_distances(n, graph.edges_at(0))
 
     def within(i: int, d: int) -> np.ndarray:
         return (dist[i - 1] >= 0) & (dist[i - 1] <= d)

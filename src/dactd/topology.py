@@ -113,17 +113,13 @@ class GraphSchedule:
         return f"GraphSchedule(n_agents={self.n_agents}, {kind})"
 
 
-def hop_distances(n_agents: int, edges: Iterable[Edge],
-                  undirected: bool = False) -> np.ndarray:
+def hop_distances(n_agents: int, edges: Iterable[Edge]) -> np.ndarray:
     """(N, N) fewest-edge path lengths, by one breadth-first search per source
     agent: entry ``[i-1, j-1]`` counts the edges of a shortest directed path
-    from agent i to agent j, and is -1 where there is no path.
-    ``undirected=True`` also walks every edge backwards."""
+    from agent i to agent j, and is -1 where there is no path."""
     adj: list[list[int]] = [[] for _ in range(n_agents)]
     for src, dst in edges:
         adj[src - 1].append(dst - 1)
-        if undirected:
-            adj[dst - 1].append(src - 1)
     rows = []
     for i in range(n_agents):
         row = [-1] * n_agents

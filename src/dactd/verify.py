@@ -13,8 +13,8 @@ import numpy as np
 
 from .envs import enumerate_model, micro_env
 from .funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
-                         finite_difference, max_relative_error, one_hot,
-                         softmax, tabular_features)
+                         finite_difference, max_relative_error, softmax,
+                         tabular_features)
 from .learner import StepSchedule, _score_table, run_theory
 from .oracle import (correction_terms, critic_fixed_point, drift_eigenvalue,
                      exact_policy_gradient, feature_matrix, solve_model,
@@ -28,6 +28,10 @@ from .transport import Channel, ChannelModel
 # of the same order as the stochastic-approximation noise at 2e5 steps, so
 # the suite pins one seed; errors across seeds are reported by the tests.
 CRITIC_RUN_SEED = 0
+# Random instances per suite, the critic run's length and the bias suite's
+# Monte Carlo draws per setting.
+PROTOCOL_CASES, TREE_CASES, GRADIENT_CASES = 1000, 200, 100
+CRITIC_STEPS, BIAS_SAMPLES = 200_000, 10**6
 
 
 @dataclass
@@ -97,7 +101,7 @@ def _random_delta_stream(rng: np.random.Generator, ticks: int,
 # Suites
 # ---------------------------------------------------------------------------
 
-def protocol_suite(n_cases: int = 1000, seed: int = 20240501) -> SuiteReport:
+def protocol_suite(seed: int = 20240501) -> SuiteReport:
     """Exact recovery over random lossy time-varying digraphs.
 
     Every agent's read-out of tick t - K must be *bitwise* equal to the
@@ -107,7 +111,7 @@ def protocol_suite(n_cases: int = 1000, seed: int = 20240501) -> SuiteReport:
     rng = np.random.default_rng(seed)
     worst = 0.0
     mismatches = 0
-    for case in range(n_cases):
+    for case in range(PROTOCOL_CASES):
         n = int(rng.integers(2, 11))
         g = random_strong_digraph(n, rng, time_varying=bool(rng.random() < 0.5))
         t1 = int(rng.integers(0, 4))
@@ -126,16 +130,16 @@ def protocol_suite(n_cases: int = 1000, seed: int = 20240501) -> SuiteReport:
                     worst = max(worst,
                                 abs(res.readouts[t, i] - res.reference[t]))
     passed = mismatches == 0
-    return SuiteReport("protocol", passed, n_cases, worst, 0.0, seed,
+    return SuiteReport("protocol", passed, PROTOCOL_CASES, worst, 0.0, seed,
                        [f"bitwise mismatches: {mismatches}"])
 
 
-def acyclic_suite(n_cases: int = 200, seed: int = 20240502) -> SuiteReport:
+def acyclic_suite(seed: int = 20240502) -> SuiteReport:
     """Read-out accuracy and the per-level partial-sum invariant on trees."""
     rng = np.random.default_rng(seed)
     worst_read = 0.0
     worst_inv = 0.0
-    for case in range(n_cases):
+    for case in range(TREE_CASES):
         n = int(rng.integers(2, 13))
         g = random_tree(n, rng)
         K = latency_bound(g, 0, 1)
@@ -147,17 +151,17 @@ def acyclic_suite(n_cases: int = 200, seed: int = 20240502) -> SuiteReport:
         worst_inv = max(worst_inv,
                         check_neighborhood_invariant(g, deltas, res.snapshots, K))
     worst = max(worst_read, worst_inv)
-    return SuiteReport("acyclic", worst <= 1e-9, n_cases, worst, 1e-9, seed,
+    return SuiteReport("acyclic", worst <= 1e-9, TREE_CASES, worst, 1e-9, seed,
                        [f"worst read-out gap: {worst_read:.3g}",
                         f"worst invariant gap: {worst_inv:.3g}"])
 
 
-def equivalence_suite(n_cases: int = 200, seed: int = 20240503) -> SuiteReport:
+def equivalence_suite(seed: int = 20240503) -> SuiteReport:
     """Both protocols on shared streams agree; payload sizes are as claimed."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     payload_ok = True
-    for case in range(n_cases):
+    for case in range(TREE_CASES):
         n = int(rng.integers(2, 13))
         g = random_tree(n, rng)
         K = latency_bound(g, 0, 1)
@@ -170,12 +174,11 @@ def equivalence_suite(n_cases: int = 200, seed: int = 20240503) -> SuiteReport:
         worst = max(worst, float(np.abs(r1.readouts - r2.readouts).max()))
         payload_ok &= (r1.payload_slots == K * n and r2.payload_slots == K)
     passed = worst <= 1e-9 and payload_ok
-    return SuiteReport("equivalence", passed, n_cases, worst, 1e-9, seed,
+    return SuiteReport("equivalence", passed, TREE_CASES, worst, 1e-9, seed,
                        [f"payload sizes exact (K*N vs K): {payload_ok}"])
 
 
-def critic_suite(n_steps: int = 200_000,
-                 seed: int = CRITIC_RUN_SEED) -> SuiteReport:
+def critic_suite(seed: int = CRITIC_RUN_SEED) -> SuiteReport:
     """TD(0) convergence to the projected fixed point on the two-agent env.
 
     One on-policy trajectory under the uniform policy with step sizes
@@ -194,12 +197,13 @@ def critic_suite(n_steps: int = 200_000,
     critics = [LinearCritic(tabular_features(2)) for _ in range(env.n_agents)]
     weights = run_theory(env, GraphSchedule.line(env.n_agents), policies,
                          critics, None, StepSchedule.polynomial(0.5, 0.6),
-                         n_steps, seed, protocol=None).critic_weights
+                         CRITIC_STEPS, seed, protocol=None).critic_weights
     err = float(np.max(np.abs(np.array(weights) - fixed)))
     eig_max = drift_eigenvalue(model, sol.d_pi)
     passed = err <= 1e-2 and eig_max <= -1e-6
     return SuiteReport("critic", passed, 1, err, 1e-2, seed,
-                       [f"||v_T - v*||_inf = {err:.3g} after {n_steps} steps",
+                       [f"||v_T - v*||_inf = {err:.3g} after "
+                        f"{CRITIC_STEPS} steps",
                         f"projected-drift max real eigenvalue: {eig_max:.3g}"])
 
 
@@ -226,7 +230,7 @@ def _fd_case(kind: int, rng: np.random.Generator) -> float:
         net_rng = np.random.default_rng(int(rng.integers(2**31)))
         if kind == 0:
             critic = MlpStack((2, *hidden, 1), 1, net_rng, slope)
-            x = one_hot([[int(rng.integers(0, 2))]], 2)
+            x = np.eye(2)[None, None, int(rng.integers(0, 2))]  # (1, 1, 2)
             if _min_hidden_preact(critic, x) < KINK_MARGIN:
                 continue
             analytic = critic.param_grads(x, np.ones((1, 1, 1)))[0, 0]
@@ -285,25 +289,26 @@ def _fd_case(kind: int, rng: np.random.Generator) -> float:
     raise RuntimeError("could not find a kink-free draw in 50 tries")
 
 
-def gradient_suite(n_cases: int = 100, seed: int = 20240505) -> SuiteReport:
+def gradient_suite(seed: int = 20240505) -> SuiteReport:
     """Backpropagation vs central finite differences across model kinds."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for case in range(n_cases):
+    for case in range(GRADIENT_CASES):
         worst = max(worst, _fd_case(case % 4, rng))
-    return SuiteReport("gradient", worst <= 1e-4, n_cases, worst, 1e-4, seed)
+    return SuiteReport("gradient", worst <= 1e-4, GRADIENT_CASES, worst, 1e-4,
+                       seed)
 
 
-def _bias_setting(policies, mc_seed: int, samples: int) -> dict:
+def _bias_setting(policies, mc_seed: int) -> dict:
     """Monte Carlo update direction vs the exact-gradient decomposition."""
-    model = enumerate_model(micro_env(), policies)
+    env = micro_env()
+    model = enumerate_model(env, policies)
     sol = solve_model(model)
-    spec = model.spec
-    S, N = spec.n_states, spec.n_agents
+    S, N = env.n_states, env.n_agents
 
     local_tabs = np.array([
         critic_fixed_point(model, sol.d_pi, i, feature_matrix(
-            spec, i, tabular_features(2)))[spec.bits[i - 1]]
+            env, i, tabular_features(2)))[env.bits[i - 1]]
         for i in range(1, N + 1)])
 
     ex_grad = np.concatenate(exact_policy_gradient(sol, policies))
@@ -317,16 +322,18 @@ def _bias_setting(policies, mc_seed: int, samples: int) -> dict:
     v_hat = local_tabs.mean(axis=0)
     v_true = sol.v_team
 
-    s = np.searchsorted(cum_d, rng.random(samples), side="right").clip(0, S - 1)
-    x = spec.bits[:, s]                                   # (N, samples)
+    s = np.searchsorted(cum_d, rng.random(BIAS_SAMPLES),
+                        side="right").clip(0, S - 1)
+    x = env.bits[:, s]                                # (N, BIAS_SAMPLES)
     # Each agent acts 1 when its uniform reaches pi_i(0 | its local state).
     a = (model.local_policy[np.arange(N)[:, None], x, 0]
-         <= rng.random((N, samples))).astype(np.int64)
+         <= rng.random((N, BIAS_SAMPLES))).astype(np.int64)
     c = x.sum(axis=0) + a.sum(axis=0)
-    sn = (cum_P[c] <= rng.random(samples)[:, None]).sum(axis=1).clip(0, S - 1)
+    sn = ((cum_P[c] <= rng.random(BIAS_SAMPLES)[:, None]).sum(axis=1)
+          .clip(0, S - 1))
 
-    d_hat = r_team[c] + spec.gamma * v_hat[sn] - v_hat[s]
-    d_true = r_team[c] + spec.gamma * v_true[sn] - v_true[s]
+    d_hat = r_team[c] + env.gamma * v_hat[sn] - v_hat[s]
+    d_true = r_team[c] + env.gamma * v_true[sn] - v_true[s]
 
     mc_dir, mc_exact, mc_bias = [], [], []
     for i in range(N):
@@ -345,7 +352,7 @@ def _bias_setting(policies, mc_seed: int, samples: int) -> dict:
     }
 
 
-def bias_suite(samples: int = 10**6, seed: int = 20240506) -> SuiteReport:
+def bias_suite(seed: int = 20240506) -> SuiteReport:
     """Update-direction bias decomposition, Monte Carlo vs exhaustive.
 
     With full-state critics fixed at their exact values the sampled update
@@ -365,7 +372,7 @@ def bias_suite(samples: int = 10**6, seed: int = 20240506) -> SuiteReport:
     worst_paired = 0.0
     worst_decomp = 0.0
     for label, policies in settings:
-        out = _bias_setting(policies, seed, samples)
+        out = _bias_setting(policies, seed)
         worst_full = max(worst_full, out["full_state_err"])
         worst_paired = max(worst_paired, out["paired_bias_err"])
         worst_decomp = max(worst_decomp, out["decomposition_gap"])

@@ -102,6 +102,25 @@ def test_duplicate_seeds_are_rejected(tmp_path):
         load_config(_write(tmp_path, "seeds: [3, 3]\n"))
 
 
+def test_duplicate_algorithms_are_rejected(tmp_path, capsys):
+    for i, algorithms in enumerate(["[dac_td, dac_td]",
+                                    "[dac_td, independent_ac, {kind: dac_td}]",
+                                    "[{kind: khop_sac, k: 1}, "
+                                    "{kind: khop_sac, k: 1.0}]"]):
+        path = _write(tmp_path, f"algorithms: {algorithms}\n",
+                      name=f"dup{i}.yaml")
+        with pytest.raises(ConfigurationError, match="duplicate algorithms"):
+            load_config(path)
+        assert cli.main(["run", "--config", str(path), "--dry-run"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "duplicate algorithms" in captured.err
+    # khop_sac at two radii is two algorithms.
+    cfg = load_config(_write(tmp_path, "algorithms: [{kind: khop_sac, k: 0}, "
+                                       "{kind: khop_sac, k: 1}]\n"))
+    assert [a.label for a in cfg.algorithms] == ["khop_sac_k0", "khop_sac_k1"]
+
+
 def test_neighborhood_radius_cannot_exceed_the_diameter(tmp_path):
     path = _write(tmp_path, """\
         env: {n_agents: 2}
@@ -249,7 +268,7 @@ def _configs(draw):
     algorithms = draw(st.lists(st.sampled_from([
         AlgorithmChoice("dac_td"), AlgorithmChoice("independent_ac"),
         AlgorithmChoice("khop_sac", 0), AlgorithmChoice("khop_sac", 1)]),
-        min_size=1, max_size=4))
+        min_size=1, max_size=4, unique=True))
     widths = st.lists(st.integers(1, 20), min_size=1, max_size=3)
     return ExperimentConfig(
         name=draw(_NAMES), n_agents=n, gamma=draw(st.floats(0.01, 0.99)),
@@ -536,6 +555,29 @@ def test_diverging_run_exits_2_naming_its_cell(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_usage_errors_exit_1(capsys):
+    # argparse would exit 2, the code of a runtime protocol violation.
+    for argv in (["run", "--config", str(LINE5), "--jobs", "abc"],
+                 ["oracle", "--agents", "2.5"],
+                 ["verify", "--suite", "nope"],
+                 ["run"]):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+    assert cli.main(["oracle", "--help"]) == 0
+    assert "--policy-seed" in capsys.readouterr().out
+
+
+def test_negative_seed_flags_exit_1_naming_the_flag(capsys):
+    for argv, flag in ((["oracle", "--policy-seed", "-1"], "--policy-seed"),
+                       (["verify", "--seed", "-3"], "--seed")):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid configuration: {flag} must be >= 0" in captured.err
+
+
 def test_failing_suite_exits_3(monkeypatch, capsys):
     report = SuiteReport(suite="protocol", passed=False, cases=3, worst=1.0,
                          tolerance=0.0, seed=0, lines=["case 0: mismatch"])
@@ -580,9 +622,10 @@ def test_unreadable_config_path_exits_1(tmp_path, capsys):
 
 
 def test_oracle_sizes_outside_the_model_exit_1(config_file, capsys):
-    # No agents, 2^13 states (above the enumeration cap), and sizes given
-    # both by a config and by flags.
+    # No agents, 2^13 states (above the enumeration cap), a discount outside
+    # [0, 1), and sizes given both by a config and by flags.
     for args in (["--agents", "0"], ["--agents", "13"],
+                 ["--gamma", "1.0"], ["--gamma", "nan"],
                  ["--config", str(config_file), "--agents", "3"],
                  ["--config", str(config_file), "--gamma", "0.5"]):
         assert cli.main(["oracle", *args]) == 1

@@ -90,8 +90,7 @@ def test_next_state_law_is_an_independent_product():
     q = env.coupling(s, a)
     probs = env.count_model()[0][s.sum() + a.sum()]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    spec = env.spec
-    joint = {tuple(spec.bits[:, i]): probs[i] for i in range(spec.n_states)}
+    joint = {tuple(env.bits[:, i]): probs[i] for i in range(env.n_states)}
     assert joint[(1, 1)] == pytest.approx(q * q)
     assert joint[(0, 0)] == pytest.approx((1 - q) * (1 - q))
 
@@ -109,6 +108,14 @@ def test_transition_frequencies_match_the_analytic_law():
     assert np.abs(hits / n - q).max() < 0.01
 
 
+def test_sizes_outside_the_model_are_refused():
+    for n_agents, gamma in ((0, 0.9), (-1, 0.9), (2, 1.0), (2, -0.1),
+                            (2, float("nan"))):
+        with pytest.raises(ValueError):
+            CoupledEnv(n_agents, gamma)
+    assert CoupledEnv(1, 0.0).gamma == 0.0
+
+
 def test_initial_state_is_all_zeros():
     env = CoupledEnv(5)
     assert (env.initial_state() == 0).all()
@@ -122,13 +129,13 @@ def test_initial_state_is_all_zeros():
 
 def test_spec_indexing_round_trips():
     for n in range(1, 8):
-        spec = CoupledEnv(n).spec
-        assert spec.n_states == 2 ** n
-        assert np.array_equal(spec.bits, np.unravel_index(np.arange(2 ** n),
-                                                          (2,) * n))
-        assert spec.bits.dtype == np.int64 and not spec.bits.flags.writeable
-        for i in range(spec.n_states):
-            s = spec.bits[:, i]
+        env = CoupledEnv(n)
+        assert env.n_states == 2 ** n
+        assert np.array_equal(env.bits, np.unravel_index(np.arange(2 ** n),
+                                                         (2,) * n))
+        assert env.bits.dtype == np.int64 and not env.bits.flags.writeable
+        for i in range(env.n_states):
+            s = env.bits[:, i]
             assert s.dtype == np.int64 and ((s == 0) | (s == 1)).all()
             assert np.ravel_multi_index(tuple(s), (2,) * n) == i
 

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from dactd.funcapprox import (LinearCritic, MlpStack, TabularSoftmaxPolicy,
                               finite_difference, leaky, leaky_grad,
-                              max_relative_error, one_hot, softmax,
-                              tabular_features)
+                              max_relative_error, softmax, tabular_features)
 from dactd.learner import _score_table
 
 from helpers import FixedTablePolicy
@@ -22,15 +21,6 @@ def take_action(pol, s_local, u):
 # ---------------------------------------------------------------------------
 # Elementary pieces
 # ---------------------------------------------------------------------------
-
-def test_one_hot_basics():
-    assert np.array_equal(one_hot(1, 3), [0.0, 1.0, 0.0])
-    assert np.array_equal(one_hot([0, 2], 3), [[1, 0, 0], [0, 0, 1]])
-    with pytest.raises(ValueError):
-        one_hot(3, 3)
-    with pytest.raises(ValueError):
-        one_hot(-1, 3)
-
 
 def test_leaky_rectifier_and_its_slope():
     x = np.array([-2.0, 0.5])

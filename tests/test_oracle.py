@@ -39,7 +39,7 @@ def surrogate_objective(env, d_frozen, critic_tables, local_policies):
 
     computed on the dense (S, A) references."""
     policy, transition_sa, rewards_sa = _ref_enumerate(env, local_policies)
-    table = _ref_advantage(env.spec, transition_sa, rewards_sa,
+    table = _ref_advantage(env, transition_sa, rewards_sa,
                            np.asarray(critic_tables))
     return float(d_frozen @ (policy * table).sum(axis=1))
 
@@ -120,7 +120,7 @@ def _ref_mass(spec, local_policies):
 
 def _ref_kernel(env, local_policies):
     """(S, S) kernel under the policy: the dense mass times the count rows."""
-    return _ref_mass(env.spec, local_policies) @ env.count_model()[0]
+    return _ref_mass(env, local_policies) @ env.count_model()[0]
 
 
 def _ref_advantage(spec, transition_sa, rewards_sa, values):
@@ -132,14 +132,13 @@ def _ref_advantage(spec, transition_sa, rewards_sa, values):
 
 def _ref_enumerate(env, local_policies):
     """Dense (S, A) policy, (S, A, S) kernel and (N, S, A) rewards."""
-    spec = env.spec
-    S = A = spec.n_states
-    policy = _ref_joint_policy_probs(spec, local_policies)
+    S = A = env.n_states
+    policy = _ref_joint_policy_probs(env, local_policies)
     transition_sa = np.zeros((S, A, S))
-    rewards_sa = np.zeros((spec.n_agents, S, A))
-    actions = [_bits_of(spec, ai) for ai in range(A)]
+    rewards_sa = np.zeros((env.n_agents, S, A))
+    actions = [_bits_of(env, ai) for ai in range(A)]
     for si in range(S):
-        s = _bits_of(spec, si)
+        s = _bits_of(env, si)
         for ai, a in enumerate(actions):
             transition_sa[si, ai] = _ref_next_state_probs(env, s, a)
             rewards_sa[:, si, ai] = env.rewards(s, a)

@@ -361,7 +361,7 @@ def test_precohort_rows_read_as_zero():
 def test_payload_carries_k_times_n_slots_newest_first():
     team = _team(n=3, K=2, ticks=2)
     p = team.histories[0].window_payload()
-    assert p.slot_count == 2 * 3
+    assert p.known.size == 2 * 3
     assert p.origins == (1, 0)
     assert not p.values.flags.writeable and not p.known.flags.writeable
     assert p.known.tolist() == [[True, False, False], [True, False, False]]
